@@ -76,7 +76,7 @@ fn bench_rank(c: &mut Criterion) {
 
 fn bench_enumeration(c: &mut Criterion) {
     // Full-neighborhood scan: per-index unranking vs O(1) lexicographic
-    // advance — the difference the tabu selection pass cares about.
+    // advance — the difference a per-move neighborhood scan cares about.
     let mut g = c.benchmark_group("enumerate_n73_k3");
     let hood = ThreeHamming::new(73);
     g.bench_function("unrank_per_index", |b| {

@@ -220,10 +220,10 @@ fn main() {
     // count — the parallel runtime is an execution detail — so the
     // tracked number is *wall clock*: real seconds to replay the same
     // trace, and real speedup over the 1-worker (serial-path) replay.
-    // Wall speedup tracks min(workers, cores); each row records the
-    // host's core count, so a 1-core CI box reporting ~1.0× is the
-    // overhead bound (the barrier handoff costs nothing), while any
-    // multicore host reports the actual gain.
+    // Wall speedup is bounded by min(workers, cores) and, on this
+    // trace, by shard balance: most ticks have one busy shard, so extra
+    // workers mostly add fork/join cost. Each row records the host's
+    // core count.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1) as u64;
     println!(
         "\n{:>20} {:>8} | {:>10} {:>9} {:>7} | {:>12}   ({cores} core(s) available)",

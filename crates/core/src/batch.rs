@@ -12,7 +12,9 @@
 //!
 //! [`BatchedExplorer`] implements that fusion over the simulated-device
 //! cost model. Functionally it evaluates every lane exactly like
-//! [`SequentialExplorer`](crate::explore::SequentialExplorer) — the
+//! [`SequentialExplorer`](crate::explore::SequentialExplorer), with one
+//! [`IncrementalEval::eval_range`] call over the lane's full
+//! neighborhood (a problem's flat row kernel when it has one) — the
 //! fitness vectors, and therefore the moves a driver selects from them,
 //! are bit-for-bit those of a solo run. Only the *pricing* differs, and
 //! it is no longer a serial sum: each fused iteration is lowered to a
@@ -261,16 +263,8 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         let mut io = Vec::with_capacity(lanes.len());
         for lane in lanes.iter_mut() {
             lane.out.clear();
-            lane.out.reserve(m as usize);
-            let problem = lane.problem;
-            let s = lane.s;
-            let state = &mut *lane.state;
-            let out = &mut *lane.out;
-            self.hood.for_each_move_in(0, m, &mut |_, mv| {
-                out.push(problem.neighbor_fitness(state, s, &mv));
-                true
-            });
-            debug_assert_eq!(out.len(), m as usize);
+            lane.out.resize(m as usize, 0);
+            lane.problem.eval_range(lane.state, lane.s, &self.hood, 0, lane.out);
             // A one-key reduction cannot shrink the readback it gates
             // on, so degenerate neighborhoods stay on the host path.
             let device_argmin = lane.selection.is_device() && m > 1;

@@ -11,6 +11,13 @@
 //! * `PppGpuExplorer` (in `lnls-ppp`) — the simulated-GPU path of the
 //!   paper, implementing this same trait.
 //!
+//! The host explorers hold no evaluation loop of their own: each fills
+//! its fitness vector (or, in parallel, each worker's contiguous chunk)
+//! with one [`IncrementalEval::eval_range`] call, the host analogue of
+//! the paper's one-thread-per-move kernel. The default evaluates move by
+//! move; a problem can override it with a flat row kernel (`OneMax` does
+//! for a full 2-Hamming range).
+//!
 //! Fleet runs fuse several walks' explorations into one launch and
 //! price it through the stream/event model — see
 //! [`BatchedExplorer`](crate::batch::BatchedExplorer), which produces
@@ -40,37 +47,11 @@ pub trait Explorer<P: IncrementalEval>: Send {
 
     /// Visit the moves with indices in `lo..hi` (clamped to
     /// [`size`](Self::size)) in index order; stop early when the
-    /// callback returns `false`. Drivers use this for their selection
-    /// passes, so it must agree index-for-index with the fitness vector
-    /// [`explore`](Self::explore) fills.
-    ///
-    /// The default assumes fixed-`k` lexicographic enumeration (one
-    /// unranking at `lo`, then [`lex_advance`](lnls_neighborhood::lex_advance)); explorers wrapping a
-    /// [`Neighborhood`] should delegate to
-    /// [`Neighborhood::for_each_move_in`] so mixed-radius unions work.
-    fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
-        let hi = hi.min(self.size());
-        if lo >= hi {
-            return;
-        }
-        let first = self.unrank(lo);
-        let k = first.k();
-        let mut bits = [0u32; 4];
-        bits[..k].copy_from_slice(first.bits());
-        for idx in lo..hi {
-            let mv = FlipMove::from_sorted(&bits[..k]);
-            if !f(idx, mv) {
-                return;
-            }
-            if idx + 1 < hi {
-                lnls_neighborhood::lex_advance(&mut bits[..k], self.dim_hint());
-            }
-        }
-    }
-
-    /// Dimension `n` of the underlying binary strings — needed by the
-    /// default [`for_each_move`](Self::for_each_move) enumeration.
-    fn dim_hint(&self) -> u32;
+    /// callback returns `false`. It must agree index-for-index with the
+    /// fitness vector [`explore`](Self::explore) fills; explorers wrapping
+    /// a [`Neighborhood`] delegate to [`Neighborhood::for_each_move_in`].
+    /// Hill climbing's first-improvement pass walks moves through it.
+    fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool);
 
     /// Evaluate the full neighborhood of `s` into `out` (resized to
     /// [`size`](Self::size)).
@@ -120,24 +101,15 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for SequentialExplorer<N> 
         self.hood.unrank(index)
     }
 
-    fn dim_hint(&self) -> u32 {
-        self.hood.dim() as u32
-    }
-
     fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
         self.hood.for_each_move_in(lo, hi, f);
     }
 
     fn explore(&mut self, problem: &P, s: &BitString, state: &mut P::State, out: &mut Vec<i64>) {
         let t0 = Instant::now();
-        let m = self.hood.size() as usize;
         out.clear();
-        out.reserve(m);
-        self.hood.for_each_move_in(0, m as u64, &mut |_, mv| {
-            out.push(problem.neighbor_fitness(state, s, &mv));
-            true
-        });
-        debug_assert_eq!(out.len(), m);
+        out.resize(self.hood.size() as usize, 0);
+        problem.eval_range(state, s, &self.hood, 0, out);
         self.wall += t0.elapsed();
     }
 
@@ -183,10 +155,6 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
         self.hood.unrank(index)
     }
 
-    fn dim_hint(&self) -> u32 {
-        self.hood.dim() as u32
-    }
-
     fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
         self.hood.for_each_move_in(lo, hi, f);
     }
@@ -199,12 +167,7 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
         let workers = self.workers.min(m.max(1));
         if workers <= 1 || m < 1024 {
             // Too small to amortize thread spawn.
-            let mut i = 0;
-            self.hood.for_each_move_in(0, m as u64, &mut |_, mv| {
-                out[i] = problem.neighbor_fitness(state, s, &mv);
-                i += 1;
-                true
-            });
+            problem.eval_range(state, s, &self.hood, 0, out);
             self.wall += t0.elapsed();
             return;
         }
@@ -214,14 +177,7 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
             for (w, slice) in out.chunks_mut(chunk).enumerate() {
                 let lo = (w * chunk) as u64;
                 let mut local_state = state.clone();
-                scope.spawn(move || {
-                    let mut i = 0usize;
-                    hood.for_each_move_in(lo, lo + slice.len() as u64, &mut |_, mv| {
-                        slice[i] = problem.neighbor_fitness(&mut local_state, s, &mv);
-                        i += 1;
-                        true
-                    });
-                });
+                scope.spawn(move || problem.eval_range(&mut local_state, s, hood, lo, slice));
             }
         });
         self.wall += t0.elapsed();

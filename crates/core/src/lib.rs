@@ -86,7 +86,7 @@ pub use hillclimb::{descend_in_place, HillClimbing, Pivot};
 pub use ils::IteratedLocalSearch;
 pub use multistart::MultiStart;
 pub use persist::{Persist, PersistError, PersistTag, Reader};
-pub use problem::{BinaryProblem, IncrementalEval};
+pub use problem::{eval_each_move, BinaryProblem, IncrementalEval};
 pub use report::{fmt_seconds, TableRow};
 pub use search::{SearchConfig, SearchResult, StopReason};
 pub use tabu::{TabuCursor, TabuSearch, TabuStrategy};

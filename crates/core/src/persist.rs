@@ -594,9 +594,14 @@ impl Persist for SearchResult {
 
 /// Constructors assert their invariants; decoding must not panic on
 /// corrupt input, so re-check them here and surface a [`PersistError`].
+/// The size `C(n, k)` must fit `u64`: `KHamming::new` panics otherwise,
+/// and the fixed-`k` types would report a wrapped or truncated size.
 fn check_hood_dims(n: usize, k: usize) -> Result<(), PersistError> {
     if k == 0 || k > 4 || k > n {
         return Err(PersistError::new(format!("invalid neighborhood shape n={n}, k={k}")));
+    }
+    if lnls_neighborhood::checked_binomial(n as u64, k as u64).is_none() {
+        return Err(PersistError::new(format!("neighborhood size C({n}, {k}) overflows u64")));
     }
     Ok(())
 }
@@ -755,6 +760,51 @@ mod tests {
         roundtrip_hood(TwoHamming::new(12));
         roundtrip_hood(ThreeHamming::new(12));
         roundtrip_hood(KHamming::new(12, 2));
+    }
+
+    /// Decode a neighborhood from its encoded shape, reporting the error.
+    fn decode_hood<N: Persist>(shape: &[usize]) -> Result<N, String> {
+        let mut bytes = Vec::new();
+        for v in shape {
+            v.write(&mut bytes);
+        }
+        Reader::new(&bytes).read().map_err(|e| e.to_string())
+    }
+
+    #[test]
+    fn one_hamming_decode_keeps_any_size() {
+        // C(n, 1) = n always fits u64, so no dimension overflows it.
+        let hood: OneHamming = decode_hood(&[1 << 40]).unwrap();
+        assert_eq!(hood.size(), 1 << 40);
+    }
+
+    #[test]
+    fn two_hamming_decode_rejects_an_overflowing_size() {
+        let err = decode_hood::<TwoHamming>(&[1 << 40]).unwrap_err();
+        assert!(err.contains("overflows u64"), "{err}");
+        assert!(decode_hood::<TwoHamming>(&[6_074_001_001]).is_err());
+        // The largest n whose C(n, 2) fits decodes with its exact size.
+        let hood: TwoHamming = decode_hood(&[6_074_001_000]).unwrap();
+        assert_eq!(hood.size(), 18_446_744_070_963_499_500);
+    }
+
+    #[test]
+    fn three_hamming_decode_rejects_an_overflowing_size() {
+        let err = decode_hood::<ThreeHamming>(&[1 << 40]).unwrap_err();
+        assert!(err.contains("overflows u64"), "{err}");
+        assert!(decode_hood::<ThreeHamming>(&[4_801_281]).is_err());
+        let hood: ThreeHamming = decode_hood(&[4_801_280]).unwrap();
+        assert_eq!(hood.size(), 18_446_738_006_366_306_560);
+    }
+
+    #[test]
+    fn k_hamming_decode_rejects_an_overflowing_size() {
+        for shape in [[1 << 40, 2], [1 << 40, 3], [1 << 20, 4]] {
+            let err = decode_hood::<KHamming>(&shape).unwrap_err();
+            assert!(err.contains("overflows u64"), "{shape:?}: {err}");
+        }
+        let hood: KHamming = decode_hood(&[6_074_001_000, 2]).unwrap();
+        assert_eq!(hood.size(), 18_446_744_070_963_499_500);
     }
 
     fn roundtrip_hood<N: Persist + Neighborhood>(hood: N) {

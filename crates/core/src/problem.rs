@@ -6,7 +6,7 @@
 //! tables are runs reaching fitness 0).
 
 use crate::bitstring::BitString;
-use lnls_neighborhood::FlipMove;
+use lnls_neighborhood::{FlipMove, Neighborhood};
 
 /// A pseudo-Boolean minimization problem.
 pub trait BinaryProblem: Send + Sync {
@@ -54,6 +54,54 @@ pub trait IncrementalEval: BinaryProblem {
     /// Advance the state across the move `mv` (called with `s` still the
     /// *pre-move* solution; the caller flips `s` afterwards).
     fn apply_move(&self, state: &mut Self::State, s: &BitString, mv: &FlipMove);
+
+    /// Fill `out[i]` with the fitness of the neighbor with flat index
+    /// `lo + i` under `hood` — one slice of the paper's `new_fitness`
+    /// array, the host analogue of one evaluation kernel launch.
+    ///
+    /// Every explorer evaluates through this method. The default calls
+    /// [`neighbor_fitness`](Self::neighbor_fitness) once per move
+    /// ([`eval_each_move`]); a problem may override it with a flat
+    /// kernel for the ranges it recognizes, but must return exactly the
+    /// default's values.
+    ///
+    /// # Panics
+    /// Panics if `lo + out.len()` exceeds `hood.size()`.
+    fn eval_range<N: Neighborhood>(
+        &self,
+        state: &mut Self::State,
+        s: &BitString,
+        hood: &N,
+        lo: u64,
+        out: &mut [i64],
+    ) {
+        eval_each_move(self, state, s, hood, lo, out);
+    }
+}
+
+/// The default [`IncrementalEval::eval_range`]: enumerate the moves
+/// `lo..lo + out.len()` of `hood` in index order and evaluate each with
+/// [`neighbor_fitness`](IncrementalEval::neighbor_fitness). Overrides
+/// call it for the ranges their kernels do not cover.
+///
+/// # Panics
+/// Panics if `lo + out.len()` exceeds `hood.size()`.
+pub fn eval_each_move<P: IncrementalEval + ?Sized, N: Neighborhood>(
+    problem: &P,
+    state: &mut P::State,
+    s: &BitString,
+    hood: &N,
+    lo: u64,
+    out: &mut [i64],
+) {
+    let hi = lo + out.len() as u64;
+    assert!(hi <= hood.size(), "range {lo}..{hi} exceeds {} moves", hood.size());
+    let mut slots = out.iter_mut();
+    hood.for_each_move_in(lo, hi, &mut |_, mv| {
+        let slot = slots.next().expect("for_each_move_in visits exactly hi - lo moves");
+        *slot = problem.neighbor_fitness(state, s, &mv);
+        true
+    });
 }
 
 #[cfg(test)]

@@ -171,10 +171,6 @@ impl TabuSearch {
     }
 }
 
-/// Borrowed enumerator handing `(flat index, move)` pairs to a visitor
-/// in index order — how the selection pass walks a fitness vector.
-type EnumerateMoves<'a> = &'a dyn Fn(&mut dyn FnMut(u64, FlipMove) -> bool);
-
 /// The loop-carried state of one tabu-search walk, stepped externally.
 ///
 /// Produced by [`TabuSearch::cursor`]. One [`step`](Self::step) performs
@@ -277,12 +273,7 @@ impl<P: IncrementalEval> TabuCursor<P> {
         self.evals += m;
         self.iterations += 1;
         let iter = self.iterations - 1;
-        self.select_commit_inner(
-            problem,
-            &|f| explorer.for_each_move(0, out.len() as u64, f),
-            &out,
-            iter,
-        );
+        self.select_commit_inner(problem, |i| explorer.unrank(i), &out, iter);
         self.out_scratch = out;
         if let Some(mv) = self.last_move() {
             explorer.committed(problem, &self.s, &self.state, &mv);
@@ -307,12 +298,7 @@ impl<P: IncrementalEval> TabuCursor<P> {
         self.evals += out.len() as u64;
         self.iterations += 1;
         let iter = self.iterations - 1;
-        self.select_commit_inner(
-            problem,
-            &|f| hood.for_each_move_in(0, out.len() as u64, f),
-            out,
-            iter,
-        );
+        self.select_commit_inner(problem, |i| hood.unrank(i), out, iter);
         true
     }
 
@@ -321,49 +307,59 @@ impl<P: IncrementalEval> TabuCursor<P> {
         self.last_committed
     }
 
+    /// The move to commit: the best admissible index of `out` (ties →
+    /// lowest index), or the best index overall when every move is tabu,
+    /// with its fitness.
+    ///
+    /// The scan reads `out` by index alone. Only a candidate that beats
+    /// the current admissible best, is not rescued by aspiration, and
+    /// whose tabu status depends on its bits (solution ring, attribute
+    /// memory) is decoded with `unrank` — the caller's decoder, so a
+    /// mixed-radius neighborhood (`UnionHamming`) stays index-aligned
+    /// with `out`.
+    fn select(&self, out: &[i64], unrank: &impl Fn(u64) -> FlipMove, iter: u64) -> (i64, u64) {
+        let mut best_adm: Option<(i64, u64)> = None;
+        let mut best_any: Option<(i64, u64)> = None;
+        for (idx, &f) in (0u64..).zip(out) {
+            if best_any.is_none_or(|(bf, _)| f < bf) {
+                best_any = Some((f, idx));
+            }
+            if best_adm.is_some_and(|(bf, _)| f >= bf) {
+                continue;
+            }
+            let aspires = self.search.aspiration && f < self.best_fitness;
+            if aspires || !self.is_tabu(idx, unrank, iter) {
+                best_adm = Some((f, idx));
+            }
+        }
+        best_adm.or(best_any).expect("non-empty neighborhood")
+    }
+
+    /// Whether the move with flat index `idx` is tabu at iteration `iter`.
+    fn is_tabu(&self, idx: u64, unrank: &impl Fn(u64) -> FlipMove, iter: u64) -> bool {
+        match self.search.strategy {
+            TabuStrategy::SolutionRing { .. } => {
+                let mv = unrank(idx);
+                let h = mv.bits().iter().fold(self.cur_hash, |h, &b| h ^ self.ztable[b as usize]);
+                self.ring_set.contains_key(&h)
+            }
+            TabuStrategy::MoveRing { .. } => self.mring_set.contains_key(&idx),
+            TabuStrategy::Attribute { tenure } => unrank(idx).bits().iter().any(|&b| {
+                let lf = self.last_flip[b as usize];
+                lf != u64::MAX && iter.saturating_sub(lf) < tenure
+            }),
+        }
+    }
+
     fn select_commit_inner(
         &mut self,
         problem: &P,
-        enumerate: EnumerateMoves<'_>,
+        unrank: impl Fn(u64) -> FlipMove,
         out: &[i64],
         iter: u64,
     ) {
-        // Selection pass: best admissible move (ties → lowest index),
-        // falling back to the best move overall if everything is tabu.
-        // Moves are enumerated through the caller so mixed-radius
-        // neighborhoods (`UnionHamming`) stay index-aligned with `out`.
-        let mut best_adm: Option<(i64, u64, FlipMove)> = None;
-        let mut best_any: Option<(i64, u64, FlipMove)> = None;
-        enumerate(&mut |idx, mv| {
-            let f = out[idx as usize];
-            if best_any.is_none() || f < best_any.as_ref().unwrap().0 {
-                best_any = Some((f, idx, mv));
-            }
-            if best_adm.as_ref().is_some_and(|(bf, _, _)| f >= *bf) {
-                return true; // not better than current admissible best
-            }
-            let tabu = match self.search.strategy {
-                TabuStrategy::SolutionRing { .. } => {
-                    let mut h = self.cur_hash;
-                    for &b in mv.bits() {
-                        h ^= self.ztable[b as usize];
-                    }
-                    self.ring_set.contains_key(&h)
-                }
-                TabuStrategy::MoveRing { .. } => self.mring_set.contains_key(&idx),
-                TabuStrategy::Attribute { tenure } => mv.bits().iter().any(|&b| {
-                    let lf = self.last_flip[b as usize];
-                    lf != u64::MAX && iter.saturating_sub(lf) < tenure
-                }),
-            };
-            let admissible = !tabu || (self.search.aspiration && f < self.best_fitness);
-            if admissible {
-                best_adm = Some((f, idx, mv));
-            }
-            true
-        });
-
-        let (f, chosen_idx, mv) = best_adm.or(best_any).expect("non-empty neighborhood");
+        let (f, chosen_idx) = self.select(out, &unrank, iter);
+        let mv = unrank(chosen_idx);
 
         // Commit the move.
         problem.apply_move(&mut self.state, &self.s, &mv);
@@ -653,7 +649,7 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{Neighborhood, OneHamming, TwoHamming};
+    use lnls_neighborhood::{KHamming, Neighborhood, OneHamming, TwoHamming, UnionHamming};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -835,6 +831,135 @@ mod tests {
         cursor.persist(&mut bytes);
         let wrong = ZeroCount { n: 20 };
         assert!(TabuCursor::read_persisted(&mut Reader::new(&bytes), &wrong).is_err());
+    }
+
+    /// The selection rule written out from its definition: among the
+    /// admissible moves (not tabu, or better than the best fitness with
+    /// aspiration on) the lowest fitness wins, ties to the lowest index;
+    /// with none admissible, the best move overall. Moves come from
+    /// `for_each_move_in`, tabu status from the rings and the attribute
+    /// memory themselves (a solution's full Zobrist hash, the move ring's
+    /// entries), never from the cursor's lookup sets or `unrank`.
+    fn reference_select<N: Neighborhood>(
+        c: &TabuCursor<ZeroCount>,
+        hood: &N,
+        out: &[i64],
+        iter: u64,
+    ) -> (i64, u64) {
+        let mut all = Vec::new();
+        let mut admissible = Vec::new();
+        hood.for_each_move_in(0, hood.size(), &mut |idx, mv| {
+            let f = out[idx as usize];
+            let tabu = match c.search.strategy {
+                TabuStrategy::SolutionRing { .. } => {
+                    let mut next = c.s.clone();
+                    next.apply(&mv);
+                    c.ring.contains(&next.zobrist(&c.ztable))
+                }
+                TabuStrategy::MoveRing { .. } => c.mring.contains(&idx),
+                TabuStrategy::Attribute { tenure } => mv.bits().iter().any(|&b| {
+                    let flipped = c.last_flip[b as usize];
+                    flipped != u64::MAX && iter - flipped < tenure
+                }),
+            };
+            all.push((f, idx));
+            if !tabu || (c.search.aspiration && f < c.best_fitness) {
+                admissible.push((f, idx));
+            }
+            true
+        });
+        admissible.into_iter().min().or(all.into_iter().min()).expect("non-empty")
+    }
+
+    /// Random tabu memory over `hood` (about `tabu_pct`% of the moves, or
+    /// every move at 100), random fitness with many ties, then the index
+    /// scan against [`reference_select`].
+    fn check_selection<N: Neighborhood>(
+        hood: &N,
+        seed: u64,
+        strategy: u8,
+        aspiration: bool,
+        tabu_pct: u64,
+    ) -> proptest::TestCaseResult {
+        use rand::Rng;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (n, m) = (hood.dim(), hood.size());
+        let tenure = 6;
+        let strategy = match strategy {
+            0 => TabuStrategy::SolutionRing { len: m as usize + 1 },
+            1 => TabuStrategy::MoveRing { len: m as usize },
+            _ => TabuStrategy::Attribute { tenure },
+        };
+        let search = TabuSearch {
+            config: SearchConfig::budget(10),
+            strategy,
+            aspiration,
+            keep_history: false,
+        };
+        let p = ZeroCount { n };
+        let mut c = search.cursor(&p, BitString::random(&mut rng, n));
+        let iter = 100;
+        let mut moves = Vec::new();
+        hood.for_each_move_in(0, m, &mut |idx, mv| {
+            moves.push((idx, mv));
+            true
+        });
+        for (idx, mv) in moves {
+            if rng.gen_range(0..100u64) >= tabu_pct {
+                continue;
+            }
+            let mut next = c.s.clone();
+            next.apply(&mv);
+            c.ring.push(next.zobrist(&c.ztable));
+            c.mring.push(idx);
+        }
+        for b in 0..n {
+            c.last_flip[b] = if rng.gen_range(0..100u64) < tabu_pct {
+                iter - 1 - rng.gen_range(0..tenure)
+            } else if rng.gen_bool(0.5) {
+                iter - tenure - rng.gen_range(0..4u64)
+            } else {
+                u64::MAX
+            };
+        }
+        for &h in &c.ring {
+            *c.ring_set.entry(h).or_insert(0) += 1;
+        }
+        for &idx in &c.mring {
+            *c.mring_set.entry(idx).or_insert(0) += 1;
+        }
+        c.best_fitness = rng.gen_range(0..5);
+        let out: Vec<i64> = (0..m).map(|_| rng.gen_range(0..5)).collect();
+
+        let got = c.select(&out, &|i| hood.unrank(i), iter);
+        proptest::prop_assert_eq!(got, reference_select(&c, hood, &out, iter));
+        Ok(())
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn index_scan_selection_matches_the_reference(
+            seed in proptest::any::<u64>(),
+            strategy in 0u8..3,
+            aspiration in proptest::any::<bool>(),
+            tabu_pct in 0u64..101,
+            hood in 0u8..4,
+        ) {
+            // A third of the cases mark every move tabu (the fallback).
+            let tabu_pct = if seed % 3 == 0 { 100 } else { tabu_pct };
+            let n = 9;
+            match hood {
+                0 => check_selection(&OneHamming::new(n), seed, strategy, aspiration, tabu_pct)?,
+                1 => check_selection(&TwoHamming::new(n), seed, strategy, aspiration, tabu_pct)?,
+                2 => check_selection(&KHamming::new(n, 3), seed, strategy, aspiration, tabu_pct)?,
+                _ => {
+                    let union = UnionHamming::new(n, &[1, 2]);
+                    check_selection(&union, seed, strategy, aspiration, tabu_pct)?
+                }
+            }
+        }
     }
 
     #[test]

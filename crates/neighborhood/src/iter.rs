@@ -51,7 +51,7 @@ impl<N: Neighborhood> ExactSizeIterator for MoveIter<'_, N> {}
 /// unspecified) when `bits` was the last combination.
 ///
 /// This is the O(1)-amortized companion to unranking: scans that visit
-/// *every* move (a tabu iteration's selection pass) should enumerate
+/// *every* move (a per-move neighborhood evaluation) should enumerate
 /// instead of unranking each index.
 #[inline]
 pub fn lex_advance(bits: &mut [u32], n: u32) -> bool {

@@ -153,18 +153,33 @@ pub trait Neighborhood: Send + Sync {
 /// `u128` and returned as `u64`.
 ///
 /// # Panics
-/// Panics if the result does not fit in `u64`.
+/// Panics if the result does not fit in `u64`; use [`checked_binomial`]
+/// for shapes that come from outside the program.
 #[inline]
 pub fn binomial(n: u64, k: u64) -> u64 {
+    checked_binomial(n, k).expect("binomial overflows u64")
+}
+
+/// Binomial coefficient `C(n, k)`, or `None` when it does not fit in
+/// `u64` — the size check for a neighborhood shape `(n, k)` read from
+/// untrusted bytes.
+#[inline]
+pub fn checked_binomial(n: u64, k: u64) -> Option<u64> {
     if k > n {
-        return 0;
+        return Some(0);
     }
     let k = k.min(n - k);
     let mut acc: u128 = 1;
     for t in 0..k {
+        // `acc` is C(n, t) ≤ u64::MAX here, so the product fits u128.
+        // C(n, ·) rises up to k ≤ n/2: once a prefix overflows, so does
+        // the result.
         acc = acc * (n - t) as u128 / (t + 1) as u128;
+        if acc > u64::MAX as u128 {
+            return None;
+        }
     }
-    u64::try_from(acc).expect("binomial overflows u64")
+    Some(acc as u64)
 }
 
 #[cfg(test)]
@@ -189,6 +204,19 @@ mod tests {
                 assert_eq!(binomial(n, k), binomial(n - 1, k - 1) + binomial(n - 1, k));
             }
         }
+    }
+
+    #[test]
+    fn checked_binomial_detects_overflow() {
+        assert_eq!(checked_binomial(10, 3), Some(120));
+        assert_eq!(checked_binomial(3, 5), Some(0));
+        assert_eq!(checked_binomial(u64::MAX, 1), Some(u64::MAX));
+        assert_eq!(checked_binomial(u64::MAX, u64::MAX - 1), Some(u64::MAX));
+        assert_eq!(checked_binomial(1 << 40, 2), None);
+        assert_eq!(checked_binomial(1 << 40, 4), None);
+        // The largest n whose C(n, 2) still fits, and the first that does not.
+        assert_eq!(checked_binomial(6_074_001_000, 2), Some(18_446_744_070_963_499_500));
+        assert_eq!(checked_binomial(6_074_001_001, 2), None);
     }
 
     #[test]

@@ -16,10 +16,11 @@
 //! paper's Fig. 9 — including its `+0.1f` rounding guard — so the precision
 //! ablation can locate the instance sizes where `f32` first mis-maps.
 
-/// Neighborhood size `m = n(n−1)/2` of the 2-Hamming neighborhood.
+/// Neighborhood size `m = n(n−1)/2` of the 2-Hamming neighborhood, exact
+/// whenever it fits `u64` (the product is taken in `u128`).
 #[inline]
 pub fn size2(n: u64) -> u64 {
-    n * (n - 1) / 2
+    (n as u128 * (n - 1) as u128 / 2) as u64
 }
 
 /// ℕ²→ℕ: Proposition 1 / Appendix A. Requires `i < j < n`.

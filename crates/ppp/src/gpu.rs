@@ -188,10 +188,6 @@ impl Explorer<Ppp> for PppGpuExplorer {
         self.hood.unrank(index)
     }
 
-    fn dim_hint(&self) -> u32 {
-        self.n as u32
-    }
-
     fn for_each_move(&self, lo: u64, hi: u64, f: &mut dyn FnMut(u64, FlipMove) -> bool) {
         self.hood.for_each_move_in(lo, hi, f);
     }

@@ -2,8 +2,8 @@
 //! (count the zero bits). Useful as a smoke-test problem whose optimum
 //! and landscape are fully understood.
 
-use lnls_core::{BinaryProblem, BitString, IncrementalEval};
-use lnls_neighborhood::FlipMove;
+use lnls_core::{eval_each_move, BinaryProblem, BitString, IncrementalEval};
+use lnls_neighborhood::{checked_binomial, FlipMove, Neighborhood};
 
 /// Minimize the number of zero bits; solved at the all-ones string.
 #[derive(Copy, Clone, Debug)]
@@ -64,6 +64,39 @@ impl IncrementalEval for OneMax {
 
     fn apply_move(&self, state: &mut OneMaxState, s: &BitString, mv: &FlipMove) {
         state.zeros = self.neighbor_fitness(&mut state.clone(), s, mv);
+    }
+
+    /// Row kernel for a full 2-Hamming neighborhood. Flipping bit `b`
+    /// changes the zero count by `d[b] = ±1`, and every 2-flip `(i, j)` of
+    /// row `i` shares `d[i]`, so the row is `zeros + d[i] + d[j]` for
+    /// `j > i`: one flat add per move, no move decoded. Any other range —
+    /// partial, `k ≠ 2`, or a union of radii — is evaluated move by move.
+    fn eval_range<N: Neighborhood>(
+        &self,
+        state: &mut OneMaxState,
+        s: &BitString,
+        hood: &N,
+        lo: u64,
+        out: &mut [i64],
+    ) {
+        let n = self.n;
+        let full_two_hamming = hood.k() == 2
+            && lo == 0
+            && out.len() as u64 == hood.size()
+            && checked_binomial(n as u64, 2) == Some(hood.size());
+        if !full_two_hamming {
+            return eval_each_move(self, state, s, hood, lo, out);
+        }
+        let d: Vec<i64> = (0..n).map(|b| if s.get(b) { 1 } else { -1 }).collect();
+        let mut at = 0;
+        for (i, &di) in d.iter().enumerate() {
+            let tail = &d[i + 1..];
+            let base = state.zeros + di;
+            for (o, &dj) in out[at..at + tail.len()].iter_mut().zip(tail) {
+                *o = base + dj;
+            }
+            at += tail.len();
+        }
     }
 }
 

@@ -53,10 +53,10 @@ fn main() {
 
     println!("=== lnls parallel fleet: worker threads, shed storms, crash-all-workers ===\n");
 
-    // ---- Act 1: the worker sweep. Same traffic, same bits, less wall.
+    // ---- Act 1: the worker sweep. Same traffic, same bits.
     // Heavy per-shard compute (dim-96 neighborhoods, 64-iteration
-    // quanta) so the tick work dominates the barrier handoff; the wall
-    // speedup tracks min(workers, cores) on the host.
+    // quanta). The wall speedup is bounded by min(workers, cores) on
+    // the host and by shard balance: most ticks have one busy shard.
     let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
     let heavy = {
         let mut s = Scenario::saturation_sharded_sized(32, 8, (48.0 * scale) as u64);
