@@ -150,8 +150,8 @@ impl Telemetry {
     /// `device_busy_s` shard-major (shard 0's devices first), and takes
     /// the max clock — the same "fleet clock is the max backend clock"
     /// rule the scheduler itself uses. `tick` comes from the first
-    /// series. Deterministic: a pure fold over the input order, so the
-    /// parallel runtime merges bit-identically to the serial path.
+    /// series. Deterministic: a pure fold over the input order, so a
+    /// sharded fleet merges bit-identically at any worker count.
     ///
     /// Series of unequal length (shards configured with different
     /// cadences or caps) are truncated to the shortest — the aligned

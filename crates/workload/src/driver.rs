@@ -16,7 +16,7 @@ use lnls_runtime::{
     EventSink, FleetCheckpoint, FleetClient, FleetReport, JobHandle, JobRegistry, JobStatus,
     MetricsRegistry, Scheduler, SchedulerConfig,
 };
-use lnls_shard::{ParallelFleet, ShardConfig, ShardedFleet};
+use lnls_shard::{ParallelFleet, ShardConfig};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -61,9 +61,10 @@ impl fmt::Display for WorkloadReport {
     }
 }
 
-/// Drives traces through a [`FleetClient`]: [`record`](Self::record)
+/// Drives traces through a [`ParallelFleet`]: [`record`](Self::record)
 /// lowers and runs a scenario, [`replay`](Self::replay) re-runs a
-/// trace bit-identically.
+/// trace bit-identically. Every entry point shares one replay loop and
+/// one fleet builder, at any shard and worker count.
 pub struct Driver;
 
 impl Driver {
@@ -97,8 +98,8 @@ impl Driver {
         Self::run(trace, None, false).0
     }
 
-    /// [`replay`](Self::replay) on the true-parallel runtime with an
-    /// explicit worker-thread count. Bit-identical to a plain replay of
+    /// [`replay`](Self::replay) with an explicit worker-thread count,
+    /// the caller's thread included. Bit-identical to a plain replay of
     /// the same trace at any count — the `parallel_fleet` harness pins
     /// that across the catalog — just faster once per-shard work
     /// dominates the per-tick handoff.
@@ -138,122 +139,14 @@ impl Driver {
     /// never leaks into checkpoint bytes (which would break replay
     /// bit-identity) and never loses events across the crash.
     ///
-    /// Traces with [`FleetProfile::shards`](crate::FleetProfile::shards)
-    /// above one take the sharded loop instead
-    /// ([`run_sharded`](Self::run_sharded)); a 1-shard profile stays on
-    /// this exact path, so pre-sharding traces replay byte-for-byte.
-    /// Traces with [`FleetProfile::workers`](crate::FleetProfile::workers)
-    /// above one take the worker-thread loop
-    /// ([`run_parallel`](Self::run_parallel)), which produces the same
-    /// bits as both serial paths.
-    fn run(
-        trace: &Trace,
-        sink: Option<Box<dyn EventSink>>,
-        metered: bool,
-    ) -> (WorkloadReport, Option<MetricsRegistry>) {
-        if trace.fleet.workers > 1 {
-            return Self::run_parallel(trace, sink, metered);
-        }
-        if trace.fleet.shards > 1 {
-            return Self::run_sharded(trace, sink, metered);
-        }
-        let registry = JobRegistry::with_builtin();
-        let mut client = FleetClient::new(Self::build_fleet(trace), trace.admission.clone());
-        client.set_inflight_limit(trace.fleet.max_inflight);
-        if let Some(sink) = sink {
-            client.attach_sink(sink);
-        }
-        if metered {
-            client.enable_metrics();
-        }
-        let mut next = 0usize;
-        let (mut admitted, mut bounced) = (0u64, 0u64);
-        let mut crashes = 0u64;
-        let mut ticks = 0u64;
-        loop {
-            // Deliver every arrival that is due; when the fleet is
-            // drained, jump to the next arrival instead of spinning.
-            while let Some(arrival) = trace.arrivals.get(next) {
-                let scheduler = client.scheduler();
-                let due = match arrival.at_tick {
-                    Some(t) => ticks >= t,
-                    None => {
-                        arrival.at_s <= scheduler.now_s()
-                            || (scheduler.queued_len() == 0 && scheduler.running_len() == 0)
-                    }
-                };
-                if !due {
-                    break;
-                }
-                match arrival.submit(&mut client) {
-                    Ok(_) => admitted += 1,
-                    Err(_) => bounced += 1,
-                }
-                next += 1;
-            }
-            let progressed = client.tick();
-            ticks += 1;
-            if trace.crash_at_tick == Some(ticks) {
-                let bytes = client.checkpoint().to_bytes();
-                // Observers survive the crash on the driver side — the
-                // checkpoint never carries them (they are process
-                // artifacts, not fleet state).
-                let saved_sink = client.detach_sink();
-                let saved_metrics = client.take_metrics();
-                drop(client); // the crash: all in-memory state is gone
-                let revived = FleetCheckpoint::from_bytes(&bytes, &registry)
-                    .expect("a checkpoint the fleet just wrote must decode");
-                client = FleetClient::resume(
-                    Scheduler::restore(revived),
-                    trace.admission.clone(),
-                    bounced,
-                );
-                // Limiters are process state, never checkpoint bytes —
-                // reinstall after every restore.
-                client.set_inflight_limit(trace.fleet.max_inflight);
-                if let Some(sink) = saved_sink {
-                    client.attach_sink(sink);
-                }
-                if let Some(metrics) = saved_metrics {
-                    client.attach_metrics(metrics);
-                }
-                crashes += 1;
-            }
-            if !progressed && next >= trace.arrivals.len() {
-                break;
-            }
-        }
-        // Flush the sink before the client goes away so file-backed
-        // sinks are complete the moment the report is in hand.
-        if let Some(mut sink) = client.detach_sink() {
-            sink.flush();
-        }
-        let metrics = client.take_metrics();
-        (
-            WorkloadReport {
-                scenario: trace.scenario.clone(),
-                seed: trace.seed,
-                submitted: trace.arrivals.len() as u64,
-                admitted,
-                bounced,
-                crashes,
-                ticks,
-                fleet: client.fleet_report(),
-            },
-            metrics,
-        )
-    }
-
-    /// The sharded replay loop. Differences from the unsharded path,
-    /// all deterministic:
+    /// Every trace runs on a [`ParallelFleet`] (see [`build`](Self::build));
+    /// a 1-shard fleet is byte-for-byte a bare [`FleetClient`], so
+    /// pre-sharding traces replay byte-for-byte. Decisions, all
+    /// deterministic and all on the caller's thread between ticks:
     ///
-    /// * The fleet is a [`ShardedFleet`] minted under the trace's
-    ///   recorded [`config_version`](crate::FleetProfile::config_version)
-    ///   — a trace captured under v1 replays under v1 ring/steal
-    ///   semantics even after the current version moves on.
     /// * An arrival is due when its *target shard's* clock reaches its
     ///   timestamp (tenants route by consistent hashing), or when the
-    ///   whole fleet is idle — which reduces to the unsharded rule on
+    ///   whole fleet is idle — which reduces to a bare client's rule on
     ///   one shard.
     /// * Event sinks attach to shard 0 only: event streams are
     ///   per-scheduler time series, and samples from shards with
@@ -262,133 +155,16 @@ impl Driver {
     ///   are additive, so the per-shard registries merge into exact
     ///   fleet-wide totals at the end.
     /// * The simulated crash serializes every shard's checkpoint bytes,
-    ///   drops the fleet, and reassembles it from the decoded shards
-    ///   with the steal-barrier phase realigned to the crash tick.
-    fn run_sharded(
+    ///   drops the fleet (joining its helper threads), and reassembles
+    ///   it from the decoded shards with the steal-barrier phase
+    ///   realigned to the crash tick.
+    fn run(
         trace: &Trace,
         sink: Option<Box<dyn EventSink>>,
         metered: bool,
     ) -> (WorkloadReport, Option<MetricsRegistry>) {
         let registry = JobRegistry::with_builtin();
-        let shard_cfg = ShardConfig::for_version(trace.fleet.config_version)
-            .unwrap_or_else(|e| panic!("trace '{}' is unreplayable: {e}", trace.scenario));
-        let mut fleet = Self::build_sharded_fleet(trace, shard_cfg);
-        for i in 0..fleet.shard_count() {
-            fleet.shard_mut(i).set_inflight_limit(trace.fleet.max_inflight);
-        }
-        if let Some(sink) = sink {
-            fleet.shard_mut(0).attach_sink(sink);
-        }
-        if metered {
-            for i in 0..fleet.shard_count() {
-                fleet.shard_mut(i).enable_metrics();
-            }
-        }
-        let mut next = 0usize;
-        let (mut admitted, mut crashes, mut ticks) = (0u64, 0u64, 0u64);
-        let mut bounced = vec![0u64; trace.fleet.shards];
-        loop {
-            while let Some(arrival) = trace.arrivals.get(next) {
-                let target = fleet.shard_for(&arrival.tenant);
-                let due = match arrival.at_tick {
-                    Some(t) => ticks >= t,
-                    None => {
-                        arrival.at_s <= fleet.shard(target).scheduler().now_s()
-                            || (fleet.queued_len() == 0 && fleet.running_len() == 0)
-                    }
-                };
-                if !due {
-                    break;
-                }
-                match arrival.submit(fleet.shard_mut(target)) {
-                    Ok(_) => admitted += 1,
-                    Err(_) => bounced[target] += 1,
-                }
-                next += 1;
-            }
-            let progressed = fleet.tick();
-            ticks += 1;
-            if trace.crash_at_tick == Some(ticks) {
-                let shard_bytes: Vec<Vec<u8>> = (0..fleet.shard_count())
-                    .map(|i| fleet.shard(i).checkpoint().to_bytes())
-                    .collect();
-                let saved_sink = fleet.shard_mut(0).detach_sink();
-                let saved_metrics: Vec<Option<MetricsRegistry>> =
-                    (0..fleet.shard_count()).map(|i| fleet.shard_mut(i).take_metrics()).collect();
-                drop(fleet); // the crash: all in-memory state is gone
-                let shards = shard_bytes
-                    .iter()
-                    .zip(&bounced)
-                    .map(|(bytes, &shard_bounced)| {
-                        let revived = FleetCheckpoint::from_bytes(bytes, &registry)
-                            .expect("a checkpoint the fleet just wrote must decode");
-                        let mut client = FleetClient::resume(
-                            Scheduler::restore(revived),
-                            trace.admission.clone(),
-                            shard_bounced,
-                        );
-                        client.set_inflight_limit(trace.fleet.max_inflight);
-                        client
-                    })
-                    .collect();
-                fleet = ShardedFleet::from_clients(shard_cfg, shards, ticks);
-                if let Some(sink) = saved_sink {
-                    fleet.shard_mut(0).attach_sink(sink);
-                }
-                for (i, metrics) in saved_metrics.into_iter().enumerate() {
-                    if let Some(metrics) = metrics {
-                        fleet.shard_mut(i).attach_metrics(metrics);
-                    }
-                }
-                crashes += 1;
-            }
-            if !progressed && next >= trace.arrivals.len() {
-                break;
-            }
-        }
-        if let Some(mut sink) = fleet.shard_mut(0).detach_sink() {
-            sink.flush();
-        }
-        let mut metrics: Option<MetricsRegistry> = None;
-        for i in 0..fleet.shard_count() {
-            if let Some(shard_metrics) = fleet.shard_mut(i).take_metrics() {
-                match metrics.as_mut() {
-                    Some(merged) => merged.absorb(&shard_metrics),
-                    None => metrics = Some(shard_metrics),
-                }
-            }
-        }
-        (
-            WorkloadReport {
-                scenario: trace.scenario.clone(),
-                seed: trace.seed,
-                submitted: trace.arrivals.len() as u64,
-                admitted,
-                bounced: bounced.iter().sum(),
-                crashes,
-                ticks,
-                fleet: fleet.fleet_report(),
-            },
-            metrics,
-        )
-    }
-
-    /// The parallel replay loop: the sharded loop's decisions verbatim,
-    /// but shard ticks execute on [`ParallelFleet`]'s worker threads.
-    /// Every driver-side decision (arrival delivery, crash, accounting)
-    /// happens on the coordinator between ticks, where the fleet state
-    /// is bit-identical to the serial runtimes at any worker count —
-    /// the `parallel_fleet` harness pins the equivalence across the
-    /// catalog.
-    fn run_parallel(
-        trace: &Trace,
-        sink: Option<Box<dyn EventSink>>,
-        metered: bool,
-    ) -> (WorkloadReport, Option<MetricsRegistry>) {
-        let registry = JobRegistry::with_builtin();
-        let shard_cfg = ShardConfig::for_version(trace.fleet.config_version)
-            .unwrap_or_else(|e| panic!("trace '{}' is unreplayable: {e}", trace.scenario));
-        let mut fleet = Self::build_parallel_fleet(trace, shard_cfg);
+        let mut fleet = Self::build(trace);
         if let Some(sink) = sink {
             fleet.shard_mut(0).attach_sink(sink);
         }
@@ -401,6 +177,8 @@ impl Driver {
         let (mut admitted, mut crashes, mut ticks) = (0u64, 0u64, 0u64);
         let mut bounced = vec![0u64; fleet.shard_count()];
         loop {
+            // Deliver every arrival that is due; when the fleet is
+            // drained, jump to the next arrival instead of spinning.
             while let Some(arrival) = trace.arrivals.get(next) {
                 let target = fleet.shard_for(&arrival.tenant);
                 let due = match arrival.at_tick {
@@ -425,13 +203,14 @@ impl Driver {
                 let shard_bytes: Vec<Vec<u8>> = (0..fleet.shard_count())
                     .map(|i| fleet.shard(i).checkpoint().to_bytes())
                     .collect();
+                // Observers survive the crash on the driver side — the
+                // checkpoint never carries them (they are process
+                // artifacts, not fleet state).
                 let saved_sink = fleet.shard_mut(0).detach_sink();
                 let saved_metrics: Vec<Option<MetricsRegistry>> =
                     (0..fleet.shard_count()).map(|i| fleet.shard_mut(i).take_metrics()).collect();
-                let workers = fleet.worker_count();
-                // The crash: dropping the fleet joins every worker
-                // thread, so all in-memory state is gone.
-                drop(fleet);
+                let (shard_cfg, workers) = (*fleet.config(), fleet.worker_count());
+                drop(fleet); // the crash: all in-memory state is gone
                 let shards = shard_bytes
                     .iter()
                     .zip(&bounced)
@@ -443,6 +222,8 @@ impl Driver {
                             trace.admission.clone(),
                             shard_bounced,
                         );
+                        // Limiters are process state, never checkpoint
+                        // bytes — reinstall after every restore.
                         client.set_inflight_limit(trace.fleet.max_inflight);
                         client
                     })
@@ -462,6 +243,8 @@ impl Driver {
                 break;
             }
         }
+        // Flush the sink before the fleet goes away so file-backed
+        // sinks are complete the moment the report is in hand.
         if let Some(mut sink) = fleet.shard_mut(0).detach_sink() {
             sink.flush();
         }
@@ -500,8 +283,8 @@ impl Driver {
     /// reproduces the recording bit-for-bit (sheds included, since the
     /// per-shard limiter state evolves identically).
     ///
-    /// Runs on the [`ParallelFleet`] runtime at the scenario's worker
-    /// count; every gating decision reads coordinator-side state
+    /// Runs on the replay loop's fleet at the scenario's worker count;
+    /// every gating decision reads fleet state on the caller's thread
     /// between ticks, so the recording itself is worker-independent.
     fn record_closed_loop(
         scenario: &Scenario,
@@ -517,9 +300,7 @@ impl Driver {
             "closed-loop recording does not support the crash stressor; crash a replay of the \
              recorded trace instead"
         );
-        let shard_cfg = ShardConfig::for_version(trace.fleet.config_version)
-            .unwrap_or_else(|e| panic!("scenario '{}' is unrunnable: {e}", scenario.name));
-        let mut fleet = Self::build_parallel_fleet(&trace, shard_cfg);
+        let mut fleet = Self::build(&trace);
         let mut pending: VecDeque<Arrival> = trace.arrivals.drain(..).collect();
         // Shed attempts waiting out their backoff: (due tick, attempts
         // so far, the arrival), in shed order.
@@ -586,53 +367,43 @@ impl Driver {
         (trace, report)
     }
 
-    fn scheduler_config(trace: &Trace) -> SchedulerConfig {
-        SchedulerConfig {
-            cpu_workers: trace.fleet.cpu_workers,
-            max_batch: trace.fleet.max_batch,
-            quantum_iters: trace.fleet.quantum_iters,
-            telemetry_every_ticks: Some(trace.fleet.telemetry_every_ticks),
-            telemetry_max_samples: trace.fleet.telemetry_max_samples,
-            selection: trace.fleet.selection,
-            span_iters: trace.fleet.span_iters,
-            launch_mode: trace.fleet.launch_mode,
+    /// The fleet `trace` runs on: `shards` schedulers under the trace's
+    /// recorded [`config_version`](crate::FleetProfile::config_version)
+    /// (a trace captured under v1 replays under v1 ring/steal semantics
+    /// even after the current version moves on), ticked by `workers`
+    /// threads, each shard fronted by the recorded in-flight bound. The
+    /// fleet knobs ride in the trace, so a replayed run prices on the
+    /// very engine layout and selection mode it was recorded with.
+    ///
+    /// # Panics
+    /// When the trace names a config version this build does not know
+    /// or zero shards; [`Trace::from_bytes`] refuses both.
+    fn build(trace: &Trace) -> ParallelFleet {
+        let profile = &trace.fleet;
+        let shard_cfg = ShardConfig::for_version(profile.config_version)
+            .unwrap_or_else(|e| panic!("trace '{}' is unreplayable: {e}", trace.scenario));
+        let spec = DeviceSpec::gtx280().with_engines(profile.engines);
+        let template = SchedulerConfig {
+            cpu_workers: profile.cpu_workers,
+            max_batch: profile.max_batch,
+            quantum_iters: profile.quantum_iters,
+            telemetry_every_ticks: Some(profile.telemetry_every_ticks),
+            telemetry_max_samples: profile.telemetry_max_samples,
+            selection: profile.selection,
+            span_iters: profile.span_iters,
+            launch_mode: profile.launch_mode,
             ..Default::default()
-        }
-    }
-
-    fn build_fleet(trace: &Trace) -> Scheduler {
-        // The fleet knobs ride in the trace, so a replayed run prices on
-        // the very engine layout and selection mode it was recorded with.
-        let spec = DeviceSpec::gtx280().with_engines(trace.fleet.engines);
-        Scheduler::new(
-            MultiDevice::new_uniform(trace.fleet.devices, spec),
-            Self::scheduler_config(trace),
-        )
-    }
-
-    fn build_sharded_fleet(trace: &Trace, shard_cfg: ShardConfig) -> ShardedFleet {
-        let spec = DeviceSpec::gtx280().with_engines(trace.fleet.engines);
-        ShardedFleet::new(
-            shard_cfg,
-            trace.admission.clone(),
-            trace.fleet.shards,
-            Self::scheduler_config(trace),
-            move |_| MultiDevice::new_uniform(trace.fleet.devices, spec.clone()),
-        )
-    }
-
-    fn build_parallel_fleet(trace: &Trace, shard_cfg: ShardConfig) -> ParallelFleet {
-        let spec = DeviceSpec::gtx280().with_engines(trace.fleet.engines);
+        };
         let mut fleet = ParallelFleet::new(
             shard_cfg,
             trace.admission.clone(),
-            trace.fleet.shards.max(1),
-            trace.fleet.workers.max(1),
-            Self::scheduler_config(trace),
-            move |_| MultiDevice::new_uniform(trace.fleet.devices, spec.clone()),
+            profile.shards,
+            profile.workers,
+            template,
+            |_| MultiDevice::new_uniform(profile.devices, spec.clone()),
         );
         for i in 0..fleet.shard_count() {
-            fleet.shard_mut(i).set_inflight_limit(trace.fleet.max_inflight);
+            fleet.shard_mut(i).set_inflight_limit(profile.max_inflight);
         }
         fleet
     }
@@ -780,7 +551,7 @@ mod tests {
             "closed-loop recordings stamp the delivery tick of every attempt"
         );
         // Through bytes the worker count resets to one (it is not
-        // persisted), so this replays the recording on the serial path.
+        // persisted), so this replays the recording on one worker.
         let reloaded = crate::Trace::from_bytes(&trace.to_bytes()).expect("round-trip");
         assert_eq!(reloaded.fleet.workers, 1);
         let replayed = Driver::replay(&reloaded);
@@ -790,7 +561,7 @@ mod tests {
         assert_eq!(
             format!("{:?}", recorded.fleet),
             format!("{:?}", replayed.fleet),
-            "a closed-loop recording must replay bit-identically on the serial path"
+            "a closed-loop recording must replay bit-identically on one worker"
         );
     }
 

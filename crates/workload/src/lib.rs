@@ -20,9 +20,11 @@
 //!   [`lnls_core::persist`]: save any lowered run, reload it, and
 //!   replay it **bit-identically** (f64s round-trip as raw bits).
 //! * **[`Driver`]** — interleaves arrivals with scheduler ticks through
-//!   a [`FleetClient`](lnls_runtime::FleetClient), collects the fleet's
-//!   time-series telemetry, and (for the checkpoint-churn scenario)
-//!   crashes the fleet mid-run and restores it from checkpoint bytes.
+//!   one replay loop over a
+//!   [`ParallelFleet`](lnls_shard::ParallelFleet) of any shard and
+//!   worker count, collects the fleet's time-series telemetry, and (for
+//!   the checkpoint-churn scenario) crashes the fleet mid-run and
+//!   restores it from checkpoint bytes.
 //!   [`Driver::replay_observed`] and [`Driver::replay_metered`] attach
 //!   structured event sinks and a live metrics registry without
 //!   perturbing the replay (reports stay bit-identical).

@@ -183,11 +183,12 @@ pub struct FleetProfile {
     /// with this, so old traces keep old steal/ring semantics as
     /// defaults move.
     pub config_version: u32,
-    /// Worker threads driving the shards (above one the driver runs the
-    /// [`ParallelFleet`](lnls_shard::ParallelFleet) runtime). Execution
-    /// knob, **not** persisted in traces: the parallel runtime is
-    /// bit-identical to the serial path at every worker count, so the
-    /// recorded bytes must not depend on who recorded them.
+    /// Threads ticking the shards of the driver's
+    /// [`ParallelFleet`](lnls_shard::ParallelFleet), the caller's
+    /// included (clamped to `1..=shards`): at one, the caller ticks every
+    /// shard inline and no thread is spawned. Execution knob, **not**
+    /// persisted in traces: results are bit-identical at every worker
+    /// count, so the recorded bytes must not depend on who recorded them.
     pub workers: usize,
     /// Per-shard in-flight bound fronting each shard's client through a
     /// [`ConcurrencyLimiter`](lnls_runtime::ConcurrencyLimiter)
@@ -274,8 +275,8 @@ impl Scenario {
     }
 
     /// The same traffic driven by a different worker-thread count —
-    /// execution-only: the parallel runtime is bit-identical to the
-    /// serial path, so reports and trace bytes must not change.
+    /// execution-only: results are bit-identical at every worker count,
+    /// so reports and trace bytes must not change.
     #[must_use]
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.fleet.workers = workers.max(1);

@@ -12,6 +12,7 @@ use crate::scenario::FleetProfile;
 use crate::traffic::{Arrival, JobRecipe};
 use lnls_core::persist::{Persist, PersistError, Reader};
 use lnls_runtime::AdmissionPolicy;
+use lnls_shard::ShardConfig;
 use std::io;
 use std::path::Path;
 
@@ -97,9 +98,12 @@ impl Persist for Trace {
 
 /// [`workers`](FleetProfile::workers) is deliberately *not* written:
 /// the worker-thread count is an execution knob with no observable
-/// effect (the parallel runtime is bit-identical to the serial path),
-/// so traces recorded at different worker counts must stay
-/// byte-identical. Loaded profiles come back with `workers = 1`.
+/// effect (results are bit-identical at every worker count), so traces
+/// recorded at different worker counts must stay byte-identical. Loaded
+/// profiles come back with `workers = 1`.
+///
+/// Decoding refuses a profile the driver could not replay as recorded:
+/// zero shards, or a shard-config version this build does not know.
 impl Persist for FleetProfile {
     fn write(&self, out: &mut Vec<u8>) {
         self.devices.write(out);
@@ -117,7 +121,7 @@ impl Persist for FleetProfile {
         self.max_inflight.write(out);
     }
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        Ok(Self {
+        let profile = Self {
             devices: r.read()?,
             cpu_workers: r.read()?,
             max_batch: r.read()?,
@@ -132,7 +136,15 @@ impl Persist for FleetProfile {
             config_version: r.read()?,
             workers: 1,
             max_inflight: r.read()?,
-        })
+        };
+        if profile.shards == 0 {
+            return Err(PersistError::new(
+                "trace fleet has shards = 0 (a fleet needs at least one)",
+            ));
+        }
+        ShardConfig::for_version(profile.config_version)
+            .map_err(|e| PersistError::new(format!("trace fleet: {e}")))?;
+        Ok(profile)
     }
 }
 
@@ -240,6 +252,37 @@ mod tests {
         let back = Trace::from_bytes(&a.to_bytes()).expect("decode");
         assert_eq!(back.fleet.workers, 1, "loaded traces default to one worker");
         assert_eq!(back.fleet.max_inflight, Some(3), "the in-flight bound is replay state");
+    }
+
+    /// Re-encode `trace` with its fleet profile overridden, bypassing
+    /// the decoder's checks.
+    fn bytes_with(trace: &Trace, edit: impl FnOnce(&mut FleetProfile)) -> Vec<u8> {
+        let mut edited = trace.clone();
+        edit(&mut edited.fleet);
+        edited.to_bytes()
+    }
+
+    /// A 1-shard trace and a sharded one: decoding refuses an unknown
+    /// config version and a zero shard count, naming the value, instead
+    /// of handing the driver a trace it cannot replay as recorded.
+    #[test]
+    fn unreplayable_fleet_profiles_are_refused_at_decode() {
+        for scenario in [Scenario::steady(), Scenario::saturation_sharded()] {
+            let name = &scenario.name;
+            let trace = TrafficGen::lower(&scenario, 3);
+            let err = Trace::from_bytes(&bytes_with(&trace, |f| f.config_version = 99))
+                .expect_err("v99 must be refused");
+            assert!(err.to_string().contains("version 99"), "{name}: {err}");
+            let err = Trace::from_bytes(&bytes_with(&trace, |f| f.shards = 0))
+                .expect_err("zero shards must be refused");
+            assert!(err.to_string().contains("shards = 0"), "{name}: {err}");
+            for version in [1, 2] {
+                let bytes = bytes_with(&trace, |f| f.config_version = version);
+                let back = Trace::from_bytes(&bytes).expect("known versions decode");
+                assert_eq!(back.fleet.config_version, version, "{name}");
+                assert_eq!(back.to_bytes(), bytes, "{name}: v{version} must round-trip");
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! | [`qap`] | the quadratic assignment problem under Taillard's robust tabu search (the paper's reference \[11\]), swap moves flat-indexed by the paper's 2D mapping |
 //! | [`lns`] | large neighborhood search: destroy-and-repair cursors with an adaptive destroy radius, plus a tabu/SA/descent portfolio race — the "large neighborhood" idea applied to the *search* as well as its exploration |
 //! | [`runtime`] | the fleet scheduler: batched multi-tenant search jobs over simulated multi-GPU devices, with checkpoint/resume, time-series telemetry, structured event tracing, a metrics registry and throughput reporting (§V perspective, scaled out) |
-//! | [`shard`] | horizontal sharding: consistent-hash tenant placement, deterministic shard-level work stealing, per-shard delta checkpoints, versioned shard config, and a true-parallel worker-thread runtime that stays bit-identical to the serial path |
+//! | [`shard`] | horizontal sharding: consistent-hash tenant placement, deterministic shard-level work stealing, per-shard delta checkpoints, versioned shard config, and one fleet type whose shards the caller's thread and optional helper threads tick, bit-identically at any worker count |
 //! | [`workload`] | the scenario catalog, deterministic traffic generator, record/replay driver and what-if trace analytics that stress-test the runtime |
 //!
 //! ## Quickstart
@@ -87,7 +87,7 @@ pub mod prelude {
         CheckpointError, CheckpointStore, DeltaCheckpointer, SnapshotKind, SnapshotStats, StolenJob,
     };
     pub use lnls_shard::{
-        HashRing, ParallelFleet, ShardConfig, ShardedFleet, UnknownConfigVersion, CONFIG_VERSION,
+        HashRing, ParallelFleet, ShardConfig, UnknownConfigVersion, CONFIG_VERSION,
     };
     pub use lnls_workload::{
         Driver, Scenario, Trace, TrafficGen, UnknownScenario, Variant, VariantOutcome, WhatIf,

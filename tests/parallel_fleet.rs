@@ -1,40 +1,55 @@
-//! The true-parallel runtime's external contracts, held through the
-//! facade:
+//! The fleet runtime's threading contracts, held through the facade.
+//! One worker — the caller's thread, ticking every shard inline — is
+//! the reference side of every comparison:
 //!
 //! * **Bit-identity** — every catalog scenario, recorded at every
 //!   worker count in `LNLS_WORKERS` (default `1,2,4,8`), produces a
 //!   Debug-bit-identical merged `FleetReport` *and* byte-identical
-//!   trace bytes versus the serial driver path. Worker threads are an
+//!   trace bytes versus the one-worker recording. Helper threads are an
 //!   execution detail; nothing observable may depend on them.
 //! * **Closed-loop shed storms** — completion-gated recording under a
 //!   per-shard in-flight bound sheds deterministically: reject counts,
 //!   the tick-stamped retry schedule and the final report are the same
 //!   at any worker count.
 //! * **Crash + delta restore** — killing every worker mid-run (the
-//!   fleet drops, all threads join) and restoring from the per-shard
-//!   delta chains lands on the uninterrupted run's bits, limiter sheds
-//!   included.
+//!   fleet drops, all helper threads join) and restoring from the
+//!   per-shard delta chains lands on the uninterrupted run's bits,
+//!   limiter sheds included.
 //! * **Typed restore errors under concurrency** — a truncated newest
 //!   delta in one shard's chain surfaces as
-//!   [`CheckpointError::CorruptSegment`] naming the exact file, from
-//!   the coordinator, before any worker is involved. Never a panic,
-//!   never a hung barrier.
+//!   [`CheckpointError::CorruptSegment`] naming the exact file, on the
+//!   caller's thread, before any helper exists. Never a panic, never a
+//!   hung barrier.
+//! * **Who ticks what** — worker 0 is the caller's thread: at one
+//!   worker every step runs on it, and above one, shard `i` steps on
+//!   the caller when `i % workers == 0` and on helper
+//!   `lnls-par-worker-{i % workers}` otherwise. A panicking step
+//!   surfaces out of `tick()` wherever it ran (naming the helper when
+//!   it ran on one), and dropping the fleet afterwards joins every
+//!   helper without hanging.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
+use lnls::gpu::{Device, HostSpec, LaunchMode};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
     AdmissionPolicy, BinaryJob, CheckpointError, DeviceSpec, Driver, JobHandle, JobRegistry,
-    JobSpec, JobStatus, MultiDevice, OneMax, ParallelFleet, Scenario, SchedulerConfig, ShardConfig,
+    JobReport, JobSpec, JobStatus, MultiDevice, OneMax, ParallelFleet, Scenario, SchedulerConfig,
+    SearchJob, ShardConfig,
 };
+use lnls::runtime::{BatchKey, JobExec, JobId, StepRun, SubmitCtx};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::any::Any;
 use std::collections::VecDeque;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
+use std::sync::{mpsc, Arc, Mutex};
+use std::time::Duration;
 
 /// Worker counts under test: the `LNLS_WORKERS` env var as a comma
-/// list (the CI matrix sets `1`, `4`, `8`), defaulting to `1,2,4,8`.
+/// list (the CI matrix sets `2`, `4`, `8`), defaulting to `1,2,4,8`.
 fn worker_counts() -> Vec<usize> {
     std::env::var("LNLS_WORKERS")
         .ok()
@@ -52,11 +67,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// For any seed, every catalog scenario recorded at every worker
-    /// count produces the serial path's `FleetReport` bit for bit, the
-    /// serial tick/admission counters, and byte-identical trace bytes.
-    /// Covers the sharded scenarios (real barriers), the crash
-    /// stressor (`checkpoint-churn` restores mid-run on the parallel
-    /// loop too) and the 1-shard degenerate case.
+    /// count produces the one-worker `FleetReport` bit for bit, the
+    /// one-worker tick/admission counters, and byte-identical trace
+    /// bytes. Covers the sharded scenarios (real barriers), the crash
+    /// stressor (`checkpoint-churn` restores mid-run) and the 1-shard
+    /// degenerate case.
     #[test]
     fn every_worker_count_matches_the_serial_bits(seed in 0u64..500) {
         for scenario in Scenario::catalog() {
@@ -91,11 +106,10 @@ proptest! {
     }
 }
 
-/// Closed-loop recording runs *on* the parallel runtime at the
-/// scenario's worker count, so recording the same scenario at different
-/// counts exercises the limiter under real concurrency. Shed counts,
-/// the stamped retry schedule (trace bytes) and the report must not
-/// move.
+/// Closed-loop recording runs *on* the fleet at the scenario's worker
+/// count, so recording the same scenario at different counts exercises
+/// the limiter under real concurrency. Shed counts, the stamped retry
+/// schedule (trace bytes) and the report must not move.
 #[test]
 fn closed_loop_shed_storm_is_worker_independent() {
     let base = Scenario::closed_loop_saturation();
@@ -123,18 +137,21 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn onemax_spec(i: u64) -> JobSpec<BinaryJob<OneMax, TwoHamming>> {
+fn onemax_job(name: String, i: u64) -> BinaryJob<OneMax, TwoHamming> {
     let n = 24;
     let hood = TwoHamming::new(n);
     let mut rng = StdRng::seed_from_u64(i);
     let init = BitString::random(&mut rng, n);
     let search =
         TabuSearch::paper(SearchConfig::budget(60).with_seed(i).with_target(None), hood.size());
-    let job = BinaryJob::new(format!("loop-{i}"), OneMax::new(n), hood, search, init);
-    JobSpec::new(job).for_tenant(format!("tenant-{}", i % 5))
+    BinaryJob::new(name, OneMax::new(n), hood, search, init)
 }
 
-/// A parallel fleet with telemetry off (series are not checkpointed,
+fn onemax_spec(i: u64) -> JobSpec<BinaryJob<OneMax, TwoHamming>> {
+    JobSpec::new(onemax_job(format!("loop-{i}"), i)).for_tenant(format!("tenant-{}", i % 5))
+}
+
+/// A fleet with telemetry off (series are not checkpointed,
 /// so only a sampling-free fleet can land on an uninterrupted run's
 /// bits after a crash) and a tight per-shard in-flight bound.
 fn plain_fleet(shards: usize, workers: usize) -> ParallelFleet {
@@ -155,7 +172,7 @@ fn plain_fleet(shards: usize, workers: usize) -> ParallelFleet {
 /// Drive `fleet` closed-loop: five logical clients, one job in flight
 /// each, shed submissions retried two ticks later. With `crash_at`
 /// set, the fleet snapshots every tick into its per-shard delta
-/// chains; at that tick it is dropped — every worker thread joins and
+/// chains; at that tick it is dropped — every helper thread joins and
 /// dies — and restored from the chains with the pre-crash shed counts
 /// carried over. Returns the surviving fleet and the driver tick
 /// count.
@@ -197,7 +214,7 @@ fn closed_loop_drive(mut fleet: ParallelFleet, crash_at: Option<u64>) -> (Parall
             let workers = fleet.worker_count();
             let shards = fleet.shard_count();
             let dir = fleet.checkpoint_dir().expect("crashing runs are armed").to_path_buf();
-            // The crash: dropping the fleet joins (kills) every worker.
+            // The crash: dropping the fleet joins (kills) every helper.
             drop(fleet);
             fleet = ParallelFleet::restore(
                 ShardConfig::current(),
@@ -245,8 +262,8 @@ fn crashing_every_worker_restores_onto_the_uninterrupted_bits() {
 
 /// A truncated newest delta in one shard's chain must fail
 /// [`ParallelFleet::restore`] with a typed error naming the exact
-/// segment file — diagnosed on the coordinator before any worker
-/// thread exists, so it can neither panic a worker nor hang a barrier.
+/// segment file — diagnosed on the caller's thread before any helper
+/// exists, so it can neither panic a helper nor hang a barrier.
 #[test]
 fn a_truncated_shard_delta_fails_restore_naming_the_file() {
     let dir = tmp_dir("corrupt");
@@ -298,4 +315,243 @@ fn a_truncated_shard_delta_fails_restore_naming_the_file() {
         other => panic!("expected CorruptSegment, got: {other}"),
     }
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every step of a [`Traced`] job: the job's name and the name of the
+/// thread that ran the step.
+type StepLog = Arc<Mutex<Vec<(String, Option<String>)>>>;
+
+/// A test-only delegating job: its executor logs the thread of every
+/// step and, when `panics` is set, panics on its first step. Everything
+/// else delegates, so the wrapped job schedules exactly as unwrapped.
+struct Traced<J> {
+    inner: J,
+    log: StepLog,
+    panics: bool,
+}
+
+impl<J: SearchJob> SearchJob for Traced<J> {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn priority(&self) -> u8 {
+        self.inner.priority()
+    }
+
+    fn persist_tag(&self) -> String {
+        self.inner.persist_tag()
+    }
+
+    fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
+        let Traced { inner, log, panics } = *self;
+        Box::new(TracedExec { inner: Box::new(inner).into_exec(ctx), log, panics })
+    }
+}
+
+/// The delegating executor behind [`Traced`].
+struct TracedExec {
+    inner: Box<dyn JobExec>,
+    log: StepLog,
+    panics: bool,
+}
+
+impl TracedExec {
+    fn step(&mut self, step: impl FnOnce(&mut dyn JobExec) -> StepRun) -> StepRun {
+        let thread = std::thread::current().name().map(str::to_owned);
+        self.log.lock().expect("step log").push((self.inner.name().to_owned(), thread));
+        if self.panics {
+            panic!("injected step panic in {}", self.inner.name());
+        }
+        step(self.inner.as_mut())
+    }
+}
+
+impl JobExec for TracedExec {
+    fn id(&self) -> JobId {
+        self.inner.id()
+    }
+
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+
+    fn priority(&self) -> u8 {
+        self.inner.priority()
+    }
+
+    fn seq(&self) -> u64 {
+        self.inner.seq()
+    }
+
+    fn done(&self) -> bool {
+        self.inner.done()
+    }
+
+    fn iterations(&self) -> u64 {
+        self.inner.iterations()
+    }
+
+    fn batch_key(&self) -> Option<BatchKey> {
+        self.inner.batch_key()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self.inner.as_any_mut()
+    }
+
+    fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
+        self.step(|inner| inner.step_device(dev, quota))
+    }
+
+    fn step_host(&mut self, host: &HostSpec, quota: u64) -> StepRun {
+        self.step(|inner| inner.step_host(host, quota))
+    }
+
+    fn step_batch(
+        &mut self,
+        peers: &mut [&mut Box<dyn JobExec>],
+        dev: &mut Device,
+        span_iters: u64,
+        mode: LaunchMode,
+    ) -> StepRun {
+        self.step(|inner| inner.step_batch(peers, dev, span_iters, mode))
+    }
+
+    fn serial_equivalent_s(&self, spec: &DeviceSpec) -> f64 {
+        self.inner.serial_equivalent_s(spec)
+    }
+
+    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
+        self.inner.finish(backend, started_s, finished_s)
+    }
+
+    fn unplaced(&mut self) {
+        self.inner.unplaced()
+    }
+
+    fn clone_box(&self) -> Box<dyn JobExec> {
+        Box::new(TracedExec { inner: self.inner.clone_box(), log: self.log.clone(), panics: false })
+    }
+
+    fn persist_tag(&self) -> String {
+        self.inner.persist_tag()
+    }
+
+    fn persist(&self, out: &mut Vec<u8>) {
+        self.inner.persist(out)
+    }
+}
+
+/// A `shards`-wide fleet holding one [`Traced`] job per shard, submitted
+/// straight to the shard (one queued job per shard never steals, so
+/// every step stays on its shard); `panicking` names the shard whose
+/// job panics on its first step.
+fn traced_fleet(
+    shards: usize,
+    workers: usize,
+    panicking: Option<usize>,
+) -> (ParallelFleet, StepLog) {
+    let log = StepLog::default();
+    let mut fleet = plain_fleet(shards, workers);
+    for shard in 0..shards {
+        let job = Traced {
+            inner: onemax_job(format!("shard-{shard}"), shard as u64),
+            log: log.clone(),
+            panics: panicking == Some(shard),
+        };
+        fleet.shard_mut(shard).submit_spec(JobSpec::new(job)).expect("an empty shard admits");
+    }
+    (fleet, log)
+}
+
+/// Every logged step as `(shard, thread name)`.
+fn steps(log: &StepLog) -> Vec<(usize, Option<String>)> {
+    log.lock()
+        .expect("step log")
+        .iter()
+        .map(|(job, thread)| {
+            let shard = job.strip_prefix("shard-").and_then(|s| s.parse().ok());
+            (shard.expect("traced jobs are named after their shard"), thread.clone())
+        })
+        .collect()
+}
+
+/// Drop `fleet` on another thread and fail unless that returns in time:
+/// every helper thread must join, whatever state a panic left.
+fn drop_without_hanging(fleet: ParallelFleet) {
+    let (tx, rx) = mpsc::channel();
+    let dropper = std::thread::spawn(move || {
+        drop(fleet);
+        let _ = tx.send(());
+    });
+    rx.recv_timeout(Duration::from_secs(30)).expect("dropping the fleet must join every helper");
+    dropper.join().expect("dropping the fleet must not panic");
+}
+
+/// The message a caught panic carried.
+fn panic_message(payload: &(dyn Any + Send)) -> String {
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default()
+}
+
+#[test]
+fn one_worker_steps_every_shard_on_the_calling_thread() {
+    let caller = std::thread::current().name().map(str::to_owned);
+    let (mut fleet, log) = traced_fleet(4, 1, None);
+    assert_eq!(fleet.worker_count(), 1);
+    fleet.tick();
+    fleet.run_until_idle();
+    let steps = steps(&log);
+    for shard in 0..4 {
+        assert!(steps.iter().any(|(s, _)| *s == shard), "shard {shard} never stepped");
+    }
+    for (shard, thread) in &steps {
+        assert_eq!(thread, &caller, "shard {shard} stepped off the calling thread");
+    }
+}
+
+#[test]
+fn two_workers_split_shards_between_caller_and_helper() {
+    let caller = std::thread::current().name().map(str::to_owned);
+    let helper = Some("lnls-par-worker-1".to_owned());
+    let (mut fleet, log) = traced_fleet(4, 2, None);
+    assert_eq!(fleet.worker_count(), 2);
+    fleet.tick();
+    fleet.run_until_idle();
+    let steps = steps(&log);
+    for shard in 0..4 {
+        assert!(steps.iter().any(|(s, _)| *s == shard), "shard {shard} never stepped");
+    }
+    for (shard, thread) in &steps {
+        let want = if shard % 2 == 0 { &caller } else { &helper };
+        assert_eq!(thread, want, "shard {shard} stepped on the wrong thread");
+    }
+}
+
+/// Three workers on four shards: shard 2 is helper 2's only shard, and
+/// helper 1 outlives the panic, so the drop must still close its queue
+/// and join it.
+#[test]
+fn a_panic_on_a_helper_shard_names_the_worker_and_the_fleet_still_drops() {
+    let (mut fleet, _log) = traced_fleet(4, 3, Some(2));
+    let payload = catch_unwind(AssertUnwindSafe(|| fleet.tick()))
+        .expect_err("a helper's panicking step must fail the tick");
+    let message = panic_message(payload.as_ref());
+    assert!(message.contains("worker 2"), "the panic must name the helper: {message}");
+    assert!(message.contains("injected step panic in shard-2"), "{message}");
+    drop_without_hanging(fleet);
+}
+
+#[test]
+fn a_panic_on_a_caller_shard_propagates_and_the_fleet_still_drops() {
+    let (mut fleet, _log) = traced_fleet(4, 2, Some(2));
+    let payload = catch_unwind(AssertUnwindSafe(|| fleet.tick()))
+        .expect_err("the caller's panicking step must fail the tick");
+    let message = panic_message(payload.as_ref());
+    assert!(message.contains("injected step panic in shard-2"), "{message}");
+    drop_without_hanging(fleet);
 }

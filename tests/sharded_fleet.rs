@@ -1,9 +1,10 @@
 //! The sharding layer's external contracts, held through the facade:
 //!
-//! * **Degeneracy** — a 1-shard [`ShardedFleet`] driven over any catalog
-//!   scenario's trace is Debug-bit-identical to the bare scheduler path
-//!   the driver takes for unsharded profiles. Sharding must be a pure
-//!   superset, not a parallel implementation that drifts.
+//! * **Degeneracy** — the driver runs every trace on a `ParallelFleet`;
+//!   on one shard, over any catalog scenario's trace, its report is
+//!   Debug-bit-identical to a hand-written loop over a bare
+//!   [`FleetClient`]. Sharding must be a pure superset, not a parallel
+//!   implementation that drifts.
 //! * **Config versioning** — a trace recorded under config v1 replays
 //!   deterministically under v1 ring/steal semantics, and those
 //!   semantics observably differ from v2's.
@@ -16,8 +17,8 @@ use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
     BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec, Driver,
-    FleetReport, HashRing, JobRegistry, MultiDevice, OneMax, Scenario, Scheduler, SchedulerConfig,
-    ShardConfig, ShardedFleet, SnapshotKind, Trace,
+    FleetClient, FleetReport, HashRing, JobRegistry, MultiDevice, OneMax, Scenario, Scheduler,
+    SchedulerConfig, ShardConfig, SnapshotKind, Trace,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -25,14 +26,13 @@ use rand::SeedableRng;
 use std::fs;
 use std::path::{Path, PathBuf};
 
-/// Run a lowered trace through a **1-shard** `ShardedFleet` with the
-/// exact loop shape the driver uses, returning the fleet report. The
-/// driver itself routes 1-shard profiles down the bare path, so this
-/// hand loop is the only way to pit the sharded machinery against it.
-fn run_on_one_shard(trace: &Trace) -> FleetReport {
-    let cfg = ShardConfig::for_version(trace.fleet.config_version).expect("catalog version");
+/// Run a lowered trace through a **bare** [`FleetClient`] — no shard
+/// layer at all — with the delivery rule the driver documents, returning
+/// the fleet report. The driver itself always builds a sharded fleet,
+/// so this hand loop is the independent reference it is pitted against.
+fn run_on_bare_client(trace: &Trace) -> FleetReport {
     let spec = DeviceSpec::gtx280().with_engines(trace.fleet.engines);
-    let template = SchedulerConfig {
+    let config = SchedulerConfig {
         cpu_workers: trace.fleet.cpu_workers,
         max_batch: trace.fleet.max_batch,
         quantum_iters: trace.fleet.quantum_iters,
@@ -43,48 +43,55 @@ fn run_on_one_shard(trace: &Trace) -> FleetReport {
         launch_mode: trace.fleet.launch_mode,
         ..Default::default()
     };
-    let mut fleet = ShardedFleet::new(cfg, trace.admission.clone(), 1, template, move |_| {
-        MultiDevice::new_uniform(trace.fleet.devices, spec.clone())
-    });
+    let scheduler = Scheduler::new(MultiDevice::new_uniform(trace.fleet.devices, spec), config);
+    let mut client = FleetClient::new(scheduler, trace.admission.clone());
+    client.set_inflight_limit(trace.fleet.max_inflight);
     let mut next = 0usize;
+    let mut ticks = 0u64;
     loop {
         while let Some(arrival) = trace.arrivals.get(next) {
-            let target = fleet.shard_for(&arrival.tenant);
-            let due = arrival.at_s <= fleet.shard(target).scheduler().now_s()
-                || (fleet.queued_len() == 0 && fleet.running_len() == 0);
+            let scheduler = client.scheduler();
+            let due = match arrival.at_tick {
+                Some(t) => ticks >= t,
+                None => {
+                    arrival.at_s <= scheduler.now_s()
+                        || (scheduler.queued_len() == 0 && scheduler.running_len() == 0)
+                }
+            };
             if !due {
                 break;
             }
-            let _ = arrival.submit(fleet.shard_mut(target));
+            let _ = arrival.submit(&mut client);
             next += 1;
         }
-        let progressed = fleet.tick();
+        let progressed = client.tick();
+        ticks += 1;
         if !progressed && next >= trace.arrivals.len() {
             break;
         }
     }
-    fleet.fleet_report()
+    client.fleet_report()
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// For every catalog scenario and any seed, a 1-shard sharded fleet
-    /// produces the same `FleetReport` — bit for bit, every f64 through
-    /// its exact Debug rendering — as the driver's bare scheduler path.
+    /// For every catalog scenario and any seed, the driver's 1-shard
+    /// fleet produces the same `FleetReport` — bit for bit, every f64
+    /// through its exact Debug rendering — as a bare scheduler loop.
     #[test]
     fn one_shard_fleet_is_bit_identical_to_the_bare_path(
         scenario_idx in 0usize..9,
         seed in 0u64..500,
     ) {
         let mut scenario = Scenario::catalog()[scenario_idx].clone();
-        scenario.fleet.shards = 1; // force the driver down the bare path
+        scenario.fleet.shards = 1;
         scenario.crash_at_tick = None; // the hand loop has no crash machinery
-        let (trace, bare) = Driver::record(&scenario, seed);
-        let sharded = run_on_one_shard(&trace);
+        let (trace, sharded) = Driver::record(&scenario, seed);
+        let bare = run_on_bare_client(&trace);
         prop_assert_eq!(
-            format!("{:?}", sharded),
-            format!("{:?}", bare.fleet),
+            format!("{:?}", sharded.fleet),
+            format!("{:?}", bare),
             "scenario '{}' seed {}: one shard must be a bare scheduler, bit for bit",
             scenario.name,
             seed
