@@ -17,21 +17,23 @@
 //! neighborhood (a problem's flat row kernel when it has one) — the
 //! fitness vectors, and therefore the moves a driver selects from them,
 //! are bit-for-bit those of a solo run. Only the *pricing* differs, and
-//! it is no longer a serial sum: each fused iteration is lowered to a
-//! **breadth-first stream schedule**
-//! ([`price_fused_iteration`] —
-//! per-lane async H2D copies, the fused kernel chain gated on them by
-//! events, per-lane D2H readbacks) and the walk is charged the
-//! schedule's **makespan** under the device's engine layout
+//! it is no longer a serial sum: the iterations between
+//! [`BatchedExplorer::begin_span`] and [`BatchedExplorer::finish_span`]
+//! are lowered to one **breadth-first stream schedule**
+//! ([`price_fused_span`] — per-lane async H2D copies, the fused kernel
+//! chain gated on them by events, per-lane D2H readbacks; a single
+//! iteration is a span of one) and the walk is charged the schedule's
+//! **makespan** under the device's engine layout
 //! ([`DeviceSpec::engines`]). On the paper's GT200 (one DMA queue, one
 //! kernel at a time) nothing inside the dependent iteration can overlap,
-//! so the makespan *is* the serial sum; layouts with more engines
+//! so a span of one costs the serial sum; layouts with more engines
 //! ([`EngineConfig::fermi`](lnls_gpu_sim::EngineConfig::fermi)) overlap
 //! the per-lane copies against each other and the makespan prices the
-//! win. The [`TimeBook`] keeps recording per-component busy time (its
-//! total is the serialized cost; the makespan is what the fleet clock
-//! advances by), and [`BatchedExplorer::overlap_factor`] reports the
-//! cumulative serialized-over-makespan ratio.
+//! win. The [`TimeBook`] keeps recording per-component busy time
+//! ([`TimeBook::fused_span`]; its total is the serialized cost, the
+//! makespan is what the fleet clock advances by), and
+//! [`BatchedExplorer::overlap_factor`] reports the cumulative
+//! serialized-over-makespan ratio.
 //!
 //! Selection is a second knob, and it is **per lane**
 //! ([`BatchLane::selection`]): when any lane selects
@@ -51,8 +53,8 @@
 use crate::bitstring::BitString;
 use crate::problem::IncrementalEval;
 use lnls_gpu_sim::{
-    argmin_kernel_seconds, price_fused_iteration, price_fused_span, transfer_seconds, DeviceSpec,
-    HostSpec, IterationProfile, LaneIo, LaunchMode, SelectionMode, TimeBook, ARGMIN_RECORD_BYTES,
+    argmin_kernel_seconds, price_fused_span, DeviceSpec, HostSpec, IterationProfile, LaneIo,
+    LaunchMode, SelectionMode, TimeBook, ARGMIN_RECORD_BYTES,
 };
 use lnls_neighborhood::Neighborhood;
 use std::time::{Duration, Instant};
@@ -208,47 +210,10 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         &self.spec
     }
 
-    /// Evaluate every lane's full neighborhood, filling each `out`
-    /// vector with exactly the values a solo
-    /// [`SequentialExplorer`](crate::explore::SequentialExplorer) run
-    /// would produce, and charge the walk the **stream makespan** of one
-    /// fused iteration: per-lane async uploads, the fused evaluation
-    /// kernel (overhead once — the amortization lever), the appended
-    /// argmin reduction when any lane selects
-    /// [`SelectionMode::DeviceArgmin`] (it reduces exactly those lanes'
-    /// segments), then per-lane readbacks — scheduled breadth-first
-    /// under the device's engine layout by [`price_fused_iteration`].
-    ///
-    /// Returns the modeled device seconds (the makespan) of this fused
-    /// iteration.
-    pub fn explore_batch<P: IncrementalEval>(&mut self, lanes: &mut [BatchLane<'_, P>]) -> f64 {
-        let (io, kernels, host_s) = self.eval_lanes(lanes);
-        let sched = price_fused_iteration(&self.spec, &io, &kernels);
-
-        // The ledger keeps per-component busy time (its total is the
-        // serialized cost of the ops); the fleet clock advances by the
-        // makespan.
-        self.book.kernel_s += kernels.iter().sum::<f64>();
-        self.book.overhead_s += self.spec.launch_overhead_s * kernels.len() as f64;
-        for lane in io {
-            self.book.h2d_s += transfer_seconds(&self.spec, lane.h2d_bytes);
-            self.book.d2h_s += transfer_seconds(&self.spec, lane.d2h_bytes);
-            self.book.bytes_h2d += lane.h2d_bytes;
-            self.book.bytes_d2h += lane.d2h_bytes;
-        }
-        self.book.launches += kernels.len() as u64;
-        self.book.host_s += host_s;
-        self.fused_launches += 1;
-        self.stream_makespan_s += sched.makespan;
-        self.stream_serialized_s += sched.serialized;
-        sched.makespan
-    }
-
     /// Functionally evaluate every lane and return the iteration's cost
     /// shape: per-lane PCIe traffic, the kernel chain, and the summed
-    /// host seconds. Shared by the per-iteration and span paths — the
-    /// fitness vectors are identical either way (fusion and spans are
-    /// pricing-only).
+    /// host seconds. The fitness vectors are identical to a solo run's
+    /// whatever the span length (fusion and spans are pricing-only).
     fn eval_lanes<P: IncrementalEval>(
         &mut self,
         lanes: &mut [BatchLane<'_, P>],
@@ -306,12 +271,17 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         });
     }
 
-    /// Evaluate one iteration of the open span: every lane's fitness
-    /// vector is filled exactly as [`explore_batch`](Self::explore_batch)
-    /// would (bit-identical results), but pricing is deferred to
+    /// Evaluate one iteration of the open span: every lane's `out`
+    /// vector is filled with exactly the values a solo
+    /// [`SequentialExplorer`](crate::explore::SequentialExplorer) run
+    /// would produce, and pricing is deferred to
     /// [`finish_span`](Self::finish_span). Every iteration of a span
     /// must share one cost shape — group membership is fixed for the
-    /// span's duration.
+    /// span's duration. The fused kernel chain is the evaluation kernel
+    /// (overhead once per launch — the amortization lever), plus the
+    /// argmin reduction when any lane selects
+    /// [`SelectionMode::DeviceArgmin`] (it reduces exactly those lanes'
+    /// segments).
     ///
     /// # Panics
     /// Panics if no span is open, or if the iteration's cost shape
@@ -344,23 +314,9 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         }
         let n = span.iterations;
         let sched = price_fused_span(&self.spec, &span.io, &span.kernels, n as usize, span.mode);
-        let positions = span.kernels.len() as u64;
-        let (launches, overhead_saved_s) = match span.mode {
-            LaunchMode::PerIteration => (positions * n, 0.0),
-            LaunchMode::PersistentSpan => {
-                (positions, (n - 1) as f64 * positions as f64 * self.spec.launch_overhead_s)
-            }
-        };
-        self.book.kernel_s += span.kernels.iter().sum::<f64>() * n as f64;
-        self.book.overhead_s += self.spec.launch_overhead_s * launches as f64;
-        for lane in &span.io {
-            self.book.h2d_s += transfer_seconds(&self.spec, lane.h2d_bytes) * n as f64;
-            self.book.d2h_s += transfer_seconds(&self.spec, lane.d2h_bytes) * n as f64;
-            self.book.bytes_h2d += lane.h2d_bytes * n;
-            self.book.bytes_d2h += lane.d2h_bytes * n;
-        }
-        self.book.launches += launches;
-        self.book.host_s += span.host_s;
+        let (book, overhead_saved_s) =
+            TimeBook::fused_span(&self.spec, &span.io, &span.kernels, span.host_s, n, span.mode);
+        self.book.add(&book);
         // One fused launch per charged kernel-chain issue: a persistent
         // span issues once for all its iterations.
         self.fused_launches += match span.mode {
@@ -374,7 +330,7 @@ impl<N: Neighborhood> BatchedExplorer<N> {
             serialized_s: sched.serialized,
             overhead_saved_s,
             iterations: n,
-            launches,
+            launches: book.launches,
         }
     }
 
@@ -429,12 +385,23 @@ mod tests {
     use crate::explore::{Explorer, SequentialExplorer};
     use crate::problem::testutil::ZeroCount;
     use crate::problem::IncrementalEval;
+    use lnls_gpu_sim::transfer_seconds;
     use lnls_neighborhood::TwoHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn profile(spec: &DeviceSpec, m: u64) -> LaneProfile {
         LaneProfile::incremental_eval(spec, &HostSpec::xeon_3ghz(), m, 2, 24, 16)
+    }
+
+    /// One fused iteration — a span of one — returning its makespan.
+    fn explore_once<P: IncrementalEval>(
+        batch: &mut BatchedExplorer<TwoHamming>,
+        lanes: &mut [BatchLane<'_, P>],
+    ) -> f64 {
+        batch.begin_span(LaunchMode::PerIteration);
+        batch.explore_span(lanes);
+        batch.finish_span().makespan_s
     }
 
     #[test]
@@ -470,7 +437,7 @@ mod tests {
                 selection: SelectionMode::HostArgmin,
             },
         ];
-        let fused_s = batch.explore_batch(&mut lanes);
+        let fused_s = explore_once(&mut batch, &mut lanes);
         assert!(fused_s > 0.0);
 
         for (s, o) in [(&s1, &o1), (&s2, &o2)] {
@@ -508,7 +475,7 @@ mod tests {
                 selection: SelectionMode::HostArgmin,
             })
             .collect();
-        let fused = batch.explore_batch(&mut lanes);
+        let fused = explore_once(&mut batch, &mut lanes);
         let solo_sum = prof.solo_seconds(&spec) * 8.0;
         assert!(fused < solo_sum, "fused launch {fused} must beat {solo_sum} (8 solo launches)");
         assert_eq!(batch.fused_launches(), 1);
@@ -546,7 +513,7 @@ mod tests {
                 selection,
             })
             .collect();
-        let makespan = batch.explore_batch(&mut lanes);
+        let makespan = explore_once(&mut batch, &mut lanes);
         drop(lanes);
         (batch.book().clone(), makespan, batch.stream_serialized_s(), outs)
     }
@@ -640,7 +607,7 @@ mod tests {
                         selection: SelectionMode::HostArgmin,
                     },
                 ];
-                total += batch.explore_batch(&mut lanes);
+                total += explore_once(&mut batch, &mut lanes);
             }
             (total, o1, o2, batch.book().clone())
         };

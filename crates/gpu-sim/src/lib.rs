@@ -95,7 +95,7 @@ pub use reduce::{argmin_kernel_seconds, SelectionMode, ARGMIN_RECORD_BYTES};
 pub use report::{LaunchReport, TimeBook};
 pub use spec::{DeviceSpec, HostSpec};
 pub use stream::{
-    price_fused_iteration, price_fused_span, EngineConfig, EventId, LaneIo, LaunchMode, Schedule,
-    ScheduledOp, StreamOp, StreamSim,
+    price_fused_span, EngineConfig, EventId, LaneIo, LaunchMode, Schedule, ScheduledOp, StreamOp,
+    StreamSim,
 };
 pub use timing::{predict, predict_host_seconds, transfer_seconds, TimingBreakdown};

@@ -72,7 +72,7 @@ pub const ARGMIN_RECORD_BYTES: u64 = 8;
 /// per-lane output records with 64-bit global atomics (native on GT200 /
 /// sm_13), so one launch suffices. The caller adds the device's launch
 /// overhead — in a stream schedule that happens automatically
-/// ([`crate::stream::price_fused_iteration`] adds it per kernel op).
+/// ([`crate::stream::price_fused_span`] adds it per kernel op).
 pub fn argmin_kernel_seconds(spec: &DeviceSpec, keys: u64) -> f64 {
     let bandwidth_s = (keys * ARGMIN_RECORD_BYTES) as f64 / spec.mem_bandwidth;
     let peak_ops = spec.sm_count as f64 * spec.warp_size as f64 / spec.issue_cycles * spec.clock_hz;

@@ -10,7 +10,7 @@
 //! ([`EngineConfig`]): how many DMA queues
 //! and concurrent-kernel slots the part exposes. The layout decides what
 //! a stream schedule may overlap, so the batched fleet pricing
-//! (`lnls_core::BatchedExplorer` → [`crate::stream::price_fused_iteration`])
+//! (`lnls_core::BatchedExplorer` → [`crate::stream::price_fused_span`])
 //! reads it straight off the device it charges. Every preset ships the
 //! historically accurate GT200 layout; [`DeviceSpec::with_engines`]
 //! swaps in another (e.g. [`EngineConfig::fermi`]) for overlap studies.

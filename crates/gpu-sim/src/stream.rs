@@ -25,6 +25,7 @@
 //! makespan, engine busy times, and the fully-serialized time for
 //! comparison — the quantity the pipelining ablation reports.
 
+use crate::report::TimeBook;
 use crate::spec::DeviceSpec;
 use crate::timing::transfer_seconds;
 
@@ -382,7 +383,7 @@ impl<'a> StreamSim<'a> {
 }
 
 /// Per-lane PCIe traffic of one fused evaluation iteration (see
-/// [`price_fused_iteration`]).
+/// [`price_fused_span`]).
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
 pub struct LaneIo {
     /// Bytes this lane uploads (solution bits + incremental state).
@@ -392,64 +393,32 @@ pub struct LaneIo {
     pub d2h_bytes: u64,
 }
 
-/// Price one fused multi-lane iteration as a **breadth-first** stream
-/// schedule on `spec` (under [`DeviceSpec::engines`]): every lane's
-/// upload is enqueued first (one stream per lane), then the fused kernel
-/// chain on a dedicated compute stream gated on all uploads by events,
-/// then every lane's readback gated on the kernels. `kernels` is the
-/// dependent kernel chain of the iteration — the fused evaluation
+/// Price `n` consecutive fused iterations of the same multi-lane shape
+/// as **one** breadth-first stream/event schedule on `spec` (under
+/// [`DeviceSpec::engines`]). One iteration is the paper's loop body for
+/// every lane at once: each lane uploads its solution, the fused kernel
+/// chain evaluates all lanes' neighborhoods, each lane reads its fitness
+/// array back. `kernels` is that dependent chain — the fused evaluation
 /// kernel, optionally followed by the on-device argmin reduction — each
-/// entry in modeled seconds *excluding* launch overhead (the stream
-/// model adds it per kernel).
+/// entry in modeled seconds *excluding* launch overhead (the stream model
+/// adds it per kernel). A single iteration is a span of one under
+/// [`LaunchMode::PerIteration`].
+///
+/// Layout (`L = lanes.len()`): each lane uploads on its own stream
+/// `0..L`; the fused kernel chain runs on the dedicated compute stream
+/// `L`, gated on every upload by events; each lane reads back on its own
+/// *download* stream `L+1..=2L`, gated on the chain. Downloads ride
+/// separate streams from uploads on purpose: per-stream FIFO order would
+/// otherwise re-serialize iteration *k+1*'s H2D behind iteration *k*'s
+/// D2H, defeating the pipeline.
 ///
 /// Breadth-first issue matters: on a single-copy-engine part (GT200),
 /// depth-first enqueueing puts each lane's readback in front of the next
 /// lane's upload in the one DMA queue and serializes everything; see
-/// [`IssueOrder`](crate::pipeline::IssueOrder). Under GT200 layouts this
-/// schedule's makespan equals its serialized sum (nothing can overlap
-/// within one dependent iteration); multi-engine layouts overlap the
-/// per-lane copies against each other, and [`Schedule::makespan`] prices
-/// the win.
-///
-/// # Panics
-/// Panics when `lanes` or `kernels` is empty.
-pub fn price_fused_iteration(spec: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64]) -> Schedule {
-    assert!(!lanes.is_empty(), "cannot price an empty fused iteration");
-    assert!(!kernels.is_empty(), "a fused iteration launches at least one kernel");
-    let mut sim = StreamSim::new(spec);
-    let kernel_stream = lanes.len();
-    let mut uploaded = Vec::with_capacity(lanes.len());
-    for (stream, lane) in lanes.iter().enumerate() {
-        sim.h2d(stream, lane.h2d_bytes);
-        let ev = sim.new_event();
-        sim.record_event(stream, ev);
-        uploaded.push(ev);
-    }
-    for ev in uploaded {
-        sim.wait_event(kernel_stream, ev);
-    }
-    for &seconds in kernels {
-        sim.kernel(kernel_stream, seconds);
-    }
-    let done = sim.new_event();
-    sim.record_event(kernel_stream, done);
-    for (stream, lane) in lanes.iter().enumerate() {
-        sim.wait_event(stream, done);
-        sim.d2h(stream, lane.d2h_bytes);
-    }
-    sim.run()
-}
-
-/// Price `n` consecutive fused iterations of the same multi-lane shape
-/// as **one** breadth-first stream/event schedule on `spec` — the
-/// cross-iteration pipelining rung above [`price_fused_iteration`].
-///
-/// Layout (`L = lanes.len()`): each lane uploads on its own stream
-/// `0..L`; the fused kernel chain runs on the dedicated compute stream
-/// `L`; each lane reads back on its own *download* stream `L+1..=2L`.
-/// Downloads ride separate streams from uploads on purpose: per-stream
-/// FIFO order would otherwise re-serialize iteration *k+1*'s H2D behind
-/// iteration *k*'s D2H, defeating the pipeline.
+/// [`IssueOrder`](crate::pipeline::IssueOrder). Within one dependent
+/// iteration on a GT200 layout nothing can overlap, so a span of one
+/// costs its serialized sum; multi-engine layouts overlap the per-lane
+/// copies against each other, and [`Schedule::makespan`] prices the win.
 ///
 /// Two cross-iteration effects are modeled:
 ///
@@ -470,14 +439,14 @@ pub fn price_fused_iteration(spec: &DeviceSpec, lanes: &[LaneIo], kernels: &[f64
 /// Issue order is the breadth-first software pipeline: iteration
 /// *k+1*'s uploads are **enqueued before** iteration *k*'s readbacks,
 /// so DMA engines (granted in enqueue order) serve the eager uploads
-/// first and the pipeline actually fills. With `n = 1` and
-/// [`LaunchMode::PerIteration`] the makespan and serialized sum equal
-/// [`price_fused_iteration`]'s exactly. Engine contention stays honest:
-/// a GT200 layout's single DMA queue still serializes H2D against D2H,
-/// but the eager issue order lets it overlap the next iteration's
-/// upload against the current kernel — partial pipelining plus launch
-/// amortization — while multi-engine layouts overlap uploads, kernels
-/// and readbacks of adjacent iterations fully.
+/// first and the pipeline actually fills. Engine contention stays
+/// honest: a GT200 layout's single DMA queue still serializes H2D
+/// against D2H, but the eager issue order lets it overlap the next
+/// iteration's upload against the current kernel — partial pipelining
+/// plus launch amortization — while multi-engine layouts overlap
+/// uploads, kernels and readbacks of adjacent iterations fully.
+///
+/// [`TimeBook::fused_span`] charges the same span to a device ledger.
 ///
 /// # Panics
 /// Panics when `lanes` or `kernels` is empty, or when `n == 0`.
@@ -537,6 +506,55 @@ pub fn price_fused_span(
     }
     enqueue_downloads(&mut sim, kernel_done[n - 1]);
     sim.run()
+}
+
+impl TimeBook {
+    /// The device ledger of a fused span: what [`price_fused_span`]
+    /// schedules for the same `(lanes, kernels, n, mode)`, booked per
+    /// component. Kernel seconds are the chain's sum over `n`
+    /// iterations; launches (and their overhead) are one per kernel
+    /// position per iteration under [`LaunchMode::PerIteration`], and one
+    /// per position for the whole span under
+    /// [`LaunchMode::PersistentSpan`]; transfer seconds and bytes are
+    /// summed lane by lane, `Σᵢ tᵢ·n`. `host_s` is the caller's own
+    /// sequential-host total for the span. Component for component the
+    /// ledger's [`gpu_total_s`](Self::gpu_total_s) is the schedule's
+    /// [`Schedule::serialized`] sum. A span of zero iterations books no
+    /// device work.
+    ///
+    /// Returns the ledger and the launch overhead `mode` saved relative
+    /// to re-launching every iteration (seconds; zero under
+    /// [`LaunchMode::PerIteration`]).
+    pub fn fused_span(
+        spec: &DeviceSpec,
+        lanes: &[LaneIo],
+        kernels: &[f64],
+        host_s: f64,
+        n: u64,
+        mode: LaunchMode,
+    ) -> (TimeBook, f64) {
+        let positions = kernels.len() as u64;
+        let launches = match mode {
+            LaunchMode::PerIteration => positions * n,
+            LaunchMode::PersistentSpan => positions * n.min(1),
+        };
+        let iters = n as f64;
+        let mut book = TimeBook {
+            kernel_s: kernels.iter().sum::<f64>() * iters,
+            overhead_s: spec.launch_overhead_s * launches as f64,
+            launches,
+            host_s,
+            ..TimeBook::default()
+        };
+        for lane in lanes {
+            book.h2d_s += transfer_seconds(spec, lane.h2d_bytes) * iters;
+            book.d2h_s += transfer_seconds(spec, lane.d2h_bytes) * iters;
+            book.bytes_h2d += lane.h2d_bytes * n;
+            book.bytes_d2h += lane.d2h_bytes * n;
+        }
+        let saved = (positions * n - launches) as f64 * spec.launch_overhead_s;
+        (book, saved)
+    }
 }
 
 #[cfg(test)]
@@ -714,7 +732,7 @@ mod tests {
             LaneIo { h2d_bytes: 128, d2h_bytes: 8192 },
             LaneIo { h2d_bytes: 32, d2h_bytes: 2048 },
         ];
-        let sched = price_fused_iteration(&s, &lanes, &[1e-3]);
+        let sched = price_fused_span(&s, &lanes, &[1e-3], 1, LaunchMode::PerIteration);
         // One copy engine + a dependent chain: nothing can overlap.
         assert!((sched.makespan - sched.serialized).abs() < EPS);
         // Serialized = per-lane transfers + the kernel with its overhead.
@@ -737,7 +755,7 @@ mod tests {
             LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 },
             LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 },
         ];
-        let sched = price_fused_iteration(&s, &lanes, &[5e-4]);
+        let sched = price_fused_span(&s, &lanes, &[5e-4], 1, LaunchMode::PerIteration);
         assert!(
             sched.makespan < sched.serialized - EPS,
             "dual copy engines must overlap the two lanes' transfers"
@@ -759,7 +777,7 @@ mod tests {
         // launch overhead each.
         let s = spec();
         let lanes = [LaneIo { h2d_bytes: 64, d2h_bytes: 8 }];
-        let sched = price_fused_iteration(&s, &lanes, &[1e-3, 1e-5]);
+        let sched = price_fused_span(&s, &lanes, &[1e-3, 1e-5], 1, LaunchMode::PerIteration);
         let kernels: Vec<_> =
             sched.ops.iter().filter(|o| matches!(o.op, StreamOp::Kernel { .. })).collect();
         assert_eq!(kernels.len(), 2);
@@ -769,9 +787,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "empty fused iteration")]
+    #[should_panic(expected = "empty fused span")]
     fn fused_iteration_rejects_empty_batches() {
-        let _ = price_fused_iteration(&spec(), &[], &[1e-3]);
+        let _ = price_fused_span(&spec(), &[], &[1e-3], 1, LaunchMode::PerIteration);
     }
 
     #[test]
@@ -784,18 +802,6 @@ mod tests {
     }
 
     #[test]
-    fn span_of_one_matches_fused_iteration() {
-        let s = spec();
-        let lanes =
-            [LaneIo { h2d_bytes: 64, d2h_bytes: 4096 }, LaneIo { h2d_bytes: 128, d2h_bytes: 8192 }];
-        let kernels = [1e-3, 1e-5];
-        let single = price_fused_iteration(&s, &lanes, &kernels);
-        let span = price_fused_span(&s, &lanes, &kernels, 1, LaunchMode::PerIteration);
-        assert!((span.makespan - single.makespan).abs() < EPS);
-        assert!((span.serialized - single.serialized).abs() < EPS);
-    }
-
-    #[test]
     fn persistent_span_charges_launch_overhead_once() {
         // Kernel-dominated shape on GT200: transfers (≈12 µs) hide under
         // the 1 ms kernel chain, so the kernel chain is the critical
@@ -805,7 +811,7 @@ mod tests {
         let kernels = [1e-3, 1e-5];
         let n = 5;
         let per = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PerIteration);
-        let single = price_fused_iteration(&s, &lanes, &kernels);
+        let single = price_fused_span(&s, &lanes, &kernels, 1, LaunchMode::PerIteration);
         assert!(
             per.makespan < n as f64 * single.makespan - EPS,
             "even GT200 overlaps the next upload against the current kernel"
@@ -822,7 +828,7 @@ mod tests {
         let lanes = [LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 16 }; 2];
         let kernels = [5e-4];
         let n = 3;
-        let single = price_fused_iteration(&s, &lanes, &kernels);
+        let single = price_fused_span(&s, &lanes, &kernels, 1, LaunchMode::PerIteration);
         let span = price_fused_span(&s, &lanes, &kernels, n, LaunchMode::PerIteration);
         assert!(
             span.makespan < n as f64 * single.makespan - EPS,

@@ -1,14 +1,16 @@
 //! Property-based tests of the stream-overlap invariants behind the
-//! fleet's fused-batch pricing (`price_fused_iteration`): a breadth-
-//! first schedule's makespan never exceeds the serialized sum of its
-//! operations, equals it on the GT200 single-engine layout (where
-//! nothing inside one dependent fused iteration can overlap), and is
-//! strictly smaller for a two-lane fused batch under a Fermi-class
-//! layout (dual copy engines overlap the per-lane transfers).
+//! fleet's fused-batch pricing (`price_fused_span`; one iteration is a
+//! span of one): a breadth-first schedule's makespan never exceeds the
+//! serialized sum of its operations, equals it on the GT200
+//! single-engine layout (where nothing inside one dependent fused
+//! iteration can overlap), and is strictly smaller for a two-lane fused
+//! batch under a Fermi-class layout (dual copy engines overlap the
+//! per-lane transfers). The span ledger (`TimeBook::fused_span`) books
+//! exactly what the schedule serializes.
 
 use lnls_gpu_sim::{
-    price_fused_iteration, price_fused_span, transfer_seconds, DeviceSpec, EngineConfig, LaneIo,
-    LaunchMode, StreamOp,
+    price_fused_span, transfer_seconds, DeviceSpec, EngineConfig, LaneIo, LaunchMode, StreamOp,
+    TimeBook,
 };
 use proptest::prelude::*;
 
@@ -42,7 +44,7 @@ proptest! {
         if argmin_us > 0 {
             kernels.push(argmin_us as f64 * 1e-6);
         }
-        let sched = price_fused_iteration(&spec, &lanes, &kernels);
+        let sched = price_fused_span(&spec, &lanes, &kernels, 1, LaunchMode::PerIteration);
 
         prop_assert!(sched.makespan <= sched.serialized + EPS);
         prop_assert!(sched.makespan >= sched.copy_busy / copy_engines as f64 - EPS);
@@ -76,7 +78,7 @@ proptest! {
         if with_argmin {
             kernels.push(2e-6);
         }
-        let sched = price_fused_iteration(&spec, &lanes, &kernels);
+        let sched = price_fused_span(&spec, &lanes, &kernels, 1, LaunchMode::PerIteration);
         prop_assert!(
             (sched.makespan - sched.serialized).abs() < EPS,
             "GT200 must serialize the whole fused iteration: makespan {} vs serialized {}",
@@ -98,7 +100,8 @@ proptest! {
     ) {
         let spec = DeviceSpec::gtx280().with_engines(EngineConfig::fermi());
         let lanes = [LaneIo { h2d_bytes: h2d, d2h_bytes: d2h }; 2];
-        let sched = price_fused_iteration(&spec, &lanes, &[kernel_us as f64 * 1e-6]);
+        let kernels = [kernel_us as f64 * 1e-6];
+        let sched = price_fused_span(&spec, &lanes, &kernels, 1, LaunchMode::PerIteration);
         prop_assert!(
             sched.makespan < sched.serialized - EPS,
             "two-lane fermi batch must overlap: makespan {} vs serialized {}",
@@ -143,7 +146,7 @@ proptest! {
         if argmin_us > 0 {
             kernels.push(argmin_us as f64 * 1e-6);
         }
-        let single = price_fused_iteration(&spec, &lanes, &kernels);
+        let single = price_fused_span(&spec, &lanes, &kernels, 1, LaunchMode::PerIteration);
         let per = price_fused_span(&spec, &lanes, &kernels, n, LaunchMode::PerIteration);
         let resident = price_fused_span(&spec, &lanes, &kernels, n, LaunchMode::PersistentSpan);
         let bound = n as f64 * single.makespan;
@@ -176,7 +179,7 @@ proptest! {
         let kernels = [kernel_us as f64 * 1e-6];
         let mode =
             if persistent { LaunchMode::PersistentSpan } else { LaunchMode::PerIteration };
-        let single = price_fused_iteration(&spec, &lanes, &kernels);
+        let single = price_fused_span(&spec, &lanes, &kernels, 1, LaunchMode::PerIteration);
         let span = price_fused_span(&spec, &lanes, &kernels, n, mode);
         prop_assert!(
             span.makespan < n as f64 * single.makespan - EPS,
@@ -185,5 +188,52 @@ proptest! {
             span.makespan,
             n as f64 * single.makespan
         );
+    }
+
+    /// The span ledger books what the span schedules: any lanes, kernel
+    /// chain, span length, launch mode and engine layout — its GPU total
+    /// is the schedule's serialized sum, bytes are `n` times the lanes',
+    /// launches are one per kernel position per iteration (or per span
+    /// when resident), and the overhead it reports saved is exactly the
+    /// launches it did not charge.
+    #[test]
+    fn span_ledger_books_what_the_span_serializes(
+        shapes in lanes_strategy(),
+        kernel_us in 1u64..5_000,
+        argmin_us in 0u64..200,
+        n in 1usize..9,
+        persistent in any::<bool>(),
+        (copy_engines, kernel_slots) in (1usize..4, 1usize..4),
+    ) {
+        let spec = DeviceSpec::gtx280()
+            .with_engines(EngineConfig { copy_engines, concurrent_kernels: kernel_slots });
+        let lanes: Vec<LaneIo> = shapes
+            .iter()
+            .map(|&(h2d_bytes, d2h_bytes)| LaneIo { h2d_bytes, d2h_bytes })
+            .collect();
+        let mut kernels = vec![kernel_us as f64 * 1e-6];
+        if argmin_us > 0 {
+            kernels.push(argmin_us as f64 * 1e-6);
+        }
+        let mode =
+            if persistent { LaunchMode::PersistentSpan } else { LaunchMode::PerIteration };
+        let sched = price_fused_span(&spec, &lanes, &kernels, n, mode);
+        let (book, saved) = TimeBook::fused_span(&spec, &lanes, &kernels, 0.0, n as u64, mode);
+
+        let total = book.gpu_total_s();
+        prop_assert!(
+            (total - sched.serialized).abs() <= 1e-12 * sched.serialized,
+            "ledger {} vs serialized {}",
+            total,
+            sched.serialized
+        );
+        let n = n as u64;
+        prop_assert_eq!(book.bytes_h2d, n * lanes.iter().map(|l| l.h2d_bytes).sum::<u64>());
+        prop_assert_eq!(book.bytes_d2h, n * lanes.iter().map(|l| l.d2h_bytes).sum::<u64>());
+        let positions = kernels.len() as u64;
+        let launches = if persistent { positions } else { positions * n };
+        prop_assert_eq!(book.launches, launches);
+        let expect_saved = (n * positions - book.launches) as f64 * spec.launch_overhead_s;
+        prop_assert!((saved - expect_saved).abs() < EPS, "saved {} vs {}", saved, expect_saved);
     }
 }

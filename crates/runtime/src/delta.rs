@@ -51,7 +51,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a delta segment (`LNLSDLT` + format version).
-const DELTA_MAGIC: &[u8; 8] = b"LNLSDLT\x01";
+const DELTA_MAGIC: &[u8; 8] = b"LNLSDLT\x02";
 
 /// Typed failure modes of checkpoint loading — every variant names the
 /// segment (file) that broke the chain.
@@ -431,7 +431,6 @@ impl DeltaCheckpointer {
         parts.launches_saved.write(&mut out);
         parts.preemptions.write(&mut out);
         parts.ticks.write(&mut out);
-        parts.autosaves.write(&mut out);
         parts.iterations_executed.write(&mut out);
         parts.stream_makespan_s.write(&mut out);
         parts.stream_serialized_s.write(&mut out);
@@ -655,7 +654,6 @@ impl ChainState {
         ckpt.launches_saved = r.read()?;
         ckpt.preemptions = r.read()?;
         ckpt.ticks = r.read()?;
-        ckpt.autosaves = r.read()?;
         ckpt.iterations_executed = r.read()?;
         ckpt.stream_makespan_s = r.read()?;
         ckpt.stream_serialized_s = r.read()?;

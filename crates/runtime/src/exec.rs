@@ -99,8 +99,11 @@ pub trait JobExec: Send {
     /// Iterations the walk has executed so far (drives iteration
     /// budgets and the serialized baseline).
     fn iterations(&self) -> u64;
-    /// Launch-batching key; `None` for unbatchable workloads.
-    fn batch_key(&self) -> Option<BatchKey>;
+    /// Launch-batching key; `None` (the default) for unbatchable
+    /// workloads.
+    fn batch_key(&self) -> Option<BatchKey> {
+        None
+    }
     /// Downcast hook for batch leaders driving same-key peers.
     fn as_any_mut(&mut self) -> &mut dyn Any;
 
@@ -120,13 +123,21 @@ pub trait JobExec: Send {
     /// finishes — group membership never changes mid-span. `iters`
     /// reports the iterations *each member* executed (identical across
     /// the group).
+    ///
+    /// The default serves unbatchable executors: a `None`
+    /// [`batch_key`](Self::batch_key) never forms a group, so `peers` is
+    /// always empty and the span is a plain [`step_device`](Self::step_device)
+    /// call.
     fn step_batch(
         &mut self,
         peers: &mut [&mut Box<dyn JobExec>],
         dev: &mut Device,
         span_iters: u64,
-        mode: LaunchMode,
-    ) -> StepRun;
+        _mode: LaunchMode,
+    ) -> StepRun {
+        assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
+        self.step_device(dev, span_iters.max(1))
+    }
 
     /// Modeled cost of the work this job has *executed so far* if it had
     /// run solo, launch-per-iteration, on `spec` — the serialized-fleet
@@ -212,6 +223,14 @@ where
             self.state_h2d_bytes,
         )
     }
+
+    /// This walk's lane of a fused evaluation, priced by `profile`
+    /// under the job's own selection mode.
+    fn lane(&mut self, profile: LaneProfile) -> BatchLane<'_, P> {
+        let (s, state) = self.cursor.explore_parts();
+        let selection = self.selection;
+        BatchLane { problem: &*self.problem, s, state, out: &mut self.out, profile, selection }
+    }
 }
 
 impl<P, N> JobExec for BinaryTabuJob<P, N>
@@ -258,25 +277,17 @@ where
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
-        // Each iteration is one single-lane fused launch: same stream
-        // pricing the multi-tenant path charges, minus the amortization.
+        // Each iteration is one single-lane fused launch, priced as a
+        // span of one: same stream pricing the multi-tenant path
+        // charges, minus the amortization.
         let spec = dev.spec().clone();
         let prof = self.profile(&spec);
         let mut bex = BatchedExplorer::new(self.hood.clone(), spec);
         let mut iters = 0;
         while iters < quota && !self.cursor.is_done() {
-            {
-                let (s, state) = self.cursor.explore_parts();
-                let mut lanes = [BatchLane {
-                    problem: &*self.problem,
-                    s,
-                    state,
-                    out: &mut self.out,
-                    profile: prof,
-                    selection: self.selection,
-                }];
-                bex.explore_batch(&mut lanes);
-            }
+            bex.begin_span(LaunchMode::PerIteration);
+            bex.explore_span(&mut [self.lane(prof)]);
+            bex.finish_span();
             self.cursor.select_and_commit(&*self.problem, &self.hood, &self.out);
             iters += 1;
         }
@@ -339,26 +350,9 @@ where
         loop {
             {
                 let mut lanes: Vec<BatchLane<'_, P>> = Vec::with_capacity(1 + typed.len());
-                let (s, state) = self.cursor.explore_parts();
-                lanes.push(BatchLane {
-                    problem: &*self.problem,
-                    s,
-                    state,
-                    out: &mut self.out,
-                    profile: prof,
-                    selection: self.selection,
-                });
+                lanes.push(self.lane(prof));
                 for (t, p) in typed.iter_mut().zip(&peer_profiles) {
-                    let selection = t.selection;
-                    let (s, state) = t.cursor.explore_parts();
-                    lanes.push(BatchLane {
-                        problem: &*t.problem,
-                        s,
-                        state,
-                        out: &mut t.out,
-                        profile: *p,
-                        selection,
-                    });
+                    lanes.push(t.lane(*p));
                 }
                 bex.explore_span(&mut lanes);
             }
@@ -593,10 +587,6 @@ impl JobExec for QapJob {
         self.cursor.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
-        None
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
@@ -663,17 +653,6 @@ impl JobExec for QapJob {
         let seconds = ops * host.cpi_alu / host.clock_hz;
         self.host_iters += iters;
         StepRun { iters, seconds, serialized_s: seconds, ..StepRun::default() }
-    }
-
-    fn step_batch(
-        &mut self,
-        peers: &mut [&mut Box<dyn JobExec>],
-        dev: &mut Device,
-        span_iters: u64,
-        _mode: LaunchMode,
-    ) -> StepRun {
-        assert!(peers.is_empty(), "QAP jobs are unbatchable");
-        self.step_device(dev, span_iters.max(1))
     }
 
     fn unplaced(&mut self) {
@@ -881,19 +860,16 @@ where
         // per-sample upload, launch overhead, one-neighbor kernel,
         // one-fitness readback — the same accounting a fused batch uses,
         // at width one.
-        let h2d_s = transfer_seconds(&spec, prof.h2d_bytes);
-        let d2h_s = transfer_seconds(&spec, prof.d2h_bytes);
-        let n = iters as f64;
-        let book = TimeBook {
-            kernel_s: prof.kernel_seconds * n,
-            overhead_s: spec.launch_overhead_s * n,
-            h2d_s: h2d_s * n,
-            d2h_s: d2h_s * n,
-            bytes_h2d: prof.h2d_bytes * iters,
-            bytes_d2h: prof.d2h_bytes * iters,
-            launches: iters,
-            host_s: prof.host_seconds * n,
-        };
+        let lane = LaneIo { h2d_bytes: prof.h2d_bytes, d2h_bytes: prof.d2h_bytes };
+        let host_s = prof.host_seconds * iters as f64;
+        let (book, _) = TimeBook::fused_span(
+            &spec,
+            &[lane],
+            &[prof.kernel_seconds],
+            host_s,
+            iters,
+            LaunchMode::PerIteration,
+        );
         let seconds = book.gpu_total_s();
         dev.charge(&book);
         // Single-neighbor launches are one dependent chain each; the
@@ -963,28 +939,15 @@ where
             }
         }
         let sched = price_fused_span(&spec, &lanes, &[kernel_s], iters as usize, mode);
-        let launches = match mode {
-            LaunchMode::PerIteration => iters,
-            LaunchMode::PersistentSpan => 1,
-        };
-        let n = iters as f64;
-        let book = TimeBook {
-            kernel_s: kernel_s * n,
-            overhead_s: spec.launch_overhead_s * launches as f64,
-            h2d_s: lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum::<f64>() * n,
-            d2h_s: lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum::<f64>() * n,
-            bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * iters,
-            bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * iters,
-            launches,
-            host_s: host_per_iter * n,
-        };
+        let host_s = host_per_iter * iters as f64;
+        let (book, saved) = TimeBook::fused_span(&spec, &lanes, &[kernel_s], host_s, iters, mode);
         dev.charge(&book);
         StepRun {
             iters,
             seconds: sched.makespan,
             serialized_s: sched.serialized,
             spans: 1,
-            launch_overhead_saved_s: (iters - launches) as f64 * spec.launch_overhead_s,
+            launch_overhead_saved_s: saved,
         }
     }
 

@@ -13,8 +13,8 @@
 //! use lnls_core::persist::{Persist, PersistError, Reader};
 //! use lnls_gpu_sim::{transfer_seconds, Device, DeviceSpec, HostSpec, TimeBook};
 //! use lnls_runtime::{
-//!     BatchKey, FleetCheckpoint, JobCodec, JobExec, JobId, JobOutcome, JobRegistry, JobReport,
-//!     Scheduler, SchedulerConfig, SearchJob, StepRun, SubmitCtx,
+//!     FleetCheckpoint, JobCodec, JobExec, JobId, JobOutcome, JobRegistry, JobReport, Scheduler,
+//!     SchedulerConfig, SearchJob, StepRun, SubmitCtx,
 //! };
 //! use std::any::Any;
 //!
@@ -51,8 +51,9 @@
 //!     fn seq(&self) -> u64 { self.seq }
 //!     fn done(&self) -> bool { self.left == 0 }
 //!     fn iterations(&self) -> u64 { self.executed }
-//!     fn batch_key(&self) -> Option<BatchKey> { None } // never fuses
 //!     fn as_any_mut(&mut self) -> &mut dyn Any { self }
+//!     // `batch_key` defaults to `None` (never fuses), and `step_batch`
+//!     // to `step_device`, so a solo workload writes neither.
 //!
 //!     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
 //!         let iters = quota.min(self.left);
@@ -70,17 +71,6 @@
 //!         self.executed += iters;
 //!         let seconds = 1e-6 * iters as f64;
 //!         StepRun { iters, seconds, serialized_s: seconds, ..StepRun::default() }
-//!     }
-//!
-//!     fn step_batch(
-//!         &mut self,
-//!         peers: &mut [&mut Box<dyn JobExec>],
-//!         dev: &mut Device,
-//!         span_iters: u64,
-//!         _mode: lnls_gpu_sim::LaunchMode,
-//!     ) -> StepRun {
-//!         assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
-//!         self.step_device(dev, span_iters.max(1))
 //!     }
 //!
 //!     fn serial_equivalent_s(&self, spec: &DeviceSpec) -> f64 {

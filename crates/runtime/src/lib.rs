@@ -76,9 +76,10 @@
 //!   hand-rolled byte format (no serde offline) so fleets survive
 //!   process restarts; [`JobRegistry`] maps persisted job tags back to
 //!   concrete types through the same [`JobCodec`] trait family
-//!   submission uses. [`SchedulerConfig::autosave_every_ticks`] writes
-//!   rotating auto-checkpoints so a crashed fleet resumes from its last
-//!   snapshot.
+//!   submission uses. Periodic snapshots come from a
+//!   [`DeltaCheckpointer`] (a rotating base plus dirty-job deltas), and
+//!   [`CheckpointStore::load_latest`] revives a crashed fleet from its
+//!   last one.
 //! * [`FleetReport`] summarizes throughput *and fairness*: makespan,
 //!   busy fractions, jobs per simulated second, speedup versus the
 //!   serialized one-device baseline, preemption counts, per-tenant

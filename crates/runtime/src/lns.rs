@@ -1,27 +1,27 @@
 //! Executors for the `lnls-lns` cursor families: destroy-and-repair
 //! jobs ([`LnsJob`]) and portfolio races ([`PortfolioJob`]).
 //!
-//! Neither family fuses with *other* tenants (`batch_key` is `None`) —
-//! each job is its own fused batch. A destroy-and-repair round repairs
+//! Neither family fuses with *other* tenants (both keep the default
+//! `None` batch key): each job is its own fused batch, and rounds of
+//! different jobs have unrelated freed sets, so there is nothing
+//! coherent to fuse across tenants. A destroy-and-repair round repairs
 //! `L` lanes of the freed sub-problem in lockstep, so the executor
 //! prices every round as one multi-lane stream span of `inner_iters`
-//! fused repair launches through [`price_fused_span`] — the paper's
-//! launch-amortization argument applied *inside* a single tenant. A
-//! portfolio round advances three heterogeneous lanes (tabu, annealing,
-//! shaken descent) whose per-iteration shapes differ wildly; the
-//! executor prices one span per leader window (the leader is constant
-//! between reallocation boundaries) with a kernel chain entry per lane
-//! sub-step, which is exactly the stress test the heterogeneous-lane
-//! batcher needed.
+//! fused repair launches through [`price_fused_span`] (and books it
+//! through [`TimeBook::fused_span`]) — the paper's launch-amortization
+//! argument applied *inside* a single tenant. A portfolio round
+//! advances three heterogeneous lanes (tabu, annealing, shaken descent)
+//! whose per-iteration shapes differ wildly; the executor prices one
+//! span per leader window (the leader is constant between reallocation
+//! boundaries) with a kernel chain entry per lane sub-step, which is
+//! exactly the stress test the heterogeneous-lane batcher needed.
 
-use crate::exec::{BatchKey, JobExec, StepRun};
+use crate::exec::{JobExec, StepRun};
 use crate::job::{JobId, JobOutcome, JobReport};
 use crate::submit::{JobCodec, SearchJob, SubmitCtx};
 use lnls_core::persist::{Persist, PersistError, PersistTag, Reader};
 use lnls_core::{BitString, DynCursor, IncrementalEval, LaneProfile, ProblemCursor};
-use lnls_gpu_sim::{
-    price_fused_span, transfer_seconds, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode, TimeBook,
-};
+use lnls_gpu_sim::{price_fused_span, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode, TimeBook};
 use lnls_lns::{LnsCursor, LnsSearch, PortfolioCursor, PortfolioSearch};
 use lnls_neighborhood::Neighborhood;
 use std::any::Any;
@@ -191,54 +191,6 @@ where
             self.state_h2d_bytes,
         )
     }
-
-    /// Step up to `quota` rounds, pricing each round as one fused
-    /// multi-lane span of `inner_iters` repair launches.
-    fn run_rounds(&mut self, dev: &mut Device, quota: u64, mode: LaunchMode) -> StepRun {
-        let spec = dev.spec().clone();
-        let lanes_n = self.walk.cursor().lanes();
-        let inner = self.walk.cursor().inner_iters();
-        let mut run = StepRun::default();
-        while run.iters < quota && !self.walk.is_done() {
-            // The radius (and therefore the freed-set size) is only
-            // known round by round — capture the shape before stepping.
-            let prof = self.profile(&spec);
-            if self.walk.step(1) == 0 {
-                break;
-            }
-            let lanes =
-                vec![LaneIo { h2d_bytes: prof.h2d_bytes, d2h_bytes: prof.d2h_bytes }; lanes_n];
-            // One fused kernel per repair pass covers all lanes (work is
-            // additive across the fused grid).
-            let kernel_s = prof.kernel_seconds * lanes_n as f64;
-            let sched = price_fused_span(&spec, &lanes, &[kernel_s], inner as usize, mode);
-            let launches = match mode {
-                LaunchMode::PerIteration => inner,
-                LaunchMode::PersistentSpan => 1,
-            };
-            let n = inner as f64;
-            let h2d_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum();
-            let d2h_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum();
-            let book = TimeBook {
-                kernel_s: kernel_s * n,
-                overhead_s: spec.launch_overhead_s * launches as f64,
-                h2d_s: h2d_one * n,
-                d2h_s: d2h_one * n,
-                bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * inner,
-                bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * inner,
-                launches,
-                host_s: prof.host_seconds * lanes_n as f64 * n,
-            };
-            dev.charge(&book);
-            self.serial_s += prof.solo_seconds(&spec) * (lanes_n as u64 * inner) as f64;
-            run.iters += 1;
-            run.seconds += sched.makespan;
-            run.serialized_s += sched.serialized;
-            run.spans += 1;
-            run.launch_overhead_saved_s += (inner - launches) as f64 * spec.launch_overhead_s;
-        }
-        run
-    }
 }
 
 impl<P> JobExec for LnsExec<P>
@@ -269,20 +221,42 @@ where
         self.walk.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
-        // Each round already *is* a fused multi-lane batch; rounds of
-        // different jobs have unrelated freed sets, so cross-tenant
-        // fusion has nothing coherent to fuse.
-        None
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
-        let mode = self.launch_mode;
-        self.run_rounds(dev, quota, mode)
+        // Step up to `quota` rounds, pricing each round as one fused
+        // multi-lane span of `inner_iters` repair launches.
+        let (spec, mode) = (dev.spec().clone(), self.launch_mode);
+        let lanes_n = self.walk.cursor().lanes();
+        let inner = self.walk.cursor().inner_iters();
+        let mut run = StepRun::default();
+        while run.iters < quota && !self.walk.is_done() {
+            // The radius (and therefore the freed-set size) is only
+            // known round by round — capture the shape before stepping.
+            let prof = self.profile(&spec);
+            if self.walk.step(1) == 0 {
+                break;
+            }
+            let lanes =
+                vec![LaneIo { h2d_bytes: prof.h2d_bytes, d2h_bytes: prof.d2h_bytes }; lanes_n];
+            // One fused kernel per repair pass covers all lanes (work is
+            // additive across the fused grid).
+            let kernel_s = prof.kernel_seconds * lanes_n as f64;
+            let sched = price_fused_span(&spec, &lanes, &[kernel_s], inner as usize, mode);
+            let host_s = prof.host_seconds * lanes_n as f64 * inner as f64;
+            let (book, saved) =
+                TimeBook::fused_span(&spec, &lanes, &[kernel_s], host_s, inner, mode);
+            dev.charge(&book);
+            self.serial_s += prof.solo_seconds(&spec) * (lanes_n as u64 * inner) as f64;
+            run.iters += 1;
+            run.seconds += sched.makespan;
+            run.serialized_s += sched.serialized;
+            run.spans += 1;
+            run.launch_overhead_saved_s += saved;
+        }
+        run
     }
 
     fn step_host(&mut self, _host: &HostSpec, quota: u64) -> StepRun {
@@ -304,17 +278,6 @@ where
             run.serialized_s += seconds;
         }
         run
-    }
-
-    fn step_batch(
-        &mut self,
-        peers: &mut [&mut Box<dyn JobExec>],
-        dev: &mut Device,
-        span_iters: u64,
-        mode: LaunchMode,
-    ) -> StepRun {
-        assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
-        self.run_rounds(dev, span_iters.max(1), mode)
     }
 
     fn serial_equivalent_s(&self, _spec: &DeviceSpec) -> f64 {
@@ -578,78 +541,6 @@ where
             1
         }
     }
-
-    /// Step up to `quota` rounds; each leader window (the leader is
-    /// constant between reallocation boundaries) is priced as one fused
-    /// heterogeneous-lane span with one kernel-chain entry per lane
-    /// sub-step.
-    fn run_rounds(&mut self, dev: &mut Device, quota: u64, mode: LaunchMode) -> StepRun {
-        let spec = dev.spec().clone();
-        let mut run = StepRun::default();
-        while run.iters < quota && !self.walk.is_done() {
-            let leader = self.walk.cursor().leader();
-            let realloc = self.walk.cursor().realloc_every();
-            let window = realloc - self.walk.iterations() % realloc;
-            let profs = self.profiles(&spec);
-            let lanes: Vec<LaneIo> = profs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| {
-                    let s = self.substeps(i, leader);
-                    LaneIo { h2d_bytes: p.h2d_bytes * s, d2h_bytes: p.d2h_bytes * s }
-                })
-                .collect();
-            let kernels: Vec<f64> = profs
-                .iter()
-                .enumerate()
-                .flat_map(|(i, p)| {
-                    std::iter::repeat_n(p.kernel_seconds, self.substeps(i, leader) as usize)
-                })
-                .collect();
-            let ran = self.walk.step(window.min(quota - run.iters));
-            if ran == 0 {
-                break;
-            }
-            let sched = price_fused_span(&spec, &lanes, &kernels, ran as usize, mode);
-            let per_iter = kernels.len() as u64;
-            let launches = match mode {
-                LaunchMode::PerIteration => ran * per_iter,
-                LaunchMode::PersistentSpan => per_iter,
-            };
-            let n = ran as f64;
-            let h2d_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.h2d_bytes)).sum();
-            let d2h_one: f64 = lanes.iter().map(|l| transfer_seconds(&spec, l.d2h_bytes)).sum();
-            let host_one: f64 = profs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| p.host_seconds * self.substeps(i, leader) as f64)
-                .sum();
-            let book = TimeBook {
-                kernel_s: kernels.iter().sum::<f64>() * n,
-                overhead_s: spec.launch_overhead_s * launches as f64,
-                h2d_s: h2d_one * n,
-                d2h_s: d2h_one * n,
-                bytes_h2d: lanes.iter().map(|l| l.h2d_bytes).sum::<u64>() * ran,
-                bytes_d2h: lanes.iter().map(|l| l.d2h_bytes).sum::<u64>() * ran,
-                launches,
-                host_s: host_one * n,
-            };
-            dev.charge(&book);
-            self.serial_s += profs
-                .iter()
-                .enumerate()
-                .map(|(i, p)| p.solo_seconds(&spec) * self.substeps(i, leader) as f64)
-                .sum::<f64>()
-                * n;
-            run.iters += ran;
-            run.seconds += sched.makespan;
-            run.serialized_s += sched.serialized;
-            run.spans += 1;
-            run.launch_overhead_saved_s +=
-                (ran * per_iter - launches) as f64 * spec.launch_overhead_s;
-        }
-        run
-    }
 }
 
 impl<P> JobExec for PortfolioExec<P>
@@ -680,19 +571,64 @@ where
         self.walk.iterations()
     }
 
-    fn batch_key(&self) -> Option<BatchKey> {
-        // The race is already a fused heterogeneous batch of its own
-        // three lanes; it never fuses with other tenants.
-        None
-    }
-
     fn as_any_mut(&mut self) -> &mut dyn Any {
         self
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
-        let mode = self.launch_mode;
-        self.run_rounds(dev, quota, mode)
+        // Step up to `quota` rounds; each leader window (the leader is
+        // constant between reallocation boundaries) is priced as one fused
+        // heterogeneous-lane span with one kernel-chain entry per lane
+        // sub-step.
+        let (spec, mode) = (dev.spec().clone(), self.launch_mode);
+        let mut run = StepRun::default();
+        while run.iters < quota && !self.walk.is_done() {
+            let leader = self.walk.cursor().leader();
+            let realloc = self.walk.cursor().realloc_every();
+            let window = realloc - self.walk.iterations() % realloc;
+            let profs = self.profiles(&spec);
+            let lanes: Vec<LaneIo> = profs
+                .iter()
+                .enumerate()
+                .map(|(i, p)| {
+                    let s = self.substeps(i, leader);
+                    LaneIo { h2d_bytes: p.h2d_bytes * s, d2h_bytes: p.d2h_bytes * s }
+                })
+                .collect();
+            let kernels: Vec<f64> = profs
+                .iter()
+                .enumerate()
+                .flat_map(|(i, p)| {
+                    std::iter::repeat_n(p.kernel_seconds, self.substeps(i, leader) as usize)
+                })
+                .collect();
+            let ran = self.walk.step(window.min(quota - run.iters));
+            if ran == 0 {
+                break;
+            }
+            let sched = price_fused_span(&spec, &lanes, &kernels, ran as usize, mode);
+            let n = ran as f64;
+            let host_one: f64 = profs
+                .iter()
+                .enumerate()
+                .map(|(i, p)| p.host_seconds * self.substeps(i, leader) as f64)
+                .sum();
+            let (book, saved) =
+                TimeBook::fused_span(&spec, &lanes, &kernels, host_one * n, ran, mode);
+            dev.charge(&book);
+            self.serial_s += profs
+                .iter()
+                .enumerate()
+                .map(|(i, p)| p.solo_seconds(&spec) * self.substeps(i, leader) as f64)
+                .sum::<f64>()
+                * n;
+            run.iters += ran;
+            run.seconds += sched.makespan;
+            run.serialized_s += sched.serialized;
+            run.spans += 1;
+            run.launch_overhead_saved_s += saved;
+        }
+        run
     }
 
     fn step_host(&mut self, _host: &HostSpec, quota: u64) -> StepRun {
@@ -715,17 +651,6 @@ where
             run.serialized_s += seconds;
         }
         run
-    }
-
-    fn step_batch(
-        &mut self,
-        peers: &mut [&mut Box<dyn JobExec>],
-        dev: &mut Device,
-        span_iters: u64,
-        mode: LaunchMode,
-    ) -> StepRun {
-        assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
-        self.run_rounds(dev, span_iters.max(1), mode)
     }
 
     fn serial_equivalent_s(&self, _spec: &DeviceSpec) -> f64 {

@@ -150,11 +150,6 @@ pub enum FleetEvent {
         /// The jobs sent back to the queue.
         jobs: Vec<JobId>,
     },
-    /// An auto-checkpoint was written.
-    Checkpointed {
-        /// Jobs captured while queued or in flight.
-        pending: u64,
-    },
     /// A job completed normally.
     Completed {
         /// The finished job.
@@ -190,7 +185,6 @@ impl FleetEvent {
             FleetEvent::QuantumStart { .. } => "quantum_start",
             FleetEvent::QuantumEnd { .. } => "quantum_end",
             FleetEvent::Preempted { .. } => "preempted",
-            FleetEvent::Checkpointed { .. } => "checkpointed",
             FleetEvent::Completed { .. } => "completed",
             FleetEvent::Cancelled { .. } => "cancelled",
         }
@@ -333,9 +327,6 @@ impl EventRecord {
                     json_escape(device),
                     json_jobs(jobs)
                 );
-            }
-            FleetEvent::Checkpointed { pending } => {
-                let _ = write!(s, ",\"pending\":{pending}");
             }
             FleetEvent::Completed { job, device, wait_s, turnaround_s } => {
                 let _ = write!(
@@ -649,7 +640,6 @@ impl MetricsRegistry {
     /// | `fleet_placements_total` | counter | `Placed` |
     /// | `fleet_batches_fused_total` | counter | `BatchFused` (groups formed) |
     /// | `fleet_preemptions_total` | counter | `Preempted` (assignments) |
-    /// | `fleet_checkpoints_total` | counter | `Checkpointed` |
     /// | `fleet_quanta_total` | counter | `QuantumEnd` |
     /// | `fleet_iterations_total` | counter | `QuantumEnd` iters |
     /// | `fleet_bytes_h2d_total` / `fleet_bytes_d2h_total` | counter | `QuantumEnd` bytes |
@@ -676,7 +666,6 @@ impl MetricsRegistry {
                 }
             }
             FleetEvent::Preempted { .. } => self.inc("fleet_preemptions_total"),
-            FleetEvent::Checkpointed { .. } => self.inc("fleet_checkpoints_total"),
             FleetEvent::Completed { wait_s, turnaround_s, .. } => {
                 self.inc("fleet_jobs_completed_total");
                 self.observe("fleet_wait_seconds", *wait_s);
@@ -830,9 +819,9 @@ pub fn tenant_summaries(records: &[EventRecord]) -> Vec<TenantSummary> {
 /// `chrome://tracing`). Each backend becomes one thread row (named via
 /// `thread_name` metadata, in first-seen order); every `QuantumEnd`
 /// becomes a complete (`ph:"X"`) span on its backend's row with
-/// iteration and byte counts in `args`; preemptions and checkpoints
-/// render as instant events. Timestamps are modeled seconds scaled to
-/// microseconds (the trace format's unit).
+/// iteration and byte counts in `args`; preemptions render as instant
+/// events. Timestamps are modeled seconds scaled to microseconds (the
+/// trace format's unit).
 pub fn chrome_trace(records: &[EventRecord]) -> String {
     let mut rows: BTreeMap<String, usize> = BTreeMap::new();
     let mut events: Vec<String> = Vec::new();
@@ -879,13 +868,6 @@ pub fn chrome_trace(records: &[EventRecord]) -> String {
                     "{{\"ph\":\"i\",\"pid\":0,\"tid\":{tid},\"name\":\"preempt ({} jobs)\",\
                      \"cat\":\"scheduler\",\"ts\":{},\"s\":\"t\"}}",
                     jobs.len(),
-                    json_f64(rec.now_s * 1e6)
-                ));
-            }
-            FleetEvent::Checkpointed { pending } => {
-                events.push(format!(
-                    "{{\"ph\":\"i\",\"pid\":0,\"tid\":0,\"name\":\"checkpoint ({pending} pending)\",\
-                     \"cat\":\"scheduler\",\"ts\":{},\"s\":\"g\"}}",
                     json_f64(rec.now_s * 1e6)
                 ));
             }

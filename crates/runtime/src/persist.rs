@@ -38,7 +38,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"LNLSFLT\x07";
+const MAGIC: &[u8; 8] = b"LNLSFLT\x08";
 
 type Loader = fn(&mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>;
 
@@ -144,8 +144,6 @@ fn write_cfg(cfg: &SchedulerConfig, out: &mut Vec<u8>) {
     cfg.max_batch.write(out);
     cfg.host.write(out);
     cfg.quantum_iters.write(out);
-    cfg.autosave_every_ticks.write(out);
-    cfg.autosave_path.as_ref().map(|p| p.to_string_lossy().into_owned()).write(out);
     cfg.telemetry_every_ticks.write(out);
     cfg.telemetry_max_samples.write(out);
     cfg.selection.write(out);
@@ -154,27 +152,42 @@ fn write_cfg(cfg: &SchedulerConfig, out: &mut Vec<u8>) {
     cfg.id_base.write(out);
 }
 
+/// Decode a [`SchedulerConfig`], refusing the knob values
+/// [`Scheduler::new`](crate::Scheduler::new) asserts against, so a
+/// corrupted config is a typed error naming the field rather than a
+/// panic at restore.
 fn read_cfg(r: &mut Reader<'_>) -> Result<SchedulerConfig, PersistError> {
     let policy = match u8::read(r)? {
         0 => PlacePolicy::RoundRobin,
         1 => PlacePolicy::LeastLoaded,
         b => return Err(PersistError::new(format!("bad placement policy {b}"))),
     };
-    Ok(SchedulerConfig {
+    let cfg = SchedulerConfig {
         policy,
         cpu_workers: r.read()?,
         max_batch: r.read()?,
         host: r.read()?,
         quantum_iters: r.read()?,
-        autosave_every_ticks: r.read()?,
-        autosave_path: r.read::<Option<String>>()?.map(std::path::PathBuf::from),
         telemetry_every_ticks: r.read()?,
         telemetry_max_samples: r.read()?,
         selection: r.read()?,
         span_iters: r.read()?,
         launch_mode: r.read()?,
         id_base: r.read()?,
-    })
+    };
+    let bad = if cfg.max_batch == 0 {
+        Some("max_batch = 0")
+    } else if cfg.quantum_iters == Some(0) {
+        Some("quantum_iters = Some(0)")
+    } else if cfg.span_iters == 0 {
+        Some("span_iters = 0")
+    } else {
+        None
+    };
+    match bad {
+        Some(field) => Err(PersistError::new(format!("bad scheduler config: {field}"))),
+        None => Ok(cfg),
+    }
 }
 
 /// Outcomes persist as the generic record plus a tagged detail: the
@@ -309,7 +322,6 @@ impl FleetCheckpoint {
         self.launches_saved.write(&mut out);
         self.preemptions.write(&mut out);
         self.ticks.write(&mut out);
-        self.autosaves.write(&mut out);
         self.iterations_executed.write(&mut out);
         self.stream_makespan_s.write(&mut out);
         self.stream_serialized_s.write(&mut out);
@@ -403,7 +415,6 @@ impl FleetCheckpoint {
             launches_saved: r.read()?,
             preemptions: r.read()?,
             ticks: r.read()?,
-            autosaves: r.read()?,
             iterations_executed: r.read()?,
             stream_makespan_s: r.read()?,
             stream_serialized_s: r.read()?,
@@ -417,9 +428,10 @@ impl FleetCheckpoint {
                 r.remaining()
             )));
         }
+        let backends = checkpoint.specs.len().checked_add(checkpoint.cfg.cpu_workers);
         if checkpoint.clocks.len() != checkpoint.active.len()
             || checkpoint.specs.len() != checkpoint.device_books.len()
-            || checkpoint.specs.len() + checkpoint.cfg.cpu_workers != checkpoint.active.len()
+            || backends != Some(checkpoint.active.len())
         {
             return Err(PersistError::new("inconsistent backend counts in checkpoint"));
         }
@@ -465,6 +477,33 @@ impl FleetCheckpoint {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Scheduler;
+    use lnls_gpu_sim::DeviceSpec;
+
+    /// Corrupted configs decode to a typed error naming the bad value,
+    /// never to a panic (`cpu_workers` near the top of `usize` used to
+    /// overflow the backend count) or to a config `Scheduler::new`
+    /// refuses.
+    #[test]
+    fn corrupted_configs_are_typed_errors() {
+        type Corrupt = fn(&mut SchedulerConfig);
+        let cases: [(Corrupt, &str); 4] = [
+            (|cfg| cfg.cpu_workers = usize::MAX, "backend counts"),
+            (|cfg| cfg.max_batch = 0, "max_batch"),
+            (|cfg| cfg.quantum_iters = Some(0), "quantum_iters"),
+            (|cfg| cfg.span_iters = 0, "span_iters"),
+        ];
+        for (corrupt, names) in cases {
+            let fleet =
+                Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), SchedulerConfig::default());
+            let mut checkpoint = fleet.checkpoint();
+            corrupt(&mut checkpoint.cfg);
+            match FleetCheckpoint::from_bytes(&checkpoint.to_bytes(), &JobRegistry::new()) {
+                Err(e) => assert!(e.to_string().contains(names), "{e}"),
+                Ok(_) => panic!("a config with bad {names} must not decode"),
+            }
+        }
+    }
 
     #[test]
     #[should_panic(expected = "already registered")]

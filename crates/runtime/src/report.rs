@@ -94,9 +94,6 @@ pub struct FleetReport {
     /// (seconds; nonzero only under
     /// [`LaunchMode::PersistentSpan`](lnls_gpu_sim::LaunchMode)).
     pub launch_overhead_saved_s: f64,
-    /// Auto-checkpoints written (see
-    /// [`SchedulerConfig::autosave_every_ticks`](crate::SchedulerConfig::autosave_every_ticks)).
-    pub autosaves: u64,
     /// Worst queue wait over finished tenants — the headline fairness
     /// number preemption exists to lower.
     pub max_wait_s: f64,

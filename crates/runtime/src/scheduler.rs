@@ -1,6 +1,8 @@
 //! The fleet scheduler: the generic submission path, queue, fair-share
 //! placement, quantum-preemptive fused stepping, cancellation,
-//! iteration budgets and deadlines, checkpointing and auto-checkpoints.
+//! iteration budgets and deadlines, and checkpointing. Periodic
+//! snapshots are the caller's to schedule, through
+//! [`DeltaCheckpointer`](crate::DeltaCheckpointer).
 
 use crate::exec::{BatchKey, JobExec};
 use crate::job::{JobHandle, JobId, JobReport, JobStatus};
@@ -10,7 +12,6 @@ use crate::submit::{JobSpec, SearchJob, SubmitCtx};
 use crate::telemetry::{percentile_sorted, Telemetry, TickSample};
 use lnls_gpu_sim::{DeviceSpec, HostSpec, LaunchMode, MultiDevice, SelectionMode, TimeBook};
 use std::collections::{BTreeMap, BTreeSet};
-use std::path::PathBuf;
 
 /// How queued jobs are placed onto idle backends.
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
@@ -42,14 +43,6 @@ pub struct SchedulerConfig {
     /// round-robin, so no tenant monopolizes a backend. Preemption never
     /// changes a job's result — only who waits how long.
     pub quantum_iters: Option<u64>,
-    /// Auto-checkpoint cadence: every `n` ticks the scheduler snapshots
-    /// itself to [`autosave_path`](Self::autosave_path) (no effect when
-    /// either knob is unset). The previous snapshot is rotated to
-    /// `<path>.1`, so a crash mid-write still leaves a loadable file.
-    pub autosave_every_ticks: Option<u64>,
-    /// Where auto-checkpoints land (see
-    /// [`autosave_every_ticks`](Self::autosave_every_ticks)).
-    pub autosave_path: Option<PathBuf>,
     /// Telemetry cadence: every `n` ticks the scheduler appends one
     /// [`TickSample`](crate::TickSample) (queue depth, running jobs,
     /// cumulative outcome counters, per-device busy time and cumulative
@@ -110,8 +103,6 @@ impl Default for SchedulerConfig {
             max_batch: 8,
             host: HostSpec::xeon_3ghz(),
             quantum_iters: None,
-            autosave_every_ticks: None,
-            autosave_path: None,
             telemetry_every_ticks: None,
             telemetry_max_samples: None,
             selection: SelectionMode::HostArgmin,
@@ -233,7 +224,6 @@ pub struct Scheduler {
     launches_saved: u64,
     preemptions: u64,
     ticks: u64,
-    autosaves: u64,
     /// Job-iterations executed across every backend step (fused groups
     /// count one per member) — the denominator of the bytes-moved-per-
     /// iteration report.
@@ -291,7 +281,6 @@ impl Scheduler {
             launches_saved: 0,
             preemptions: 0,
             ticks: 0,
-            autosaves: 0,
             iterations_executed: 0,
             stream_makespan_s: 0.0,
             stream_serialized_s: 0.0,
@@ -657,8 +646,7 @@ impl Scheduler {
     /// idle backends; then run one quantum (one fused *span* of up to
     /// [`SchedulerConfig::span_iters`] iterations for a batched group,
     /// up to the slice budget for a solo assignment) on every busy
-    /// backend, preempting assignments whose slice expired.
-    /// Auto-checkpoints fire on the configured tick cadence. Returns
+    /// backend, preempting assignments whose slice expired. Returns
     /// `false` once the fleet is idle.
     pub fn tick(&mut self) -> bool {
         self.drain_cancelled();
@@ -669,11 +657,6 @@ impl Scheduler {
             progressed |= self.step_backend(b);
         }
         self.ticks += 1;
-        if let Some(every) = self.cfg.autosave_every_ticks {
-            if every > 0 && self.ticks.is_multiple_of(every) {
-                self.autosave();
-            }
-        }
         if let Some(every) = self.cfg.telemetry_every_ticks {
             if every > 0 && self.ticks.is_multiple_of(every) {
                 self.sample_telemetry();
@@ -708,27 +691,6 @@ impl Scheduler {
         };
         if let Some(t) = self.telemetry.as_mut() {
             t.push(sample);
-        }
-    }
-
-    /// Snapshot to the configured autosave path, rotating the previous
-    /// snapshot to `<path>.1` first.
-    fn autosave(&mut self) {
-        let Some(path) = self.cfg.autosave_path.clone() else { return };
-        let mut rotated = path.clone().into_os_string();
-        rotated.push(".1");
-        if path.exists() {
-            let _ = std::fs::rename(&path, PathBuf::from(rotated));
-        }
-        match self.checkpoint().save(&path) {
-            Ok(()) => {
-                self.autosaves += 1;
-                if self.observing() {
-                    let pending = (self.queue.len() + self.running_len()) as u64;
-                    self.emit_event(FleetEvent::Checkpointed { pending });
-                }
-            }
-            Err(e) => eprintln!("lnls-runtime: autosave to {} failed: {e}", path.display()),
         }
     }
 
@@ -1230,7 +1192,6 @@ impl Scheduler {
             fused_launches: self.fused_launches,
             launches_saved: self.launches_saved,
             preemptions: self.preemptions,
-            autosaves: self.autosaves,
             iterations_executed: self.iterations_executed,
             stream_makespan_s: self.stream_makespan_s,
             stream_serialized_s: self.stream_serialized_s,
@@ -1279,7 +1240,6 @@ impl Scheduler {
             launches_saved: self.launches_saved,
             preemptions: self.preemptions,
             ticks: self.ticks,
-            autosaves: self.autosaves,
             iterations_executed: self.iterations_executed,
             stream_makespan_s: self.stream_makespan_s,
             stream_serialized_s: self.stream_serialized_s,
@@ -1342,7 +1302,6 @@ impl Scheduler {
             launches_saved: self.launches_saved,
             preemptions: self.preemptions,
             ticks: self.ticks,
-            autosaves: self.autosaves,
             iterations_executed: self.iterations_executed,
             stream_makespan_s: self.stream_makespan_s,
             stream_serialized_s: self.stream_serialized_s,
@@ -1417,7 +1376,6 @@ impl Scheduler {
             launches_saved: checkpoint.launches_saved,
             preemptions: checkpoint.preemptions,
             ticks: checkpoint.ticks,
-            autosaves: checkpoint.autosaves,
             iterations_executed: checkpoint.iterations_executed,
             stream_makespan_s: checkpoint.stream_makespan_s,
             stream_serialized_s: checkpoint.stream_serialized_s,
@@ -1460,7 +1418,6 @@ pub(crate) struct DeltaParts<'a> {
     pub launches_saved: u64,
     pub preemptions: u64,
     pub ticks: u64,
-    pub autosaves: u64,
     pub iterations_executed: u64,
     pub stream_makespan_s: f64,
     pub stream_serialized_s: f64,
@@ -1495,7 +1452,6 @@ pub struct FleetCheckpoint {
     pub(crate) launches_saved: u64,
     pub(crate) preemptions: u64,
     pub(crate) ticks: u64,
-    pub(crate) autosaves: u64,
     pub(crate) iterations_executed: u64,
     pub(crate) stream_makespan_s: f64,
     pub(crate) stream_serialized_s: f64,

@@ -107,7 +107,6 @@ pub(crate) fn merge_reports(reports: &[FleetReport]) -> FleetReport {
         merged.fused_launches += r.fused_launches;
         merged.launches_saved += r.launches_saved;
         merged.preemptions += r.preemptions;
-        merged.autosaves += r.autosaves;
         merged.iterations_executed += r.iterations_executed;
         merged.stream_makespan_s = merged.stream_makespan_s.max(r.stream_makespan_s);
         merged.stream_serialized_s += r.stream_serialized_s;

@@ -29,8 +29,9 @@
 //!    the shared done queue with the tick count it actually ran.
 //! 3. The caller joins the helpers' shards, *catches up* early-stopped
 //!    shards with the idle ticks the one-worker fleet would have issued
-//!    (idle ticks still advance telemetry and autosave cadences, so tick
-//!    counts must match exactly), then runs the steal barrier.
+//!    (idle ticks still advance the tick counter and the telemetry
+//!    cadence, so tick counts must match exactly), then runs the steal
+//!    barrier.
 //!
 //! At `workers = 1` no thread is spawned and a phase is the inline loop
 //! over every shard.
@@ -434,8 +435,8 @@ impl ParallelFleet {
 
     /// Issue the idle ticks a one-worker fleet would have run on shards
     /// that went idle before the phase's target tick (idle ticks still
-    /// advance telemetry and autosave cadences, so they cannot be
-    /// skipped).
+    /// advance the tick counter and the telemetry cadence, so they
+    /// cannot be skipped).
     fn catch_up(&mut self, outcomes: &[ShardPhase], target: u64) {
         for (i, o) in outcomes.iter().enumerate() {
             let client = self.shard_mut(i);

@@ -5,8 +5,9 @@
 //! multi-GPU fleet plus CPU workers. Shows admission control (queue
 //! caps, shed-lowest-priority), placement policies, launch batching,
 //! quantum-preemptive fair-share scheduling, cancellation,
-//! checkpoint/resume (in memory, through a disk snapshot, and via
-//! periodic auto-checkpoints), and the fleet throughput report.
+//! checkpoint/resume (periodic delta checkpoints written by a
+//! `DeltaCheckpointer`, revived after a crash from the newest chain),
+//! and the fleet throughput report.
 //!
 //! ```text
 //! cargo run --release --example fleet_service
@@ -218,46 +219,42 @@ fn main() {
         report.outcome.best_fitness(),
     );
 
-    // Checkpoint/resume: run with periodic auto-checkpoints, "crash"
-    // mid-flight, revive from the last autosave in a fresh
+    // Checkpoint/resume: snapshot every 4 ticks through a delta
+    // checkpointer (a base, then dirty-job deltas against it), "crash"
+    // mid-flight, and revive the newest chain in a fresh
     // process-equivalent scheduler.
-    println!("\n--- crash/restore through rotating auto-checkpoints ---");
-    let autosave = std::env::temp_dir().join("lnls_fleet_service_autosave.ckpt");
+    println!("\n--- crash/restore through periodic delta checkpoints ---");
+    let ckpt_dir = std::env::temp_dir().join(format!("lnls-fleet-service-{}", std::process::id()));
+    std::fs::remove_dir_all(&ckpt_dir).ok();
+    let mut checkpointer = DeltaCheckpointer::open(&ckpt_dir, 8).expect("open checkpoint dir");
     let mut fleet = Scheduler::new(
         MultiDevice::new_uniform(2, DeviceSpec::gtx280()),
         SchedulerConfig {
             cpu_workers: 2,
             quantum_iters: Some(quantum),
             selection,
-            autosave_every_ticks: Some(4),
-            autosave_path: Some(autosave.clone()),
             ..Default::default()
         },
     );
     let handles = submit_tenants(&mut fleet);
-    for _ in 0..10 {
+    let mut snapshots = 0;
+    for tick in 1..=10u64 {
         fleet.tick();
+        if tick % 4 == 0 {
+            checkpointer.snapshot(&fleet).expect("write checkpoint segment");
+            snapshots += 1;
+        }
     }
-    let autosaves = fleet.fleet_report().autosaves;
     drop(fleet); // the "crash": in-memory state is gone
 
     let registry = JobRegistry::with_builtin();
-    let revived = FleetCheckpoint::load(&autosave, &registry).expect("read autosave");
-    std::fs::remove_file(&autosave).ok();
-    let mut rotated = autosave.into_os_string();
-    rotated.push(".1");
-    std::fs::remove_file(rotated).ok();
+    let revived = checkpointer.store().load_latest(&registry).expect("replay the newest chain");
+    let resumed_at = revived.ticks();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
     let mut fleet = Scheduler::restore(revived);
     fleet.run_until_idle();
-    // The revived fleet kept autosaving on its inherited cadence; tidy
-    // the temp files it left behind.
-    let path = std::env::temp_dir().join("lnls_fleet_service_autosave.ckpt");
-    let mut rotated = path.clone().into_os_string();
-    rotated.push(".1");
-    std::fs::remove_file(path).ok();
-    std::fs::remove_file(rotated).ok();
     println!(
-        "crashed after {autosaves} autosaves; revived fleet finished all {} jobs ({} cancelled)",
+        "crashed after {snapshots} snapshots; revived at tick {resumed_at}, the fleet finished all {} jobs ({} cancelled)",
         fleet.fleet_report().jobs_completed + fleet.fleet_report().jobs_cancelled,
         fleet.fleet_report().jobs_cancelled,
     );

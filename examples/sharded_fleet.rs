@@ -210,7 +210,7 @@ fn main() {
     reference.run_until_idle();
     let reference_report = reference.fleet_report();
 
-    // Checkpointed run: snapshot every tick, crash after 6 ticks.
+    // A run with a snapshot every tick, crashed after 6 ticks.
     let mut fleet = fresh_fleet(2, 2).with_checkpoint_dir(&dir, 8).expect("checkpoint dir opens");
     submit_all(&mut fleet);
     println!(

@@ -2,15 +2,16 @@
 //! through the same `submit` as tabu and QAP tenants — preemption
 //! invariance against the solo `SimulatedAnnealing::run`, a mixed
 //! anneal/tabu/QAP fleet surviving a disk checkpoint round-trip, the
-//! rotating auto-checkpoint crash/restore path, and the `JobSpec`
+//! periodic delta-checkpoint crash/restore path, and the `JobSpec`
 //! envelope knobs (iteration budget, deadline, checkpoint opt-out).
 
 use lnls::core::{BitString, SearchConfig, SimulatedAnnealing, TabuSearch};
 use lnls::gpu::{DeviceSpec, MultiDevice};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
-    AnnealJob, BinaryJob, FleetCheckpoint, JobRegistry, JobSpec, JobStatus, OneMax, QapInstance,
-    QapJobSpec, RobustTabu, RtsConfig, Scheduler, SchedulerConfig, TableEvaluator,
+    AnnealJob, BinaryJob, DeltaCheckpointer, FleetCheckpoint, JobRegistry, JobSpec, JobStatus,
+    OneMax, QapInstance, QapJobSpec, RobustTabu, RtsConfig, Scheduler, SchedulerConfig,
+    SnapshotKind, TableEvaluator,
 };
 use lnls::qap::Permutation;
 use proptest::prelude::*;
@@ -151,15 +152,14 @@ fn mixed_fleet_disk_roundtrip_with_anneal_jobs() {
     }
 }
 
-/// Periodic auto-checkpointing: run with a tick cadence, "crash" the
-/// process (drop the scheduler), revive from the rotating file, and
-/// finish with exactly the results of an uninterrupted fleet.
+/// Periodic checkpointing: snapshot through a `DeltaCheckpointer` on a
+/// tick cadence, "crash" the process (drop the scheduler), revive from
+/// the newest chain in the store, and finish with exactly the results
+/// of an uninterrupted fleet.
 #[test]
 fn autosave_crash_restore_is_deterministic() {
-    let path = std::env::temp_dir().join(format!("lnls-autosave-{}.ckpt", std::process::id()));
-    let mut rotated = path.clone().into_os_string();
-    rotated.push(".1");
-    let rotated = std::path::PathBuf::from(rotated);
+    let dir = std::env::temp_dir().join(format!("lnls-autosave-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
 
     let submit_all = |fleet: &mut Scheduler| {
         for s in 0..2u64 {
@@ -169,43 +169,30 @@ fn autosave_crash_restore_is_deterministic() {
             fleet.submit(tabu_job(s, 20));
         }
     };
-    let mut straight = Scheduler::with_uniform_fleet(
-        2,
-        DeviceSpec::gtx280(),
-        SchedulerConfig { quantum_iters: Some(4), ..Default::default() },
-    );
+    let cfg = SchedulerConfig { quantum_iters: Some(4), ..Default::default() };
+    let mut straight = Scheduler::with_uniform_fleet(2, DeviceSpec::gtx280(), cfg.clone());
     submit_all(&mut straight);
     straight.run_until_idle();
 
-    let mut fleet = Scheduler::with_uniform_fleet(
-        2,
-        DeviceSpec::gtx280(),
-        SchedulerConfig {
-            quantum_iters: Some(4),
-            autosave_every_ticks: Some(3),
-            autosave_path: Some(path.clone()),
-            ..Default::default()
-        },
-    );
+    let mut fleet = Scheduler::with_uniform_fleet(2, DeviceSpec::gtx280(), cfg);
     submit_all(&mut fleet);
-    for _ in 0..7 {
+    let mut checkpointer = DeltaCheckpointer::open(&dir, 4).expect("open checkpoint dir");
+    let mut kinds = Vec::new();
+    for tick in 1..=7u64 {
         fleet.tick();
+        if tick % 3 == 0 {
+            kinds.push(checkpointer.snapshot(&fleet).expect("snapshot").kind);
+        }
     }
-    let report = fleet.fleet_report();
-    assert!(report.autosaves >= 2, "two cadence points passed, got {}", report.autosaves);
-    assert!(path.exists(), "latest autosave on disk");
-    assert!(rotated.exists(), "previous autosave rotated, not clobbered");
+    assert_eq!(kinds, [SnapshotKind::Base, SnapshotKind::Delta], "two cadence points passed");
     drop(fleet); // the crash
 
     let registry = JobRegistry::with_builtin();
-    let revived = FleetCheckpoint::load(&path, &registry).expect("load autosave");
+    let revived = checkpointer.store().load_latest(&registry).expect("load the newest chain");
+    assert_eq!(revived.ticks(), 6, "the chain ends at the last cadence point");
     let mut resumed = Scheduler::restore(revived);
-    // The revived fleet inherits the autosave cadence and keeps writing
-    // snapshots as it finishes — exactly what a restarted service
-    // should do; the temp files are removed once it goes idle.
     resumed.run_until_idle();
-    std::fs::remove_file(&path).ok();
-    std::fs::remove_file(&rotated).ok();
+    std::fs::remove_dir_all(&dir).ok();
 
     assert_eq!(straight.fleet_report().jobs_completed, resumed.fleet_report().jobs_completed);
     for (ra, rb) in straight.reports().zip(resumed.reports()) {

@@ -6,7 +6,7 @@
 //! structurally sound, and the telemetry memory cap must thin
 //! deterministically.
 
-use lnls::gpu::{price_fused_iteration, DeviceSpec, EngineConfig, LaneIo, StreamOp};
+use lnls::gpu::{price_fused_span, DeviceSpec, EngineConfig, LaneIo, LaunchMode, StreamOp};
 use lnls::prelude::{
     chrome_trace, tenant_summaries, Driver, JsonlSink, RingSink, Scenario, SelectionMode, Trace,
     TrafficGen, WhatIf,
@@ -197,7 +197,7 @@ fn stream_chrome_trace_shows_fermi_overlap() {
         LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 18 },
         LaneIo { h2d_bytes: 1 << 16, d2h_bytes: 1 << 18 },
     ];
-    let sched = price_fused_iteration(&spec, &lanes, &[4e-4]);
+    let sched = price_fused_span(&spec, &lanes, &[4e-4], 1, LaunchMode::PerIteration);
     assert!(sched.makespan < sched.serialized, "fermi must overlap the lanes");
     let json = sched.chrome_trace_json();
     assert!(json.starts_with("{\"traceEvents\":[") && json.ends_with("]}"));
@@ -214,7 +214,8 @@ fn stream_chrome_trace_shows_fermi_overlap() {
         (&d2h[0], &d2h[1])
     );
     // And the single-engine layout serializes the same work.
-    let gt200 = price_fused_iteration(&DeviceSpec::gtx280(), &lanes, &[4e-4]);
+    let gt200 =
+        price_fused_span(&DeviceSpec::gtx280(), &lanes, &[4e-4], 1, LaunchMode::PerIteration);
     assert!((gt200.makespan - gt200.serialized).abs() < 1e-12);
 }
 
