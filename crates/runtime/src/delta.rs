@@ -25,7 +25,12 @@
 //! * **Rotation + compaction.** After `deltas_per_base` segments the
 //!   next snapshot is a fresh base in a new epoch, and every segment
 //!   of older epochs is deleted — disk usage is bounded by one base
-//!   plus one epoch of deltas.
+//!   plus one epoch of deltas. A failed snapshot forces the next one
+//!   to be a fresh base: the fingerprints have already moved past what
+//!   reached the disk.
+//! * **Shared codecs.** Base and delta segments write the scheduler's
+//!   cumulative counters and each job's metadata through the same
+//!   `Persist` impls, so the two layouts cannot drift apart.
 //!
 //! Segments live in one directory per scheduler (`base-NNNNNNNN.ckpt`,
 //! `delta-NNNNNNNN-NNNNNNNN.ckpt`); [`CheckpointStore::load_latest`]
@@ -36,14 +41,14 @@
 //! delta indices, a truncated or garbled segment — comes back as a
 //! typed [`CheckpointError`] naming the exact segment, so the operator
 //! knows *which* file to restore instead of staring at a generic
-//! decode failure.
+//! decode failure. Chain replay resolves every queue-layout and
+//! active-layout id against the jobs the chain carries, so a segment
+//! naming an unknown job is refused by name as well.
 
 use crate::exec::JobExec;
 use crate::job::{JobId, JobReport};
 use crate::persist::{encode_job, read_report, write_report, JobRegistry};
-use crate::scheduler::{
-    ActiveJob, ActiveSnapshot, FleetCheckpoint, JobMeta, QueueEntry, Scheduler,
-};
+use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry, Scheduler};
 use lnls_core::persist::{Persist, PersistError, Reader};
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -363,13 +368,18 @@ impl DeltaCheckpointer {
 
     /// Snapshot `scheduler` now: a base when the epoch is due to
     /// rotate (first call, or `deltas_per_base` deltas written), a
-    /// delta otherwise.
+    /// delta otherwise. After a failed snapshot the next one is a base:
+    /// the fingerprints already moved past what reached the disk.
     pub fn snapshot(&mut self, scheduler: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
-        if self.next_index == 0 || self.next_index > self.deltas_per_base {
+        let written = if self.next_index == 0 || self.next_index > self.deltas_per_base {
             self.write_base(scheduler)
         } else {
             self.write_delta(scheduler)
+        };
+        if written.is_err() {
+            self.next_index = 0;
         }
+        written
     }
 
     fn write_base(&mut self, scheduler: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
@@ -414,35 +424,29 @@ impl DeltaCheckpointer {
         })
     }
 
-    fn write_delta(&mut self, scheduler: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
-        let parts = scheduler.delta_parts();
-        let included = |id: &JobId| parts.meta.get(id).is_none_or(|m| m.checkpoint);
+    fn write_delta(&mut self, s: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
+        let included = |id: &JobId| s.meta.get(id).is_none_or(|m| m.checkpoint);
         let mut out = Vec::new();
         out.extend_from_slice(DELTA_MAGIC);
         self.epoch.write(&mut out);
         self.next_index.write(&mut out);
-        parts.clocks.to_vec().write(&mut out);
-        parts.device_books.write(&mut out);
-        parts.rr_next.write(&mut out);
-        parts.next_id.write(&mut out);
-        parts.next_seq.write(&mut out);
-        parts.serialized_s.write(&mut out);
-        parts.fused_launches.write(&mut out);
-        parts.launches_saved.write(&mut out);
-        parts.preemptions.write(&mut out);
-        parts.ticks.write(&mut out);
-        parts.iterations_executed.write(&mut out);
-        parts.stream_makespan_s.write(&mut out);
-        parts.stream_serialized_s.write(&mut out);
-        parts.spans.write(&mut out);
-        parts.span_iterations.write(&mut out);
-        parts.launch_overhead_saved_s.write(&mut out);
-        let cancels: Vec<u64> = parts.cancel_requested.iter().map(|id| id.0).collect();
+        s.clocks.write(&mut out);
+        // The device books, laid out as a `Vec<TimeBook>` without
+        // cloning one.
+        s.devices.len().write(&mut out);
+        for i in 0..s.devices.len() {
+            s.devices.device(i).book().write(&mut out);
+        }
+        s.rr_next.write(&mut out);
+        s.next_id.write(&mut out);
+        s.next_seq.write(&mut out);
+        s.counters.write(&mut out);
+        let cancels: Vec<u64> = s.cancel_requested.iter().map(|id| id.0).collect();
         cancels.write(&mut out);
 
         // Queue layout: differential when the tick's mutations kept the
         // removal+append shape, full otherwise.
-        let new_queue: Vec<(u64, u64)> = parts
+        let new_queue: Vec<(u64, u64)> = s
             .queue
             .iter()
             .filter(|e| included(&e.job.id()))
@@ -463,15 +467,15 @@ impl DeltaCheckpointer {
         self.prev_queue = new_queue;
 
         // Active layout: O(backends), always full.
-        parts.active.len().write(&mut out);
-        for slot in parts.active {
+        s.active.len().write(&mut out);
+        for slot in &s.active {
             let jobs: Vec<(u64, u64)> = slot
                 .as_ref()
                 .map(|a| {
                     a.jobs
                         .iter()
-                        .filter(|aj| included(&aj.job.id()))
-                        .map(|aj| (aj.job.id().0, aj.deficit))
+                        .filter(|e| included(&e.job.id()))
+                        .map(|e| (e.job.id().0, e.deficit))
                         .collect()
                 })
                 .unwrap_or_default();
@@ -491,21 +495,16 @@ impl DeltaCheckpointer {
         // segment (or new to the chain).
         let mut live_ids: BTreeSet<JobId> = BTreeSet::new();
         let mut dirty: Vec<&dyn JobExec> = Vec::new();
-        {
-            let queued = parts.queue.iter().map(|e| &e.job);
-            let running =
-                parts.active.iter().flatten().flat_map(|a| a.jobs.iter().map(|aj| &aj.job));
-            for job in queued.chain(running) {
-                let id = job.id();
-                if !included(&id) {
-                    continue;
-                }
-                live_ids.insert(id);
-                let fp = job.iterations();
-                if self.job_fp.get(&id) != Some(&fp) {
-                    self.job_fp.insert(id, fp);
-                    dirty.push(&**job);
-                }
+        for QueueEntry { job, .. } in s.live() {
+            let id = job.id();
+            if !included(&id) {
+                continue;
+            }
+            live_ids.insert(id);
+            let fp = job.iterations();
+            if self.job_fp.get(&id) != Some(&fp) {
+                self.job_fp.insert(id, fp);
+                dirty.push(&**job);
             }
         }
         self.job_fp.retain(|id, _| live_ids.contains(id));
@@ -517,7 +516,7 @@ impl DeltaCheckpointer {
         // Meta upserts: new ids, or the one mutable field
         // (`first_started_s`) moved.
         let mut meta_upserts: Vec<(JobId, &JobMeta)> = Vec::new();
-        for (id, m) in parts.meta {
+        for (id, m) in &s.meta {
             let fp = meta_fingerprint(m);
             if self.meta_fp.get(id) != Some(&fp) {
                 self.meta_fp.insert(*id, fp);
@@ -526,18 +525,13 @@ impl DeltaCheckpointer {
         }
         meta_upserts.len().write(&mut out);
         for (id, m) in &meta_upserts {
-            id.0.write(&mut out);
-            m.submitted_s.write(&mut out);
-            m.first_started_s.write(&mut out);
-            m.tenant.write(&mut out);
-            m.iter_budget.write(&mut out);
-            m.deadline_s.write(&mut out);
-            m.checkpoint.write(&mut out);
+            id.write(&mut out);
+            m.write(&mut out);
         }
 
         // Done reports: append-only log, written once each.
         let mut new_done: Vec<&JobReport> = Vec::new();
-        for (id, report) in parts.done {
+        for (id, report) in &s.done {
             if self.done_seen.insert(*id) {
                 new_done.push(report);
             }
@@ -616,22 +610,21 @@ struct ChainState {
 impl ChainState {
     fn from_base(mut base: FleetCheckpoint) -> Self {
         let mut jobs = BTreeMap::new();
-        let mut queue_layout = Vec::new();
-        for entry in base.queue.drain(..) {
-            queue_layout.push((entry.job.id().0, entry.deficit));
-            jobs.insert(entry.job.id().0, entry.job);
-        }
-        let mut active_layout = Vec::with_capacity(base.active.len());
-        for slot in base.active.iter_mut() {
-            active_layout.push(slot.take().map(|mut a| {
-                let ids: Vec<(u64, u64)> =
-                    a.jobs.iter().map(|aj| (aj.job.id().0, aj.deficit)).collect();
-                for aj in a.jobs.drain(..) {
-                    jobs.insert(aj.job.id().0, aj.job);
-                }
-                (a.started_s, a.slice_budget, a.slice_used, ids)
-            }));
-        }
+        let mut layout = |entries: Vec<QueueEntry>| -> Vec<(u64, u64)> {
+            entries
+                .into_iter()
+                .map(|e| {
+                    let id = e.job.id().0;
+                    jobs.insert(id, e.job);
+                    (id, e.deficit)
+                })
+                .collect()
+        };
+        let queue_layout = layout(std::mem::take(&mut base.queue));
+        let active_layout = std::mem::take(&mut base.active)
+            .into_iter()
+            .map(|slot| slot.map(|a| (a.started_s, a.slice_budget, a.slice_used, layout(a.jobs))))
+            .collect();
         let done_log = std::mem::take(&mut base.done);
         Self { checkpoint: base, jobs, queue_layout, active_layout, done_log }
     }
@@ -649,22 +642,12 @@ impl ChainState {
         ckpt.rr_next = r.read()?;
         ckpt.next_id = r.read()?;
         ckpt.next_seq = r.read()?;
-        ckpt.serialized_s = r.read()?;
-        ckpt.fused_launches = r.read()?;
-        ckpt.launches_saved = r.read()?;
-        ckpt.preemptions = r.read()?;
-        ckpt.ticks = r.read()?;
-        ckpt.iterations_executed = r.read()?;
-        ckpt.stream_makespan_s = r.read()?;
-        ckpt.stream_serialized_s = r.read()?;
-        ckpt.spans = r.read()?;
-        ckpt.span_iterations = r.read()?;
-        ckpt.launch_overhead_saved_s = r.read()?;
+        ckpt.counters = r.read()?;
         let cancels: Vec<u64> = r.read()?;
         ckpt.cancel_requested = cancels.into_iter().map(JobId).collect();
 
         // Queue layout (differential or full).
-        self.queue_layout = match u8::read(&mut r)? {
+        let queue_layout: Vec<(u64, u64)> = match u8::read(&mut r)? {
             1 => {
                 let removed: Vec<u64> = r.read()?;
                 let deficits: Vec<(u64, u64)> = r.read()?;
@@ -714,21 +697,8 @@ impl ChainState {
         }
 
         // Meta upserts.
-        let meta_len: usize = r.read()?;
-        for _ in 0..meta_len {
-            let id = JobId(r.read::<u64>()?);
-            ckpt.meta.insert(
-                id,
-                JobMeta {
-                    submitted_s: r.read()?,
-                    first_started_s: r.read()?,
-                    tenant: r.read()?,
-                    iter_budget: r.read()?,
-                    deadline_s: r.read()?,
-                    checkpoint: r.read()?,
-                },
-            );
-        }
+        let meta_upserts: Vec<(JobId, JobMeta)> = r.read()?;
+        ckpt.meta.extend(meta_upserts);
 
         // Newly completed reports.
         let done_len: usize = r.read()?;
@@ -745,57 +715,39 @@ impl ChainState {
 
         // Jobs that left every layout are done (or cancelled): drop
         // their payloads from the chain table.
-        let live: BTreeSet<u64> = self
-            .queue_layout
+        let live: BTreeSet<u64> = queue_layout
             .iter()
+            .chain(active_layout.iter().flatten().flat_map(|(_, _, _, jobs)| jobs))
             .map(|e| e.0)
-            .chain(
-                active_layout.iter().flatten().flat_map(|(_, _, _, jobs)| jobs.iter().map(|e| e.0)),
-            )
             .collect();
         self.jobs.retain(|id, _| live.contains(id));
-        // Every surviving layout id must resolve in the chain table;
-        // materialization waits for `into_checkpoint`.
-        for &(id, _) in active_layout.iter().flatten().flat_map(|(_, _, _, jobs)| jobs.iter()) {
-            if !self.jobs.contains_key(&id) {
-                return Err(PersistError::new(format!(
-                    "active layout references job #{id} absent from the chain"
-                )));
-            }
+        // Every layout id must resolve in the chain table, so that
+        // `into_checkpoint` can materialize them.
+        if let Some(id) = live.iter().find(|id| !self.jobs.contains_key(id)) {
+            return Err(PersistError::new(format!(
+                "layout references job #{id} absent from the chain"
+            )));
         }
+        self.queue_layout = queue_layout;
         self.active_layout = active_layout;
         Ok(())
     }
 
     fn into_checkpoint(mut self) -> FleetCheckpoint {
-        self.checkpoint.queue = self
-            .queue_layout
-            .iter()
-            .map(|&(id, deficit)| {
-                let job = self
-                    .jobs
-                    .get(&id)
-                    .expect("the chain verified every layout id resolves")
-                    .clone_box();
-                QueueEntry { job, deficit }
-            })
-            .collect();
+        // `apply` (or `from_base`) resolved every layout id.
+        let entries = |layout: &[(u64, u64)]| -> Vec<QueueEntry> {
+            layout
+                .iter()
+                .map(|&(id, deficit)| QueueEntry { job: self.jobs[&id].clone_box(), deficit })
+                .collect()
+        };
+        self.checkpoint.queue = entries(&self.queue_layout);
         self.checkpoint.active = self
             .active_layout
             .iter()
             .map(|slot| {
-                slot.as_ref().map(|(started_s, slice_budget, slice_used, jobs)| ActiveSnapshot {
-                    jobs: jobs
-                        .iter()
-                        .map(|&(id, deficit)| ActiveJob {
-                            job: self
-                                .jobs
-                                .get(&id)
-                                .expect("the chain verified every layout id resolves")
-                                .clone_box(),
-                            deficit,
-                        })
-                        .collect(),
+                slot.as_ref().map(|(started_s, slice_budget, slice_used, jobs)| Active {
+                    jobs: entries(jobs),
                     started_s: *started_s,
                     slice_budget: *slice_budget,
                     slice_used: *slice_used,

@@ -27,7 +27,7 @@ use crate::delta::CheckpointError;
 use crate::exec::JobExec;
 use crate::job::{AnnealJob, BinaryJob, JobId, JobOutcome, JobReport, QapJobSpec};
 use crate::lns::{LnsJob, PortfolioJob};
-use crate::scheduler::{ActiveJob, ActiveSnapshot, FleetCheckpoint, JobMeta, QueueEntry};
+use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry};
 use crate::submit::JobCodec;
 use crate::{PlacePolicy, SchedulerConfig};
 use lnls_core::persist::{Persist, PersistError, Reader};
@@ -132,6 +132,29 @@ pub(crate) fn encode_job(job: &dyn JobExec, out: &mut Vec<u8>) {
     let mut payload = Vec::new();
     job.persist(&mut payload);
     payload.write(out);
+}
+
+/// Queue and assignment entries share one layout: a count, then each
+/// entry's credit followed by its tagged job.
+fn write_entries(entries: &[QueueEntry], out: &mut Vec<u8>) {
+    entries.len().write(out);
+    for entry in entries {
+        entry.deficit.write(out);
+        encode_job(&*entry.job, out);
+    }
+}
+
+fn read_entries(
+    r: &mut Reader<'_>,
+    registry: &JobRegistry,
+) -> Result<Vec<QueueEntry>, PersistError> {
+    let len: usize = r.read()?;
+    let mut entries = Vec::with_capacity(len.min(1024));
+    for _ in 0..len {
+        let deficit: u64 = r.read()?;
+        entries.push(QueueEntry { deficit, job: registry.decode_job(r)? });
+    }
+    Ok(entries)
 }
 
 fn write_cfg(cfg: &SchedulerConfig, out: &mut Vec<u8>) {
@@ -275,11 +298,7 @@ impl FleetCheckpoint {
         write_cfg(&self.cfg, &mut out);
         self.specs.write(&mut out);
         self.device_books.write(&mut out);
-        self.queue.len().write(&mut out);
-        for entry in &self.queue {
-            entry.deficit.write(&mut out);
-            encode_job(&*entry.job, &mut out);
-        }
+        write_entries(&self.queue, &mut out);
         self.active.len().write(&mut out);
         for slot in &self.active {
             match slot {
@@ -289,11 +308,7 @@ impl FleetCheckpoint {
                     a.started_s.write(&mut out);
                     a.slice_budget.write(&mut out);
                     a.slice_used.write(&mut out);
-                    a.jobs.len().write(&mut out);
-                    for aj in &a.jobs {
-                        aj.deficit.write(&mut out);
-                        encode_job(&*aj.job, &mut out);
-                    }
+                    write_entries(&a.jobs, &mut out);
                 }
             }
         }
@@ -307,27 +322,12 @@ impl FleetCheckpoint {
         }
         self.meta.len().write(&mut out);
         for (id, m) in &self.meta {
-            id.0.write(&mut out);
-            m.submitted_s.write(&mut out);
-            m.first_started_s.write(&mut out);
-            m.tenant.write(&mut out);
-            m.iter_budget.write(&mut out);
-            m.deadline_s.write(&mut out);
-            m.checkpoint.write(&mut out);
+            id.write(&mut out);
+            m.write(&mut out);
         }
         let cancels: Vec<u64> = self.cancel_requested.iter().map(|id| id.0).collect();
         cancels.write(&mut out);
-        self.serialized_s.write(&mut out);
-        self.fused_launches.write(&mut out);
-        self.launches_saved.write(&mut out);
-        self.preemptions.write(&mut out);
-        self.ticks.write(&mut out);
-        self.iterations_executed.write(&mut out);
-        self.stream_makespan_s.write(&mut out);
-        self.stream_serialized_s.write(&mut out);
-        self.spans.write(&mut out);
-        self.span_iterations.write(&mut out);
-        self.launch_overhead_saved_s.write(&mut out);
+        self.counters.write(&mut out);
         out
     }
 
@@ -341,31 +341,18 @@ impl FleetCheckpoint {
         let cfg = read_cfg(&mut r)?;
         let specs: Vec<_> = r.read()?;
         let device_books: Vec<_> = r.read()?;
-        let queue_len: usize = r.read()?;
-        let mut queue = Vec::with_capacity(queue_len.min(1024));
-        for _ in 0..queue_len {
-            let deficit: u64 = r.read()?;
-            let job = registry.decode_job(&mut r)?;
-            queue.push(QueueEntry { job, deficit });
-        }
+        let queue = read_entries(&mut r, registry)?;
         let active_len: usize = r.read()?;
         let mut active = Vec::with_capacity(active_len.min(1024));
         for _ in 0..active_len {
             active.push(match u8::read(&mut r)? {
                 0 => None,
-                1 => {
-                    let started_s: f64 = r.read()?;
-                    let slice_budget: u64 = r.read()?;
-                    let slice_used: u64 = r.read()?;
-                    let njobs: usize = r.read()?;
-                    let mut jobs = Vec::with_capacity(njobs.min(1024));
-                    for _ in 0..njobs {
-                        let deficit: u64 = r.read()?;
-                        let job = registry.decode_job(&mut r)?;
-                        jobs.push(ActiveJob { job, deficit });
-                    }
-                    Some(ActiveSnapshot { jobs, started_s, slice_budget, slice_used })
-                }
+                1 => Some(Active {
+                    started_s: r.read()?,
+                    slice_budget: r.read()?,
+                    slice_used: r.read()?,
+                    jobs: read_entries(&mut r, registry)?,
+                }),
                 b => return Err(PersistError::new(format!("bad active-slot tag {b}"))),
             });
         }
@@ -379,22 +366,7 @@ impl FleetCheckpoint {
             let report = read_report(&mut r)?;
             done.insert(report.id, report);
         }
-        let meta_len: usize = r.read()?;
-        let mut meta = BTreeMap::new();
-        for _ in 0..meta_len {
-            let id = JobId(r.read::<u64>()?);
-            meta.insert(
-                id,
-                JobMeta {
-                    submitted_s: r.read()?,
-                    first_started_s: r.read()?,
-                    tenant: r.read()?,
-                    iter_budget: r.read()?,
-                    deadline_s: r.read()?,
-                    checkpoint: r.read()?,
-                },
-            );
-        }
+        let meta: Vec<(JobId, JobMeta)> = r.read()?;
         let cancels: Vec<u64> = r.read()?;
         let cancel_requested: BTreeSet<JobId> = cancels.into_iter().map(JobId).collect();
         let checkpoint = Self {
@@ -408,19 +380,9 @@ impl FleetCheckpoint {
             next_id,
             next_seq,
             done,
-            meta,
+            meta: meta.into_iter().collect(),
             cancel_requested,
-            serialized_s: r.read()?,
-            fused_launches: r.read()?,
-            launches_saved: r.read()?,
-            preemptions: r.read()?,
-            ticks: r.read()?,
-            iterations_executed: r.read()?,
-            stream_makespan_s: r.read()?,
-            stream_serialized_s: r.read()?,
-            spans: r.read()?,
-            span_iterations: r.read()?,
-            launch_overhead_saved_s: r.read()?,
+            counters: r.read()?,
         };
         if r.remaining() != 0 {
             return Err(PersistError::new(format!(

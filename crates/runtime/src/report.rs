@@ -1,6 +1,6 @@
 //! Fleet-level reporting.
 
-use crate::telemetry::Telemetry;
+use crate::telemetry::{percentile_sorted, Telemetry};
 use lnls_gpu_sim::TimeBook;
 use std::collections::BTreeMap;
 use std::fmt;
@@ -131,6 +131,93 @@ pub struct FleetReport {
 }
 
 impl FleetReport {
+    /// Merge per-shard reports into one fleet-wide report, in slice
+    /// order: job counts, serialized seconds and the launch, span and
+    /// iteration counters sum; makespans max (the stream makespan too,
+    /// since shards run concurrently); per-device and per-CPU busy
+    /// vectors and the per-job rows concatenate; the device ledgers add.
+    /// Speedup, throughput, utilization (against the *fleet* makespan,
+    /// so a shard that finished early idles until the slowest drains)
+    /// and the wait/turnaround aggregates are then recomputed over the
+    /// union, exactly as one scheduler holding every job would report
+    /// them. Telemetry merges sample by sample (see
+    /// [`Telemetry::merge`]) when every report carries a series;
+    /// otherwise the first report's series stands in.
+    ///
+    /// # Panics
+    /// When `reports` is empty.
+    pub fn merge(reports: &[FleetReport]) -> FleetReport {
+        let (first, rest) = reports.split_first().expect("merge needs at least one report");
+        let mut merged = first.clone();
+        for r in rest {
+            merged.jobs_completed += r.jobs_completed;
+            merged.jobs_cancelled += r.jobs_cancelled;
+            merged.jobs_rejected += r.jobs_rejected;
+            merged.jobs_queued += r.jobs_queued;
+            merged.jobs_running += r.jobs_running;
+            merged.makespan_s = merged.makespan_s.max(r.makespan_s);
+            merged.serialized_s += r.serialized_s;
+            merged.device_busy_s.extend_from_slice(&r.device_busy_s);
+            merged.cpu_busy_s.extend_from_slice(&r.cpu_busy_s);
+            merged.fused_launches += r.fused_launches;
+            merged.launches_saved += r.launches_saved;
+            merged.preemptions += r.preemptions;
+            merged.iterations_executed += r.iterations_executed;
+            merged.stream_makespan_s = merged.stream_makespan_s.max(r.stream_makespan_s);
+            merged.stream_serialized_s += r.stream_serialized_s;
+            merged.spans += r.spans;
+            merged.span_iterations += r.span_iterations;
+            merged.launch_overhead_saved_s += r.launch_overhead_saved_s;
+            merged.tenant_stats.extend(r.tenant_stats.iter().cloned());
+            merged.fleet_book.add(&r.fleet_book);
+        }
+        if let Some(series) =
+            reports.iter().map(|r| r.telemetry.as_ref()).collect::<Option<Vec<&Telemetry>>>()
+        {
+            merged.telemetry = Some(Telemetry::merge(&series));
+        }
+        merged.derive();
+        merged
+    }
+
+    /// Fill the fields that follow from the others: speedup, throughput
+    /// and per-device utilization from the makespan, and the
+    /// wait/turnaround aggregates from the per-job rows.
+    pub(crate) fn derive(&mut self) {
+        let makespan_s = self.makespan_s;
+        self.speedup_vs_serial =
+            if makespan_s > 0.0 { self.serialized_s / makespan_s } else { 1.0 };
+        self.jobs_per_sim_s =
+            if makespan_s > 0.0 { self.jobs_completed as f64 / makespan_s } else { 0.0 };
+        self.device_utilization = self
+            .device_busy_s
+            .iter()
+            .map(|&busy| if makespan_s > 0.0 { busy / makespan_s } else { 0.0 })
+            .collect();
+        // Rejected jobs never competed for backend time; their zeroed
+        // lifecycle would skew the fairness aggregates, so they are
+        // excluded from the wait/turnaround statistics (the stats rows
+        // themselves keep them, flagged).
+        let served: Vec<&TenantStat> = self.tenant_stats.iter().filter(|t| !t.rejected).collect();
+        self.max_wait_s = served.iter().map(|t| t.wait_s).fold(0.0, f64::max);
+        self.max_turnaround_s = served.iter().map(|t| t.turnaround_s).fold(0.0, f64::max);
+        let count = served.len().max(1) as f64;
+        self.mean_wait_s = served.iter().map(|t| t.wait_s).sum::<f64>() / count;
+        self.mean_turnaround_s = served.iter().map(|t| t.turnaround_s).sum::<f64>() / count;
+        // Sort once, read three quantiles each — `percentile` would
+        // clone + sort per call (six sorts per report).
+        let mut waits: Vec<f64> = served.iter().map(|t| t.wait_s).collect();
+        waits.sort_by(f64::total_cmp);
+        let mut turnarounds: Vec<f64> = served.iter().map(|t| t.turnaround_s).collect();
+        turnarounds.sort_by(f64::total_cmp);
+        self.wait_p50_s = percentile_sorted(&waits, 0.50);
+        self.wait_p95_s = percentile_sorted(&waits, 0.95);
+        self.wait_p99_s = percentile_sorted(&waits, 0.99);
+        self.turnaround_p50_s = percentile_sorted(&turnarounds, 0.50);
+        self.turnaround_p95_s = percentile_sorted(&turnarounds, 0.95);
+        self.turnaround_p99_s = percentile_sorted(&turnarounds, 0.99);
+    }
+
     /// Rejections/sheds per tenant — who admission control said *no* to
     /// (outright bounces never got a report row, so they are not here;
     /// [`jobs_rejected`](Self::jobs_rejected) counts both).

@@ -9,7 +9,8 @@ use crate::job::{JobHandle, JobId, JobReport, JobStatus};
 use crate::observe::{EventRecord, EventSink, FleetEvent, MetricsRegistry, ObserveState};
 use crate::report::{FleetReport, TenantStat};
 use crate::submit::{JobSpec, SearchJob, SubmitCtx};
-use crate::telemetry::{percentile_sorted, Telemetry, TickSample};
+use crate::telemetry::{Telemetry, TickSample};
+use lnls_core::persist::{Persist, PersistError, Reader};
 use lnls_gpu_sim::{DeviceSpec, HostSpec, LaunchMode, MultiDevice, SelectionMode, TimeBook};
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -113,21 +114,23 @@ impl Default for SchedulerConfig {
     }
 }
 
-/// A queued job plus its deficit-round-robin credit (iterations of
-/// backend time it is owed; always 0 when preemption is off).
+/// A live job plus its deficit-round-robin credit (iterations of
+/// backend time it is owed; always 0 when preemption is off): a queued
+/// job, or an in-flight one inside an assignment with the credit it
+/// carried in.
 pub(crate) struct QueueEntry {
     pub job: Box<dyn JobExec>,
     pub deficit: u64,
 }
 
-/// An in-flight job inside an assignment, with the credit it carried in.
-pub(crate) struct ActiveJob {
-    pub job: Box<dyn JobExec>,
-    pub deficit: u64,
+impl Clone for QueueEntry {
+    fn clone(&self) -> Self {
+        Self { job: self.job.clone_box(), deficit: self.deficit }
+    }
 }
 
 pub(crate) struct Active {
-    pub jobs: Vec<ActiveJob>,
+    pub jobs: Vec<QueueEntry>,
     pub started_s: f64,
     /// Iterations this assignment may run before preemption
     /// (`u64::MAX` when preemption is off).
@@ -138,7 +141,8 @@ pub(crate) struct Active {
 
 /// Per-job lifecycle timestamps and envelope policy (tenant, budget,
 /// deadline, checkpointability) the reports and drain sweeps are built
-/// from.
+/// from. Its codec is shared by base and delta checkpoint segments; the
+/// id travels with the map entry, not in here.
 #[derive(Clone, Debug)]
 pub(crate) struct JobMeta {
     pub submitted_s: f64,
@@ -147,6 +151,87 @@ pub(crate) struct JobMeta {
     pub iter_budget: Option<u64>,
     pub deadline_s: Option<f64>,
     pub checkpoint: bool,
+}
+
+impl Persist for JobMeta {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.submitted_s.write(out);
+        self.first_started_s.write(out);
+        self.tenant.write(out);
+        self.iter_budget.write(out);
+        self.deadline_s.write(out);
+        self.checkpoint.write(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(Self {
+            submitted_s: r.read()?,
+            first_started_s: r.read()?,
+            tenant: r.read()?,
+            iter_budget: r.read()?,
+            deadline_s: r.read()?,
+            checkpoint: r.read()?,
+        })
+    }
+}
+
+/// The scheduler's cumulative counters: what a run accumulates tick by
+/// tick and a checkpoint carries forward. Base and delta segments both
+/// write them as this one block.
+#[derive(Copy, Clone, Debug, Default)]
+pub(crate) struct Counters {
+    /// Serial-equivalent seconds of every retired job on device 0.
+    pub serialized_s: f64,
+    pub fused_launches: u64,
+    pub launches_saved: u64,
+    pub preemptions: u64,
+    pub ticks: u64,
+    /// Job-iterations executed across every backend step (fused groups
+    /// count one per member) — the denominator of the bytes-moved-per-
+    /// iteration report.
+    pub iterations_executed: u64,
+    /// Cumulative stream-schedule makespan charged by device steps.
+    pub stream_makespan_s: f64,
+    /// What the same device operations would cost back-to-back — the
+    /// stream-overlap baseline.
+    pub stream_serialized_s: f64,
+    /// Multi-iteration stream spans priced by fused steps.
+    pub spans: u64,
+    /// Iterations that ran inside those spans (mean span length =
+    /// `span_iterations / spans`).
+    pub span_iterations: u64,
+    /// Launch overhead amortized away by persistent-kernel spans.
+    pub launch_overhead_saved_s: f64,
+}
+
+impl Persist for Counters {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.serialized_s.write(out);
+        self.fused_launches.write(out);
+        self.launches_saved.write(out);
+        self.preemptions.write(out);
+        self.ticks.write(out);
+        self.iterations_executed.write(out);
+        self.stream_makespan_s.write(out);
+        self.stream_serialized_s.write(out);
+        self.spans.write(out);
+        self.span_iterations.write(out);
+        self.launch_overhead_saved_s.write(out);
+    }
+    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(Self {
+            serialized_s: r.read()?,
+            fused_launches: r.read()?,
+            launches_saved: r.read()?,
+            preemptions: r.read()?,
+            ticks: r.read()?,
+            iterations_executed: r.read()?,
+            stream_makespan_s: r.read()?,
+            stream_serialized_s: r.read()?,
+            spans: r.read()?,
+            span_iterations: r.read()?,
+            launch_overhead_saved_s: r.read()?,
+        })
+    }
 }
 
 /// A queued job in transit between schedulers: the executor (cursor
@@ -204,42 +289,23 @@ impl StolenJob {
 /// no longer starve short tenants. Results are invariant under any
 /// quantum; only waiting times change.
 pub struct Scheduler {
-    devices: MultiDevice,
+    // Checkpointed state; the delta writer reads it in place.
+    pub(crate) devices: MultiDevice,
     cfg: SchedulerConfig,
-    queue: Vec<QueueEntry>,
-    active: Vec<Option<Active>>,
-    clocks: Vec<f64>,
-    rr_next: usize,
-    next_id: u64,
-    next_seq: u64,
-    done: BTreeMap<JobId, JobReport>,
-    meta: BTreeMap<JobId, JobMeta>,
-    cancel_requested: BTreeSet<JobId>,
+    pub(crate) queue: Vec<QueueEntry>,
+    pub(crate) active: Vec<Option<Active>>,
+    pub(crate) clocks: Vec<f64>,
+    pub(crate) rr_next: usize,
+    pub(crate) next_id: u64,
+    pub(crate) next_seq: u64,
+    pub(crate) done: BTreeMap<JobId, JobReport>,
+    pub(crate) meta: BTreeMap<JobId, JobMeta>,
+    pub(crate) cancel_requested: BTreeSet<JobId>,
+    pub(crate) counters: Counters,
     /// Live jobs carrying an envelope constraint (deadline or iteration
     /// budget) — lets the per-tick policy sweep skip entirely in the
     /// common all-plain-submissions case.
     policed: BTreeSet<JobId>,
-    serialized_s: f64,
-    fused_launches: u64,
-    launches_saved: u64,
-    preemptions: u64,
-    ticks: u64,
-    /// Job-iterations executed across every backend step (fused groups
-    /// count one per member) — the denominator of the bytes-moved-per-
-    /// iteration report.
-    iterations_executed: u64,
-    /// Cumulative stream-schedule makespan charged by device steps.
-    stream_makespan_s: f64,
-    /// What the same device operations would cost back-to-back — the
-    /// stream-overlap baseline.
-    stream_serialized_s: f64,
-    /// Multi-iteration stream spans priced by fused steps.
-    spans: u64,
-    /// Iterations that ran inside those spans (mean span length =
-    /// `span_iterations / spans`).
-    span_iterations: u64,
-    /// Launch overhead amortized away by persistent-kernel spans.
-    launch_overhead_saved_s: f64,
     telemetry: Option<Telemetry>,
     /// Cumulative outcome counters, bumped as jobs retire — kept so the
     /// per-tick telemetry sample never rescans the done map (which
@@ -275,18 +341,8 @@ impl Scheduler {
             done: BTreeMap::new(),
             meta: BTreeMap::new(),
             cancel_requested: BTreeSet::new(),
+            counters: Counters::default(),
             policed: BTreeSet::new(),
-            serialized_s: 0.0,
-            fused_launches: 0,
-            launches_saved: 0,
-            preemptions: 0,
-            ticks: 0,
-            iterations_executed: 0,
-            stream_makespan_s: 0.0,
-            stream_serialized_s: 0.0,
-            spans: 0,
-            span_iterations: 0,
-            launch_overhead_saved_s: 0.0,
             telemetry,
             completed_count: 0,
             cancelled_count: 0,
@@ -386,7 +442,7 @@ impl Scheduler {
         if !self.observe.enabled() {
             return;
         }
-        let record = EventRecord { tick: self.ticks, now_s: self.now_s(), event };
+        let record = EventRecord { tick: self.counters.ticks, now_s: self.now_s(), event };
         self.observe.emit(record);
     }
 
@@ -404,16 +460,19 @@ impl Scheduler {
     /// count against caps and be shed-eligible, exactly as they were in
     /// the pre-crash client.
     pub(crate) fn live_rows(&self) -> Vec<(JobId, String, u8)> {
-        let queued = self.queue.iter().map(|e| &e.job);
-        let running = self.active.iter().flatten().flat_map(|a| a.jobs.iter().map(|aj| &aj.job));
-        queued
-            .chain(running)
-            .map(|job| {
-                let id = job.id();
+        self.live()
+            .map(|e| {
+                let id = e.job.id();
                 let tenant = self.meta.get(&id).map_or_else(String::new, |m| m.tenant.clone());
-                (id, tenant, job.priority())
+                (id, tenant, e.job.priority())
             })
             .collect()
+    }
+
+    /// Every live job: the queue in order, then each backend's
+    /// assignment in backend order.
+    pub(crate) fn live(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.queue.iter().chain(self.active.iter().flatten().flat_map(|a| &a.jobs))
     }
 
     /// True once `handle`'s job has a final report (done, cancelled or
@@ -576,14 +635,7 @@ impl Scheduler {
         if self.done.contains_key(&handle.id) {
             return false;
         }
-        let queued = self.queue.iter().any(|e| e.job.id() == handle.id);
-        let running = self
-            .active
-            .iter()
-            .flatten()
-            .flat_map(|a| a.jobs.iter())
-            .any(|a| a.job.id() == handle.id);
-        if queued || running {
+        if self.live().any(|e| e.job.id() == handle.id) {
             self.cancel_requested.insert(handle.id);
             true
         } else {
@@ -604,7 +656,7 @@ impl Scheduler {
             return false;
         };
         let entry = self.queue.swap_remove(i);
-        self.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+        self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
         let now = self.now_s();
         self.complete(entry.job, "(rejected by admission control)".into(), now, false, true);
         true
@@ -656,9 +708,9 @@ impl Scheduler {
         for b in 0..self.active.len() {
             progressed |= self.step_backend(b);
         }
-        self.ticks += 1;
+        self.counters.ticks += 1;
         if let Some(every) = self.cfg.telemetry_every_ticks {
-            if every > 0 && self.ticks.is_multiple_of(every) {
+            if every > 0 && self.counters.ticks.is_multiple_of(every) {
                 self.sample_telemetry();
             }
         }
@@ -677,14 +729,14 @@ impl Scheduler {
     fn sample_telemetry(&mut self) {
         let books = self.devices.books_sum();
         let sample = TickSample {
-            tick: self.ticks,
+            tick: self.counters.ticks,
             now_s: self.now_s(),
             queue_depth: self.queue.len() as u64,
             running: self.running_len() as u64,
             completed: self.completed_count,
             cancelled: self.cancelled_count,
             rejected: self.rejected_count,
-            preemptions: self.preemptions,
+            preemptions: self.counters.preemptions,
             device_busy_s: self.clocks[..self.devices.len()].to_vec(),
             bytes_h2d: books.bytes_h2d,
             bytes_d2h: books.bytes_d2h,
@@ -761,7 +813,7 @@ impl Scheduler {
         while i < self.queue.len() {
             if ids.contains(&self.queue[i].job.id()) {
                 let entry = self.queue.swap_remove(i);
-                self.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+                self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
                 self.complete(entry.job, queued_backend.into(), now, cancelled, false);
             } else {
                 i += 1;
@@ -770,14 +822,15 @@ impl Scheduler {
         for b in 0..self.active.len() {
             let Some(mut active) = self.active[b].take() else { continue };
             let mut still = Vec::with_capacity(active.jobs.len());
-            for aj in active.jobs {
-                if ids.contains(&aj.job.id()) {
-                    self.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
+            for entry in active.jobs {
+                if ids.contains(&entry.job.id()) {
+                    self.counters.serialized_s +=
+                        entry.job.serial_equivalent_s(self.devices.spec(0));
                     let name = self.backend_name(b);
                     let at = self.clocks[b];
-                    self.complete(aj.job, name, at, cancelled, false);
+                    self.complete(entry.job, name, at, cancelled, false);
                 } else {
-                    still.push(aj);
+                    still.push(entry);
                 }
             }
             if !still.is_empty() {
@@ -806,12 +859,7 @@ impl Scheduler {
         let now = self.now_s();
         let mut over_deadline = BTreeSet::new();
         let mut over_budget = BTreeSet::new();
-        let live = self
-            .queue
-            .iter()
-            .map(|e| &e.job)
-            .chain(self.active.iter().flatten().flat_map(|a| a.jobs.iter().map(|aj| &aj.job)));
-        for job in live {
+        for QueueEntry { job, .. } in self.live() {
             if !self.policed.contains(&job.id()) {
                 continue;
             }
@@ -897,7 +945,7 @@ impl Scheduler {
                 None => u64::MAX,
                 Some(q) => lead.deficit.max(q),
             };
-            let mut jobs = vec![ActiveJob { job: lead.job, deficit: lead.deficit }];
+            let mut jobs = vec![lead];
             // Launch batching: device backends co-schedule same-key jobs.
             // Fusing only amortizes overhead and transfer latency (kernel
             // seconds still add up), so parallel devices beat wider
@@ -918,16 +966,16 @@ impl Scheduler {
                     self.drain_batch_peers(&key, &mut jobs, cap);
                 }
             }
-            for aj in &jobs {
-                if let Some(m) = self.meta.get_mut(&aj.job.id()) {
+            for entry in &jobs {
+                if let Some(m) = self.meta.get_mut(&entry.job.id()) {
                     m.first_started_s.get_or_insert(self.clocks[backend]);
                 }
             }
             if self.observing() {
                 let device = self.backend_name(backend);
-                for aj in &jobs {
+                for entry in &jobs {
                     self.emit_event(FleetEvent::Placed {
-                        job: aj.job.id(),
+                        job: entry.job.id(),
                         device: device.clone(),
                     });
                 }
@@ -940,7 +988,7 @@ impl Scheduler {
         }
     }
 
-    fn drain_batch_peers(&mut self, key: &BatchKey, jobs: &mut Vec<ActiveJob>, cap: usize) {
+    fn drain_batch_peers(&mut self, key: &BatchKey, jobs: &mut Vec<QueueEntry>, cap: usize) {
         while jobs.len() < cap {
             let peer = (0..self.queue.len())
                 .filter(|&i| self.queue[i].job.batch_key().as_ref() == Some(key))
@@ -949,10 +997,7 @@ impl Scheduler {
                     (std::cmp::Reverse(j.priority()), j.seq())
                 });
             match peer {
-                Some(i) => {
-                    let entry = self.queue.swap_remove(i);
-                    jobs.push(ActiveJob { job: entry.job, deficit: entry.deficit });
-                }
+                Some(i) => jobs.push(self.queue.swap_remove(i)),
                 None => return,
             }
         }
@@ -1015,9 +1060,9 @@ impl Scheduler {
             if self.cfg.quantum_iters.is_some() {
                 span = span.min(active.slice_budget.saturating_sub(active.slice_used).max(1));
             }
-            for aj in &active.jobs {
-                if let Some(budget) = self.meta.get(&aj.job.id()).and_then(|m| m.iter_budget) {
-                    span = span.min(budget.saturating_sub(aj.job.iterations()).max(1));
+            for entry in &active.jobs {
+                if let Some(budget) = self.meta.get(&entry.job.id()).and_then(|m| m.iter_budget) {
+                    span = span.min(budget.saturating_sub(entry.job.iterations()).max(1));
                 }
             }
             let mode = self.cfg.launch_mode;
@@ -1035,8 +1080,8 @@ impl Scheduler {
                 LaunchMode::PerIteration => run.iters,
                 LaunchMode::PersistentSpan => 1,
             };
-            self.fused_launches += issued;
-            self.launches_saved += lanes * run.iters - issued;
+            self.counters.fused_launches += issued;
+            self.counters.launches_saved += lanes * run.iters - issued;
             run
         } else if is_device {
             active.jobs[0].job.step_device(self.devices.device_mut(b), quota)
@@ -1046,15 +1091,16 @@ impl Scheduler {
         self.clocks[b] += run.seconds;
         active.slice_used += run.iters;
         // Fused groups advance every member one iteration per step.
-        self.iterations_executed += run.iters * active.jobs.len() as u64;
+        let c = &mut self.counters;
+        c.iterations_executed += run.iters * active.jobs.len() as u64;
         if is_device {
-            self.stream_makespan_s += run.seconds;
-            self.stream_serialized_s += run.serialized_s;
+            c.stream_makespan_s += run.seconds;
+            c.stream_serialized_s += run.serialized_s;
             if run.spans > 0 {
-                self.spans += run.spans;
-                self.span_iterations += run.iters;
+                c.spans += run.spans;
+                c.span_iterations += run.iters;
             }
-            self.launch_overhead_saved_s += run.launch_overhead_saved_s;
+            c.launch_overhead_saved_s += run.launch_overhead_saved_s;
         }
         if let Some((device, jobs, start_s, book_before)) = quantum_ctx {
             let (bytes_h2d, bytes_d2h) = match book_before {
@@ -1079,15 +1125,15 @@ impl Scheduler {
 
         // Retire finished members; survivors keep running as a (smaller)
         // group on this backend, or are preempted at the slice boundary.
-        let mut still: Vec<ActiveJob> = Vec::with_capacity(active.jobs.len());
-        for aj in active.jobs {
-            if aj.job.done() {
-                self.serialized_s += aj.job.serial_equivalent_s(self.devices.spec(0));
+        let mut still: Vec<QueueEntry> = Vec::with_capacity(active.jobs.len());
+        for entry in active.jobs {
+            if entry.job.done() {
+                self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
                 let name = self.backend_name(b);
                 let at = self.clocks[b];
-                self.complete(aj.job, name, at, false, false);
+                self.complete(entry.job, name, at, false, false);
             } else {
-                still.push(aj);
+                still.push(entry);
             }
         }
         if !still.is_empty() {
@@ -1095,16 +1141,16 @@ impl Scheduler {
             if self.cfg.quantum_iters.is_some() && slice_over && !self.queue.is_empty() {
                 // Preempt: spend each survivor's credit and send it back
                 // through the fair-share queue.
-                self.preemptions += 1;
+                self.counters.preemptions += 1;
                 if observing {
                     let device = self.backend_name(b);
                     let ids: Vec<JobId> = still.iter().map(|a| a.job.id()).collect();
                     self.emit_event(FleetEvent::Preempted { device, jobs: ids });
                 }
-                for mut aj in still {
-                    aj.job.unplaced();
-                    let deficit = aj.deficit.saturating_sub(active.slice_used);
-                    self.queue.push(QueueEntry { job: aj.job, deficit });
+                for mut entry in still {
+                    entry.job.unplaced();
+                    entry.deficit = entry.deficit.saturating_sub(active.slice_used);
+                    self.queue.push(entry);
                 }
             } else {
                 if slice_over {
@@ -1133,14 +1179,7 @@ impl Scheduler {
     /// Fleet-level throughput, utilization and fairness summary.
     pub fn fleet_report(&self) -> FleetReport {
         let d = self.devices.len();
-        let makespan_s = self.clocks.iter().copied().fold(0.0, f64::max);
-        let device_busy_s: Vec<f64> = self.clocks[..d].to_vec();
-        let cpu_busy_s: Vec<f64> = self.clocks[d..].to_vec();
-        let device_utilization = device_busy_s
-            .iter()
-            .map(|&busy| if makespan_s > 0.0 { busy / makespan_s } else { 0.0 })
-            .collect();
-        let fleet_book = self.devices.books_sum();
+        let c = &self.counters;
         let tenant_stats: Vec<TenantStat> = self
             .done
             .values()
@@ -1156,98 +1195,50 @@ impl Scheduler {
                 rejected: r.rejected,
             })
             .collect();
-        // Rejected jobs never competed for backend time; their zeroed
-        // lifecycle would skew the fairness aggregates, so they are
-        // excluded from the wait/turnaround statistics (the stats rows
-        // themselves keep them, flagged).
-        let served: Vec<&TenantStat> = tenant_stats.iter().filter(|t| !t.rejected).collect();
-        let max_wait_s = served.iter().map(|t| t.wait_s).fold(0.0, f64::max);
-        let max_turnaround_s = served.iter().map(|t| t.turnaround_s).fold(0.0, f64::max);
-        let count = served.len().max(1) as f64;
-        let mean_wait_s = served.iter().map(|t| t.wait_s).sum::<f64>() / count;
-        let mean_turnaround_s = served.iter().map(|t| t.turnaround_s).sum::<f64>() / count;
-        // Sort once, read three quantiles each — `percentile` would
-        // clone + sort per call (six sorts per report).
-        let mut waits: Vec<f64> = served.iter().map(|t| t.wait_s).collect();
-        waits.sort_by(f64::total_cmp);
-        let mut turnarounds: Vec<f64> = served.iter().map(|t| t.turnaround_s).collect();
-        turnarounds.sort_by(f64::total_cmp);
         let jobs_cancelled = tenant_stats.iter().filter(|t| t.cancelled).count() as u64;
         let jobs_rejected = tenant_stats.iter().filter(|t| t.rejected).count() as u64;
-        let jobs_completed = self.done.len() as u64 - jobs_cancelled - jobs_rejected;
-        let jobs_running = self.active.iter().flatten().map(|a| a.jobs.len() as u64).sum();
-        FleetReport {
-            jobs_completed,
+        let mut report = FleetReport {
+            jobs_completed: self.done.len() as u64 - jobs_cancelled - jobs_rejected,
             jobs_cancelled,
             jobs_rejected,
             jobs_queued: self.queue.len() as u64,
-            jobs_running,
-            makespan_s,
-            serialized_s: self.serialized_s,
-            speedup_vs_serial: if makespan_s > 0.0 { self.serialized_s / makespan_s } else { 1.0 },
-            device_busy_s,
-            device_utilization,
-            cpu_busy_s,
-            jobs_per_sim_s: if makespan_s > 0.0 { jobs_completed as f64 / makespan_s } else { 0.0 },
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
-            max_wait_s,
-            mean_wait_s,
-            max_turnaround_s,
-            mean_turnaround_s,
-            wait_p50_s: percentile_sorted(&waits, 0.50),
-            wait_p95_s: percentile_sorted(&waits, 0.95),
-            wait_p99_s: percentile_sorted(&waits, 0.99),
-            turnaround_p50_s: percentile_sorted(&turnarounds, 0.50),
-            turnaround_p95_s: percentile_sorted(&turnarounds, 0.95),
-            turnaround_p99_s: percentile_sorted(&turnarounds, 0.99),
+            jobs_running: self.running_len() as u64,
+            makespan_s: self.now_s(),
+            serialized_s: c.serialized_s,
+            device_busy_s: self.clocks[..d].to_vec(),
+            cpu_busy_s: self.clocks[d..].to_vec(),
+            fused_launches: c.fused_launches,
+            launches_saved: c.launches_saved,
+            preemptions: c.preemptions,
+            iterations_executed: c.iterations_executed,
+            stream_makespan_s: c.stream_makespan_s,
+            stream_serialized_s: c.stream_serialized_s,
+            spans: c.spans,
+            span_iterations: c.span_iterations,
+            launch_overhead_saved_s: c.launch_overhead_saved_s,
             tenant_stats,
-            fleet_book,
             telemetry: self.telemetry.clone(),
-        }
+            fleet_book: self.devices.books_sum(),
+            // Filled in by `derive`.
+            speedup_vs_serial: 0.0,
+            device_utilization: Vec::new(),
+            jobs_per_sim_s: 0.0,
+            max_wait_s: 0.0,
+            mean_wait_s: 0.0,
+            max_turnaround_s: 0.0,
+            mean_turnaround_s: 0.0,
+            wait_p50_s: 0.0,
+            wait_p95_s: 0.0,
+            wait_p99_s: 0.0,
+            turnaround_p50_s: 0.0,
+            turnaround_p95_s: 0.0,
+            turnaround_p99_s: 0.0,
+        };
+        report.derive();
+        report
     }
 
     // -- checkpoint / resume ------------------------------------------
-
-    /// Borrowed view of everything a delta checkpoint needs: live jobs
-    /// by reference (so dirty detection never clones or re-encodes a
-    /// clean job), plus the scalar state that always rides along. Used
-    /// by [`DeltaCheckpointer`](crate::DeltaCheckpointer); full
-    /// snapshots keep going through [`checkpoint`](Self::checkpoint).
-    pub(crate) fn delta_parts(&self) -> DeltaParts<'_> {
-        DeltaParts {
-            device_books: (0..self.devices.len())
-                .map(|i| self.devices.device(i).book().clone())
-                .collect(),
-            queue: &self.queue,
-            active: &self.active,
-            clocks: &self.clocks,
-            rr_next: self.rr_next,
-            next_id: self.next_id,
-            next_seq: self.next_seq,
-            done: &self.done,
-            meta: &self.meta,
-            cancel_requested: &self.cancel_requested,
-            serialized_s: self.serialized_s,
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            ticks: self.ticks,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
-        }
-    }
 
     /// Snapshot the whole fleet: queued jobs (with their fair-share
     /// credits), in-flight cursors (mid search, mid slice), clocks,
@@ -1257,36 +1248,22 @@ impl Scheduler {
     /// is independent of the live scheduler; [`Scheduler::restore`]
     /// rebuilds an equivalent scheduler that continues deterministically.
     pub fn checkpoint(&self) -> FleetCheckpoint {
-        let included = |id: &JobId| self.meta.get(id).is_none_or(|m| m.checkpoint);
+        let included = |e: &&QueueEntry| self.meta.get(&e.job.id()).is_none_or(|m| m.checkpoint);
         FleetCheckpoint {
             specs: (0..self.devices.len()).map(|i| self.devices.spec(i).clone()).collect(),
             device_books: (0..self.devices.len())
                 .map(|i| self.devices.device(i).book().clone())
                 .collect(),
             cfg: self.cfg.clone(),
-            queue: self
-                .queue
-                .iter()
-                .filter(|e| included(&e.job.id()))
-                .map(|e| QueueEntry { job: e.job.clone_box(), deficit: e.deficit })
-                .collect(),
+            queue: self.queue.iter().filter(included).cloned().collect(),
             active: self
                 .active
                 .iter()
                 .map(|slot| {
                     slot.as_ref().and_then(|a| {
-                        let jobs: Vec<ActiveJob> = a
-                            .jobs
-                            .iter()
-                            .filter(|aj| included(&aj.job.id()))
-                            .map(|aj| ActiveJob { job: aj.job.clone_box(), deficit: aj.deficit })
-                            .collect();
-                        (!jobs.is_empty()).then_some(ActiveSnapshot {
-                            jobs,
-                            started_s: a.started_s,
-                            slice_budget: a.slice_budget,
-                            slice_used: a.slice_used,
-                        })
+                        let jobs: Vec<QueueEntry> =
+                            a.jobs.iter().filter(included).cloned().collect();
+                        (!jobs.is_empty()).then_some(Active { jobs, ..*a })
                     })
                 })
                 .collect(),
@@ -1297,17 +1274,7 @@ impl Scheduler {
             done: self.done.clone(),
             meta: self.meta.clone(),
             cancel_requested: self.cancel_requested.clone(),
-            serialized_s: self.serialized_s,
-            fused_launches: self.fused_launches,
-            launches_saved: self.launches_saved,
-            preemptions: self.preemptions,
-            ticks: self.ticks,
-            iterations_executed: self.iterations_executed,
-            stream_makespan_s: self.stream_makespan_s,
-            stream_serialized_s: self.stream_serialized_s,
-            spans: self.spans,
-            span_iterations: self.span_iterations,
-            launch_overhead_saved_s: self.launch_overhead_saved_s,
+            counters: self.counters,
         }
     }
 
@@ -1351,18 +1318,7 @@ impl Scheduler {
             devices,
             cfg: checkpoint.cfg,
             queue: checkpoint.queue,
-            active: checkpoint
-                .active
-                .into_iter()
-                .map(|slot| {
-                    slot.map(|a| Active {
-                        jobs: a.jobs,
-                        started_s: a.started_s,
-                        slice_budget: a.slice_budget,
-                        slice_used: a.slice_used,
-                    })
-                })
-                .collect(),
+            active: checkpoint.active,
             clocks: checkpoint.clocks,
             rr_next: checkpoint.rr_next,
             next_id: checkpoint.next_id,
@@ -1370,18 +1326,8 @@ impl Scheduler {
             done: checkpoint.done,
             meta: checkpoint.meta,
             cancel_requested: checkpoint.cancel_requested,
+            counters: checkpoint.counters,
             policed,
-            serialized_s: checkpoint.serialized_s,
-            fused_launches: checkpoint.fused_launches,
-            launches_saved: checkpoint.launches_saved,
-            preemptions: checkpoint.preemptions,
-            ticks: checkpoint.ticks,
-            iterations_executed: checkpoint.iterations_executed,
-            stream_makespan_s: checkpoint.stream_makespan_s,
-            stream_serialized_s: checkpoint.stream_serialized_s,
-            spans: checkpoint.spans,
-            span_iterations: checkpoint.span_iterations,
-            launch_overhead_saved_s: checkpoint.launch_overhead_saved_s,
             telemetry,
             completed_count,
             cancelled_count,
@@ -1391,39 +1337,6 @@ impl Scheduler {
             observe: ObserveState::default(),
         }
     }
-}
-
-pub(crate) struct ActiveSnapshot {
-    pub jobs: Vec<ActiveJob>,
-    pub started_s: f64,
-    pub slice_budget: u64,
-    pub slice_used: u64,
-}
-
-/// Borrowed scheduler state for delta checkpoints (see
-/// [`Scheduler::delta_parts`]).
-pub(crate) struct DeltaParts<'a> {
-    pub device_books: Vec<TimeBook>,
-    pub queue: &'a [QueueEntry],
-    pub active: &'a [Option<Active>],
-    pub clocks: &'a [f64],
-    pub rr_next: usize,
-    pub next_id: u64,
-    pub next_seq: u64,
-    pub done: &'a BTreeMap<JobId, JobReport>,
-    pub meta: &'a BTreeMap<JobId, JobMeta>,
-    pub cancel_requested: &'a BTreeSet<JobId>,
-    pub serialized_s: f64,
-    pub fused_launches: u64,
-    pub launches_saved: u64,
-    pub preemptions: u64,
-    pub ticks: u64,
-    pub iterations_executed: u64,
-    pub stream_makespan_s: f64,
-    pub stream_serialized_s: f64,
-    pub spans: u64,
-    pub span_iterations: u64,
-    pub launch_overhead_saved_s: f64,
 }
 
 /// A self-contained fleet snapshot (see [`Scheduler::checkpoint`]).
@@ -1439,7 +1352,7 @@ pub struct FleetCheckpoint {
     pub(crate) device_books: Vec<TimeBook>,
     pub(crate) cfg: SchedulerConfig,
     pub(crate) queue: Vec<QueueEntry>,
-    pub(crate) active: Vec<Option<ActiveSnapshot>>,
+    pub(crate) active: Vec<Option<Active>>,
     pub(crate) clocks: Vec<f64>,
     pub(crate) rr_next: usize,
     pub(crate) next_id: u64,
@@ -1447,17 +1360,7 @@ pub struct FleetCheckpoint {
     pub(crate) done: BTreeMap<JobId, JobReport>,
     pub(crate) meta: BTreeMap<JobId, JobMeta>,
     pub(crate) cancel_requested: BTreeSet<JobId>,
-    pub(crate) serialized_s: f64,
-    pub(crate) fused_launches: u64,
-    pub(crate) launches_saved: u64,
-    pub(crate) preemptions: u64,
-    pub(crate) ticks: u64,
-    pub(crate) iterations_executed: u64,
-    pub(crate) stream_makespan_s: f64,
-    pub(crate) stream_serialized_s: f64,
-    pub(crate) spans: u64,
-    pub(crate) span_iterations: u64,
-    pub(crate) launch_overhead_saved_s: f64,
+    pub(crate) counters: Counters,
 }
 
 impl FleetCheckpoint {
@@ -1470,7 +1373,7 @@ impl FleetCheckpoint {
     /// restored fleet resumes from (steal barriers and cadences key off
     /// it).
     pub fn ticks(&self) -> u64 {
-        self.ticks
+        self.counters.ticks
     }
 
     /// Jobs captured mid-run (cursor state preserved).

@@ -1,12 +1,9 @@
 //! The cross-shard steps of [`ParallelFleet`](crate::ParallelFleet):
-//! the steal barrier, the per-shard restore walk and the report merge.
+//! the steal barrier and the per-shard restore walk.
 
 use crate::config::ShardConfig;
 use crate::ring::fnv1a;
-use lnls_runtime::{
-    percentile_sorted, AdmissionPolicy, CheckpointError, FleetClient, FleetReport, JobRegistry,
-    Scheduler, Telemetry, TenantStat,
-};
+use lnls_runtime::{AdmissionPolicy, CheckpointError, FleetClient, JobRegistry, Scheduler};
 use std::path::{Path, PathBuf};
 
 /// Bit position of the shard index inside a [`JobId`]: shard `i` mints
@@ -87,79 +84,4 @@ pub(crate) fn restore_clients(
         return Err(CheckpointError::Empty { dir: dir.display().to_string() });
     }
     Ok(shards)
-}
-
-/// Merge per-shard reports into one fleet-wide report (see
-/// [`ParallelFleet::fleet_report`](crate::ParallelFleet::fleet_report)
-/// for the field-by-field semantics).
-pub(crate) fn merge_reports(reports: &[FleetReport]) -> FleetReport {
-    let mut merged = reports[0].clone();
-    for r in &reports[1..] {
-        merged.jobs_completed += r.jobs_completed;
-        merged.jobs_cancelled += r.jobs_cancelled;
-        merged.jobs_rejected += r.jobs_rejected;
-        merged.jobs_queued += r.jobs_queued;
-        merged.jobs_running += r.jobs_running;
-        merged.makespan_s = merged.makespan_s.max(r.makespan_s);
-        merged.serialized_s += r.serialized_s;
-        merged.device_busy_s.extend_from_slice(&r.device_busy_s);
-        merged.cpu_busy_s.extend_from_slice(&r.cpu_busy_s);
-        merged.fused_launches += r.fused_launches;
-        merged.launches_saved += r.launches_saved;
-        merged.preemptions += r.preemptions;
-        merged.iterations_executed += r.iterations_executed;
-        merged.stream_makespan_s = merged.stream_makespan_s.max(r.stream_makespan_s);
-        merged.stream_serialized_s += r.stream_serialized_s;
-        merged.spans += r.spans;
-        merged.span_iterations += r.span_iterations;
-        merged.launch_overhead_saved_s += r.launch_overhead_saved_s;
-        merged.tenant_stats.extend(r.tenant_stats.iter().cloned());
-        merged.fleet_book.add(&r.fleet_book);
-    }
-    // Telemetry: the fleet ticks every shard in lockstep, so series
-    // recorded at the same cadence align index for index and merge
-    // sample-by-sample (counts sum, devices concatenate shard-major,
-    // the clock maxes — see [`Telemetry::merge`]). If any shard ran
-    // unsampled there is no aligned fleet-wide series; shard 0's (the
-    // observed shard, by the same convention drivers use for event
-    // sinks) then stands in, which `merged` already carries.
-    if let Some(series) =
-        reports.iter().map(|r| r.telemetry.as_ref()).collect::<Option<Vec<&Telemetry>>>()
-    {
-        merged.telemetry = Some(Telemetry::merge(&series));
-    }
-    merged.speedup_vs_serial =
-        if merged.makespan_s > 0.0 { merged.serialized_s / merged.makespan_s } else { 1.0 };
-    merged.jobs_per_sim_s = if merged.makespan_s > 0.0 {
-        merged.jobs_completed as f64 / merged.makespan_s
-    } else {
-        0.0
-    };
-    // Utilization is against the *fleet* makespan: a shard that
-    // finished early idles (from the fleet's point of view) until the
-    // slowest shard drains.
-    merged.device_utilization = merged
-        .device_busy_s
-        .iter()
-        .map(|&busy| if merged.makespan_s > 0.0 { busy / merged.makespan_s } else { 0.0 })
-        .collect();
-    // Fairness aggregates recomputed over the union of per-job rows,
-    // mirroring `Scheduler::fleet_report` (rejected rows excluded).
-    let served: Vec<&TenantStat> = merged.tenant_stats.iter().filter(|t| !t.rejected).collect();
-    merged.max_wait_s = served.iter().map(|t| t.wait_s).fold(0.0, f64::max);
-    merged.max_turnaround_s = served.iter().map(|t| t.turnaround_s).fold(0.0, f64::max);
-    let count = served.len().max(1) as f64;
-    merged.mean_wait_s = served.iter().map(|t| t.wait_s).sum::<f64>() / count;
-    merged.mean_turnaround_s = served.iter().map(|t| t.turnaround_s).sum::<f64>() / count;
-    let mut waits: Vec<f64> = served.iter().map(|t| t.wait_s).collect();
-    waits.sort_by(f64::total_cmp);
-    let mut turnarounds: Vec<f64> = served.iter().map(|t| t.turnaround_s).collect();
-    turnarounds.sort_by(f64::total_cmp);
-    merged.wait_p50_s = percentile_sorted(&waits, 0.50);
-    merged.wait_p95_s = percentile_sorted(&waits, 0.95);
-    merged.wait_p99_s = percentile_sorted(&waits, 0.99);
-    merged.turnaround_p50_s = percentile_sorted(&turnarounds, 0.50);
-    merged.turnaround_p95_s = percentile_sorted(&turnarounds, 0.95);
-    merged.turnaround_p99_s = percentile_sorted(&turnarounds, 0.99);
-    merged
 }

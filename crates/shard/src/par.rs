@@ -41,7 +41,7 @@
 //! caller's thread; no wall-clock ordering ever reaches the results.
 
 use crate::config::ShardConfig;
-use crate::fleet::{merge_reports, restore_clients, run_steal_barrier, shard_dir, SHARD_ID_SHIFT};
+use crate::fleet::{restore_clients, run_steal_barrier, shard_dir, SHARD_ID_SHIFT};
 use crate::ring::HashRing;
 use lnls_runtime::{
     AdmissionPolicy, CheckpointError, DeltaCheckpointer, FleetClient, FleetReport, JobHandle,
@@ -532,22 +532,15 @@ impl ParallelFleet {
 
     /// The fleet-wide summary. One shard returns its report verbatim
     /// (a 1-shard fleet is byte-for-byte a bare scheduler run); more
-    /// shards merge in ascending shard order: counts and serialized
-    /// seconds sum, makespans max, per-device vectors concatenate
-    /// shard-major, and the fairness aggregates (means, maxima,
-    /// percentiles) are recomputed over the union of per-job rows —
-    /// exactly the statistics one scheduler holding all jobs would
-    /// report. Telemetry merges sample-by-sample across shards when
-    /// every shard recorded a series (shards tick in lockstep, so
-    /// samples align index for index; counts sum, device columns
-    /// concatenate shard-major, the clock maxes); per-shard series live
-    /// on the shard reports.
+    /// shards combine through [`FleetReport::merge`] in ascending shard
+    /// order. Shards tick in lockstep, so their telemetry series align
+    /// index for index; per-shard series live on the shard reports.
     pub fn fleet_report(&self) -> FleetReport {
         if self.slots.len() == 1 {
             return self.shard(0).fleet_report();
         }
         let reports: Vec<FleetReport> = self.clients().map(FleetClient::fleet_report).collect();
-        merge_reports(&reports)
+        FleetReport::merge(&reports)
     }
 
     /// Arm per-shard delta checkpointing under `dir` (subdirectories

@@ -11,7 +11,9 @@
 //! * **Typed chain errors** — a delta chain missing its base, missing a
 //!   middle delta, or holding a truncated segment is refused with a
 //!   [`CheckpointError`] naming the exact segment, never a panic or a
-//!   silently wrong restore.
+//!   silently wrong restore. A bit-flipped or truncated delta loads or
+//!   is refused by name, never panics; a failed snapshot is retried as
+//!   a fresh base.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
@@ -287,6 +289,100 @@ fn a_base_terminated_chain_keeps_running_jobs() {
         format!("{:?}", restored.fleet_report()),
         format!("{:?}", fleet.fleet_report()),
         "the restored run must finish on the original run's bits"
+    );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Every single-bit flip (the low bit of each byte) and every
+/// truncation of a delta segment loads as a typed error naming that
+/// delta, or as some chain — never as a panic. The fleet shape (one
+/// device, no fusing, quantum 2) re-queues preempted jobs behind the
+/// queue's reordering, so the delta carries a full queue layout: a
+/// corrupted id in it used to pass the chain replay and panic when the
+/// checkpoint was materialized.
+#[test]
+fn a_mutated_delta_never_panics_the_chain_replay() {
+    let dir = chain_dir("mutated");
+    let mut fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 1, quantum_iters: Some(2), ..Default::default() },
+    );
+    for i in 0..4 {
+        fleet.submit(onemax_job(&format!("mutant-{i}"), i));
+    }
+    let mut ckpt = DeltaCheckpointer::open(&dir, 8).expect("store opens");
+    fleet.tick();
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    for _ in 0..3 {
+        fleet.tick();
+    }
+    assert_eq!(ckpt.snapshot(&fleet).expect("delta writes").kind, SnapshotKind::Delta);
+    let name = "delta-00000001-00000001.ckpt";
+    let path = dir.join(name);
+    let intact = fs::read(&path).expect("read the delta");
+
+    let registry = JobRegistry::with_builtin();
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    let flips = (0..intact.len()).map(|i| {
+        let mut bytes = intact.clone();
+        bytes[i] ^= 1;
+        (format!("low-bit flip of byte {i}"), bytes)
+    });
+    let cuts =
+        (0..intact.len()).map(|n| (format!("truncation to {n} bytes"), intact[..n].to_vec()));
+    for (mutation, bytes) in flips.chain(cuts) {
+        fs::write(&path, &bytes).expect("write the mutant");
+        match store.load_latest(&registry) {
+            Ok(_) => {}
+            Err(CheckpointError::CorruptSegment { segment, .. }) => {
+                assert!(segment.ends_with(name), "{mutation}: must name '{name}', got '{segment}'");
+            }
+            Err(other) => panic!("{mutation}: expected CorruptSegment, got: {other}"),
+        }
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A snapshot that fails mid-write (here: a directory squats on the
+/// delta's temp path) must not leave the checkpointer believing the
+/// segment landed. The retry writes a fresh base, and the chain on disk
+/// loads to exactly the live fleet's checkpoint. (The retry used to
+/// write a delta with the failed segment's dirty jobs left out, so the
+/// restored fleet re-ran their progress.)
+#[test]
+fn a_failed_delta_write_is_retried_as_a_base() {
+    let dir = chain_dir("failed-write");
+    let mut fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 2, quantum_iters: Some(8), ..Default::default() },
+    );
+    for i in 0..6 {
+        fleet.submit(onemax_job(&format!("retry-{i}"), i));
+    }
+    let mut ckpt = DeltaCheckpointer::open(&dir, 8).expect("store opens");
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    fleet.tick();
+    let squatter = dir.join("delta-00000001-00000001.tmp");
+    fs::create_dir(&squatter).expect("squat on the delta's temp path");
+    match ckpt.snapshot(&fleet) {
+        Err(CheckpointError::Io { .. }) => {}
+        Err(other) => panic!("expected an i/o error, got: {other}"),
+        Ok(stats) => panic!("the blocked write must fail, wrote {stats:?}"),
+    }
+    fs::remove_dir(&squatter).expect("clear the temp path");
+
+    let retry = ckpt.snapshot(&fleet).expect("the retry writes");
+    assert_eq!(retry.kind, SnapshotKind::Base, "a failed snapshot must be retried as a base");
+    let registry = JobRegistry::with_builtin();
+    let loaded = CheckpointStore::open(&dir)
+        .expect("store opens")
+        .load_latest(&registry)
+        .expect("the chain loads");
+    assert!(
+        loaded.to_bytes() == fleet.checkpoint().to_bytes(),
+        "the chain on disk must load to the live fleet's checkpoint"
     );
     let _ = fs::remove_dir_all(&dir);
 }
