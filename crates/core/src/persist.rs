@@ -179,9 +179,14 @@ impl Persist for Duration {
         self.as_secs().write(out);
         self.subsec_nanos().write(out);
     }
+    /// The writer only emits whole seconds plus `nanos < 10⁹`; anything
+    /// larger is corrupt (and would overflow `Duration::new`'s carry).
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let secs = u64::read(r)?;
         let nanos = u32::read(r)?;
+        if nanos >= 1_000_000_000 {
+            return Err(PersistError::new(format!("bad duration: {nanos} subsecond nanos")));
+        }
         Ok(Duration::new(secs, nanos))
     }
 }
@@ -696,6 +701,17 @@ mod tests {
         roundtrip(&(7u64, "pair".to_string()));
         roundtrip(&(1u32, 2u32, -3i64));
         roundtrip(&vec![(0u32, 1u32, 5i64), (1, 2, -7)]);
+    }
+
+    /// A subsecond field of a whole second or more is corrupt: at
+    /// `u64::MAX` seconds its carry would overflow `Duration::new`.
+    #[test]
+    fn duration_with_overflowing_nanos_is_an_error() {
+        let mut bytes = u64::MAX.to_bytes();
+        1_000_000_000u32.write(&mut bytes);
+        assert_eq!(bytes.len(), 12);
+        let err = Reader::new(&bytes).read::<Duration>().unwrap_err();
+        assert!(err.to_string().contains("bad duration"), "{err}");
     }
 
     #[test]

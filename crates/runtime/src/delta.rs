@@ -20,8 +20,13 @@
 //!   an exotic mutation breaks that shape (e.g. a job stolen away and
 //!   re-adopted between snapshots), the segment falls back to a full
 //!   layout, flagged as such.
-//! * **Append-only report log.** Completed-job reports are written
-//!   once, in the segment where they first appeared.
+//! * **The result log's tail.** Completed-job reports live in an
+//!   append-only result log, in completion order, each encoded once
+//!   when its job retired. A delta writes the records appended since
+//!   the previous segment as one checksummed section (the same codec
+//!   the base's whole log goes through), so a snapshot never scans the
+//!   finished history. A finished job's metadata retires with it, and
+//!   chain replay drops it too.
 //! * **Rotation + compaction.** After `deltas_per_base` segments the
 //!   next snapshot is a fresh base in a new epoch, and every segment
 //!   of older epochs is deleted — disk usage is bounded by one base
@@ -29,8 +34,8 @@
 //!   to be a fresh base: the fingerprints have already moved past what
 //!   reached the disk.
 //! * **Shared codecs.** Base and delta segments write the scheduler's
-//!   cumulative counters and each job's metadata through the same
-//!   `Persist` impls, so the two layouts cannot drift apart.
+//!   cumulative counters, each job's metadata and the result-log section
+//!   through the same codecs, so the two layouts cannot drift apart.
 //!
 //! Segments live in one directory per scheduler (`base-NNNNNNNN.ckpt`,
 //! `delta-NNNNNNNN-NNNNNNNN.ckpt`); [`CheckpointStore::load_latest`]
@@ -46,8 +51,8 @@
 //! naming an unknown job is refused by name as well.
 
 use crate::exec::JobExec;
-use crate::job::{JobId, JobReport};
-use crate::persist::{encode_job, read_report, write_report, JobRegistry};
+use crate::job::JobId;
+use crate::persist::{encode_job, JobRegistry};
 use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry, Scheduler};
 use lnls_core::persist::{Persist, PersistError, Reader};
 use std::collections::{BTreeMap, BTreeSet};
@@ -56,7 +61,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a delta segment (`LNLSDLT` + format version).
-const DELTA_MAGIC: &[u8; 8] = b"LNLSDLT\x02";
+const DELTA_MAGIC: &[u8; 8] = b"LNLSDLT\x03";
 
 /// Typed failure modes of checkpoint loading — every variant names the
 /// segment (file) that broke the chain.
@@ -327,9 +332,10 @@ pub struct DeltaCheckpointer {
     next_index: u64,
     /// iteration count at the last segment, per live job.
     job_fp: BTreeMap<JobId, u64>,
-    /// `first_started_s` bits at the last segment, per known job.
+    /// `first_started_s` bits at the last segment, per live job.
     meta_fp: BTreeMap<JobId, u64>,
-    done_seen: BTreeSet<JobId>,
+    /// Result-log records the chain holds.
+    logged: usize,
     prev_queue: Vec<(u64, u64)>,
 }
 
@@ -355,7 +361,7 @@ impl DeltaCheckpointer {
             next_index: 0,
             job_fp: BTreeMap::new(),
             meta_fp: BTreeMap::new(),
-            done_seen: BTreeSet::new(),
+            logged: 0,
             prev_queue: Vec::new(),
         })
     }
@@ -398,7 +404,6 @@ impl DeltaCheckpointer {
         // Fingerprints reset to exactly what the base carries.
         self.job_fp.clear();
         self.meta_fp.clear();
-        self.done_seen.clear();
         let mut live = 0usize;
         self.prev_queue.clear();
         for entry in &checkpoint.queue {
@@ -415,7 +420,7 @@ impl DeltaCheckpointer {
         for (id, m) in &checkpoint.meta {
             self.meta_fp.insert(*id, meta_fingerprint(m));
         }
-        self.done_seen.extend(checkpoint.done.keys().copied());
+        self.logged = checkpoint.results.len();
         Ok(SnapshotStats {
             kind: SnapshotKind::Base,
             bytes: bytes.len() as u64,
@@ -513,33 +518,26 @@ impl DeltaCheckpointer {
             encode_job(*job, &mut out);
         }
 
-        // Meta upserts: new ids, or the one mutable field
-        // (`first_started_s`) moved.
+        // Meta upserts of the jobs this segment carries: new ids, or
+        // the one mutable field (`first_started_s`) moved.
         let mut meta_upserts: Vec<(JobId, &JobMeta)> = Vec::new();
-        for (id, m) in &s.meta {
+        for (id, m) in s.meta.iter().filter(|(id, _)| live_ids.contains(id)) {
             let fp = meta_fingerprint(m);
             if self.meta_fp.get(id) != Some(&fp) {
                 self.meta_fp.insert(*id, fp);
                 meta_upserts.push((*id, m));
             }
         }
+        self.meta_fp.retain(|id, _| live_ids.contains(id));
         meta_upserts.len().write(&mut out);
         for (id, m) in &meta_upserts {
             id.write(&mut out);
             m.write(&mut out);
         }
 
-        // Done reports: append-only log, written once each.
-        let mut new_done: Vec<&JobReport> = Vec::new();
-        for (id, report) in &s.done {
-            if self.done_seen.insert(*id) {
-                new_done.push(report);
-            }
-        }
-        new_done.len().write(&mut out);
-        for report in &new_done {
-            write_report(report, &mut out);
-        }
+        // The result log's new tail.
+        s.results.write_section(self.logged, &mut out);
+        self.logged = s.results.len();
 
         let path = self.store.delta_path(self.epoch, self.next_index);
         self.store.write_segment(&path, &out)?;
@@ -604,7 +602,6 @@ struct ChainState {
     jobs: BTreeMap<u64, Box<dyn JobExec>>,
     queue_layout: Vec<(u64, u64)>,
     active_layout: Vec<ActiveSlot>,
-    done_log: BTreeMap<JobId, JobReport>,
 }
 
 impl ChainState {
@@ -625,8 +622,7 @@ impl ChainState {
             .into_iter()
             .map(|slot| slot.map(|a| (a.started_s, a.slice_budget, a.slice_used, layout(a.jobs))))
             .collect();
-        let done_log = std::mem::take(&mut base.done);
-        Self { checkpoint: base, jobs, queue_layout, active_layout, done_log }
+        Self { checkpoint: base, jobs, queue_layout, active_layout }
     }
 
     fn apply(&mut self, bytes: &[u8], registry: &JobRegistry) -> Result<(), PersistError> {
@@ -700,12 +696,8 @@ impl ChainState {
         let meta_upserts: Vec<(JobId, JobMeta)> = r.read()?;
         ckpt.meta.extend(meta_upserts);
 
-        // Newly completed reports.
-        let done_len: usize = r.read()?;
-        for _ in 0..done_len {
-            let report = read_report(&mut r)?;
-            self.done_log.insert(report.id, report);
-        }
+        // The result log's tail.
+        ckpt.results.read_section(&mut r)?;
         if r.remaining() != 0 {
             return Err(PersistError::new(format!(
                 "delta segment has {} trailing bytes",
@@ -713,14 +705,15 @@ impl ChainState {
             )));
         }
 
-        // Jobs that left every layout are done (or cancelled): drop
-        // their payloads from the chain table.
+        // Jobs that left every layout retired (or moved to another
+        // scheduler): drop their payloads and metadata from the chain.
         let live: BTreeSet<u64> = queue_layout
             .iter()
             .chain(active_layout.iter().flatten().flat_map(|(_, _, _, jobs)| jobs))
             .map(|e| e.0)
             .collect();
         self.jobs.retain(|id, _| live.contains(id));
+        ckpt.meta.retain(|id, _| live.contains(&id.0));
         // Every layout id must resolve in the chain table, so that
         // `into_checkpoint` can materialize them.
         if let Some(id) = live.iter().find(|id| !self.jobs.contains_key(id)) {
@@ -754,7 +747,6 @@ impl ChainState {
                 })
             })
             .collect();
-        self.checkpoint.done = self.done_log;
         self.checkpoint
     }
 }

@@ -177,6 +177,7 @@ mod lns;
 mod observe;
 mod persist;
 mod report;
+mod results;
 mod scheduler;
 mod submit;
 mod telemetry;
@@ -794,6 +795,73 @@ mod tests {
             assert_eq!(ra.outcome.best_fitness(), rb.outcome.best_fitness(), "{}", ra.name);
             assert_eq!(ra.outcome.iterations(), rb.outcome.iterations(), "{}", ra.name);
         }
+    }
+
+    /// Every fate a job can end in, restored from bytes: the restored
+    /// fleet answers exactly as the live one did, re-encodes to the
+    /// same bytes, and decodes no report before one is read.
+    #[test]
+    fn restored_results_equal_live_ones_for_every_fate() {
+        let policy = AdmissionPolicy::queue_cap(2).with_shedding();
+        let fleet = Scheduler::with_uniform_fleet(
+            1,
+            DeviceSpec::gtx280(),
+            SchedulerConfig { max_batch: 1, ..Default::default() },
+        );
+        let mut client = FleetClient::new(fleet, policy.clone());
+        let spec = |i: u64, iters: u64, priority: u8| {
+            JobSpec::new(onemax_job(i, 16, iters)).with_priority(priority).for_tenant("t")
+        };
+        let done = client.submit_spec(spec(0, 4, 1)).expect("an empty queue admits");
+        client.tick();
+        let shed = client.submit_spec(spec(1, 4, 0)).expect("under the cap");
+        let cancelled = client.submit_spec(spec(2, 4, 1)).expect("under the cap");
+        let live = client.submit_spec(spec(3, 40, 2)).expect("sheds the lowest priority");
+        assert!(client.cancel(cancelled));
+        while client.status(done) != JobStatus::Done {
+            assert!(client.tick());
+        }
+        let handles = [done, shed, cancelled, live];
+        let statuses = handles.map(|h| client.status(h));
+        assert_eq!(
+            statuses,
+            [JobStatus::Done, JobStatus::Rejected, JobStatus::Cancelled, JobStatus::Queued]
+        );
+
+        let bytes = client.checkpoint().to_bytes();
+        let revived = FleetCheckpoint::from_bytes(&bytes, &JobRegistry::with_builtin())
+            .expect("a checkpoint just written decodes");
+        let restored =
+            FleetClient::resume(Scheduler::restore(revived), policy, client.rejected_submissions());
+        let log = &restored.scheduler().results;
+        assert_eq!(handles.map(|h| restored.status(h)), statuses);
+        assert_eq!(restored.checkpoint().to_bytes(), bytes, "a restore re-encodes unchanged");
+        assert_eq!(log.decoded_count(), 0, "restoring, statuses and re-encoding decode nothing");
+        let reports = |c: &FleetClient| format!("{:?}", c.reports().collect::<Vec<_>>());
+        assert_eq!(reports(&restored), reports(&client));
+        assert_eq!(log.decoded_count(), 3);
+        assert_eq!(
+            format!("{:?}", restored.fleet_report()),
+            format!("{:?}", client.fleet_report())
+        );
+    }
+
+    /// Jobs submitted without checkpointing leave no metadata in a
+    /// checkpoint: a restored fleet neither keeps nor polices them.
+    #[test]
+    fn opt_out_jobs_leave_no_metadata_behind_a_restore() {
+        let mut fleet =
+            Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), SchedulerConfig::default());
+        fleet.submit(onemax_job(0, 16, 20));
+        fleet.submit_spec(
+            JobSpec::new(onemax_job(1, 16, 20)).without_checkpoint().with_deadline(1e9),
+        );
+        fleet.tick();
+        let mut restored = Scheduler::restore(fleet.checkpoint());
+        assert_eq!(restored.meta.len(), 1, "only the checkpointed job's metadata survives");
+        assert!(restored.policed.is_empty(), "the opt-out job's deadline is not policed");
+        restored.run_until_idle();
+        assert!(restored.meta.is_empty(), "metadata retires with its job");
     }
 
     #[test]

@@ -14,6 +14,16 @@
 //! process must say which `(problem, neighborhood)` pairs it was built
 //! with, exactly like it had to in order to submit them.
 //!
+//! The completed reports come last, as one checksummed **result-log
+//! section**: the record count, one `(id, fate, length)` header per
+//! record, the byte count and the record bytes, then a 64-bit checksum
+//! over all of those. Each record is one report, encoded once when its
+//! job retired. [`FleetCheckpoint::from_bytes`] verifies the checksum
+//! and the headers and indexes the records without decoding a report;
+//! a report decodes when something first reads it. Delta segments end
+//! with the same section, holding only the records since the previous
+//! segment.
+//!
 //! [`JobRegistry::with_builtin`] pre-registers every combination the
 //! workspace ships (QAP robust tabu; tabu *and* annealing jobs for
 //! OneMax, PPP and Max-Cut over the bundled neighborhoods; LNS
@@ -27,6 +37,7 @@ use crate::delta::CheckpointError;
 use crate::exec::JobExec;
 use crate::job::{AnnealJob, BinaryJob, JobId, JobOutcome, JobReport, QapJobSpec};
 use crate::lns::{LnsJob, PortfolioJob};
+use crate::results::ResultLog;
 use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry};
 use crate::submit::JobCodec;
 use crate::{PlacePolicy, SchedulerConfig};
@@ -38,7 +49,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"LNLSFLT\x08";
+const MAGIC: &[u8; 8] = b"LNLSFLT\x09";
 
 type Loader = fn(&mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>;
 
@@ -316,10 +327,6 @@ impl FleetCheckpoint {
         self.rr_next.write(&mut out);
         self.next_id.write(&mut out);
         self.next_seq.write(&mut out);
-        self.done.len().write(&mut out);
-        for report in self.done.values() {
-            write_report(report, &mut out);
-        }
         self.meta.len().write(&mut out);
         for (id, m) in &self.meta {
             id.write(&mut out);
@@ -328,6 +335,7 @@ impl FleetCheckpoint {
         let cancels: Vec<u64> = self.cancel_requested.iter().map(|id| id.0).collect();
         cancels.write(&mut out);
         self.counters.write(&mut out);
+        self.results.write_section(0, &mut out);
         out
     }
 
@@ -360,15 +368,12 @@ impl FleetCheckpoint {
         let rr_next: usize = r.read()?;
         let next_id: u64 = r.read()?;
         let next_seq: u64 = r.read()?;
-        let done_len: usize = r.read()?;
-        let mut done = BTreeMap::new();
-        for _ in 0..done_len {
-            let report = read_report(&mut r)?;
-            done.insert(report.id, report);
-        }
         let meta: Vec<(JobId, JobMeta)> = r.read()?;
         let cancels: Vec<u64> = r.read()?;
         let cancel_requested: BTreeSet<JobId> = cancels.into_iter().map(JobId).collect();
+        let counters = r.read()?;
+        let mut results = ResultLog::default();
+        results.read_section(&mut r)?;
         let checkpoint = Self {
             specs,
             device_books,
@@ -379,10 +384,10 @@ impl FleetCheckpoint {
             rr_next,
             next_id,
             next_seq,
-            done,
+            results,
             meta: meta.into_iter().collect(),
             cancel_requested,
-            counters: r.read()?,
+            counters,
         };
         if r.remaining() != 0 {
             return Err(PersistError::new(format!(

@@ -8,6 +8,7 @@ use crate::exec::{BatchKey, JobExec};
 use crate::job::{JobHandle, JobId, JobReport, JobStatus};
 use crate::observe::{EventRecord, EventSink, FleetEvent, MetricsRegistry, ObserveState};
 use crate::report::{FleetReport, TenantStat};
+use crate::results::{Fate, ResultLog};
 use crate::submit::{JobSpec, SearchJob, SubmitCtx};
 use crate::telemetry::{Telemetry, TickSample};
 use lnls_core::persist::{Persist, PersistError, Reader};
@@ -141,8 +142,10 @@ pub(crate) struct Active {
 
 /// Per-job lifecycle timestamps and envelope policy (tenant, budget,
 /// deadline, checkpointability) the reports and drain sweeps are built
-/// from. Its codec is shared by base and delta checkpoint segments; the
-/// id travels with the map entry, not in here.
+/// from. Live jobs only: it retires with its job, whose report carries
+/// the tenant and the timestamps from then on. Its codec is shared by
+/// base and delta checkpoint segments; the id travels with the map
+/// entry, not in here.
 #[derive(Clone, Debug)]
 pub(crate) struct JobMeta {
     pub submitted_s: f64,
@@ -298,21 +301,16 @@ pub struct Scheduler {
     pub(crate) rr_next: usize,
     pub(crate) next_id: u64,
     pub(crate) next_seq: u64,
-    pub(crate) done: BTreeMap<JobId, JobReport>,
+    pub(crate) results: ResultLog,
+    /// Metadata of the live jobs.
     pub(crate) meta: BTreeMap<JobId, JobMeta>,
     pub(crate) cancel_requested: BTreeSet<JobId>,
     pub(crate) counters: Counters,
     /// Live jobs carrying an envelope constraint (deadline or iteration
     /// budget) — lets the per-tick policy sweep skip entirely in the
     /// common all-plain-submissions case.
-    policed: BTreeSet<JobId>,
+    pub(crate) policed: BTreeSet<JobId>,
     telemetry: Option<Telemetry>,
-    /// Cumulative outcome counters, bumped as jobs retire — kept so the
-    /// per-tick telemetry sample never rescans the done map (which
-    /// would make telemetry O(jobs · ticks) at cadence 1).
-    completed_count: u64,
-    cancelled_count: u64,
-    rejected_count: u64,
     /// Attached observability (event sink + metrics registry). Strictly
     /// observational and never checkpointed — a restored fleet starts
     /// unobserved, like telemetry.
@@ -338,15 +336,12 @@ impl Scheduler {
             rr_next: 0,
             next_id: id_base,
             next_seq: id_base,
-            done: BTreeMap::new(),
+            results: ResultLog::default(),
             meta: BTreeMap::new(),
             cancel_requested: BTreeSet::new(),
             counters: Counters::default(),
             policed: BTreeSet::new(),
             telemetry,
-            completed_count: 0,
-            cancelled_count: 0,
-            rejected_count: 0,
             observe: ObserveState::default(),
         }
     }
@@ -478,7 +473,7 @@ impl Scheduler {
     /// True once `handle`'s job has a final report (done, cancelled or
     /// rejected) — the client uses this to prune its bookkeeping.
     pub(crate) fn is_terminal(&self, handle: JobHandle) -> bool {
-        self.done.contains_key(&handle.id)
+        self.results.fate(handle.id).is_some()
     }
 
     /// Remove a *queued* (not running) job from this scheduler and hand
@@ -512,7 +507,7 @@ impl Scheduler {
         let StolenJob { job, meta, deficit, cancel_requested } = stolen;
         let id = job.id();
         assert!(
-            !self.meta.contains_key(&id) && !self.done.contains_key(&id),
+            !self.meta.contains_key(&id) && self.results.fate(id).is_none(),
             "adopted job id {id:?} collides; give shards disjoint `id_base` ranges"
         );
         if meta.iter_budget.is_some() || meta.deadline_s.is_some() {
@@ -600,14 +595,8 @@ impl Scheduler {
 
     /// Where `handle`'s job currently is.
     pub fn status(&self, handle: JobHandle) -> JobStatus {
-        if let Some(report) = self.done.get(&handle.id) {
-            return if report.rejected {
-                JobStatus::Rejected
-            } else if report.cancelled {
-                JobStatus::Cancelled
-            } else {
-                JobStatus::Done
-            };
+        if let Some(fate) = self.results.fate(handle.id) {
+            return fate.status();
         }
         if self.queue.iter().any(|e| e.job.id() == handle.id) {
             return JobStatus::Queued;
@@ -632,7 +621,7 @@ impl Scheduler {
     /// boundary — lands in [`reports`](Self::reports). Returns `false`
     /// for jobs already finished or unknown to this scheduler.
     pub fn cancel(&mut self, handle: JobHandle) -> bool {
-        if self.done.contains_key(&handle.id) {
+        if self.results.fate(handle.id).is_some() {
             return false;
         }
         if self.live().any(|e| e.job.id() == handle.id) {
@@ -664,12 +653,12 @@ impl Scheduler {
 
     /// The report of a completed job, if it completed.
     pub fn report(&self, handle: JobHandle) -> Option<&JobReport> {
-        self.done.get(&handle.id)
+        self.results.report(handle.id)
     }
 
     /// All completed reports, in job-id order.
     pub fn reports(&self) -> impl Iterator<Item = &JobReport> {
-        self.done.values()
+        self.results.reports()
     }
 
     /// Drive the simulation until `handle` completes, then return its
@@ -678,14 +667,14 @@ impl Scheduler {
     /// # Panics
     /// Panics if the job is unknown to this scheduler.
     pub fn await_report(&mut self, handle: JobHandle) -> &JobReport {
-        while !self.done.contains_key(&handle.id) {
+        while self.results.fate(handle.id).is_none() {
             assert!(
                 self.tick(),
                 "job {} cannot complete: scheduler went idle without it",
                 handle.id
             );
         }
-        &self.done[&handle.id]
+        self.results.report(handle.id).expect("a finished job has a report")
     }
 
     /// Run until every submitted job has completed.
@@ -733,9 +722,9 @@ impl Scheduler {
             now_s: self.now_s(),
             queue_depth: self.queue.len() as u64,
             running: self.running_len() as u64,
-            completed: self.completed_count,
-            cancelled: self.cancelled_count,
-            rejected: self.rejected_count,
+            completed: self.results.count(Fate::Done),
+            cancelled: self.results.count(Fate::Cancelled),
+            rejected: self.results.count(Fate::Rejected),
             preemptions: self.counters.preemptions,
             device_busy_s: self.clocks[..self.devices.len()].to_vec(),
             bytes_h2d: books.bytes_h2d,
@@ -748,12 +737,13 @@ impl Scheduler {
 
     // -- completion ----------------------------------------------------
 
-    /// Retire one job into the done map, stamping lifecycle times from
-    /// its metadata. Backend clocks advance independently, so a job
-    /// submitted while another backend raced ahead can be placed on a
-    /// clock that still reads *earlier* than its submission instant; the
-    /// stamps are clamped monotone (submitted ≤ started ≤ finished) so
-    /// reports never show a job starting before it existed. A job that
+    /// Retire one job into the result log, stamping lifecycle times
+    /// from its metadata, which retires with it. Backend clocks advance
+    /// independently, so a job submitted while another backend raced
+    /// ahead can be placed on a clock that still reads *earlier* than
+    /// its submission instant; the stamps are clamped monotone
+    /// (submitted ≤ started ≤ finished) so reports never show a job
+    /// starting before it existed. A job that
     /// never reached a backend (cancelled while queued) reports
     /// `started_s == submitted_s`: it has no placement instant, and a
     /// fabricated one would pollute the fairness aggregates preemption
@@ -767,24 +757,17 @@ impl Scheduler {
         rejected: bool,
     ) {
         let id = job.id();
-        let meta = self.meta.get(&id);
-        let submitted_s = meta.map_or(0.0, |m| m.submitted_s);
+        let meta = self.meta.remove(&id);
+        let submitted_s = meta.as_ref().map_or(0.0, |m| m.submitted_s);
         let started_s =
-            meta.and_then(|m| m.first_started_s).unwrap_or(submitted_s).max(submitted_s);
+            meta.as_ref().and_then(|m| m.first_started_s).unwrap_or(submitted_s).max(submitted_s);
         let backend_label = if self.observing() { backend.clone() } else { String::new() };
         let mut report = job.finish(backend, started_s, at_s.max(started_s));
         report.submitted_s = submitted_s;
         report.cancelled = cancelled;
         report.rejected = rejected;
-        report.tenant = meta.map_or_else(String::new, |m| m.tenant.clone());
+        report.tenant = meta.map_or_else(String::new, |m| m.tenant);
         self.policed.remove(&id);
-        if rejected {
-            self.rejected_count += 1;
-        } else if cancelled {
-            self.cancelled_count += 1;
-        } else {
-            self.completed_count += 1;
-        }
         let retire_event = self.observing().then(|| {
             let (wait_s, turnaround_s) = (report.wait_s(), report.turnaround_s());
             if rejected {
@@ -799,7 +782,7 @@ impl Scheduler {
                 FleetEvent::Completed { job: id, device: backend_label, wait_s, turnaround_s }
             }
         });
-        self.done.insert(id, report);
+        self.results.push(report);
         if let Some(event) = retire_event {
             self.emit_event(event);
         }
@@ -1181,8 +1164,8 @@ impl Scheduler {
         let d = self.devices.len();
         let c = &self.counters;
         let tenant_stats: Vec<TenantStat> = self
-            .done
-            .values()
+            .results
+            .reports()
             .map(|r| TenantStat {
                 name: r.name.clone(),
                 tenant: r.tenant.clone(),
@@ -1195,12 +1178,10 @@ impl Scheduler {
                 rejected: r.rejected,
             })
             .collect();
-        let jobs_cancelled = tenant_stats.iter().filter(|t| t.cancelled).count() as u64;
-        let jobs_rejected = tenant_stats.iter().filter(|t| t.rejected).count() as u64;
         let mut report = FleetReport {
-            jobs_completed: self.done.len() as u64 - jobs_cancelled - jobs_rejected,
-            jobs_cancelled,
-            jobs_rejected,
+            jobs_completed: self.results.count(Fate::Done),
+            jobs_cancelled: self.results.count(Fate::Cancelled),
+            jobs_rejected: self.results.count(Fate::Rejected),
             jobs_queued: self.queue.len() as u64,
             jobs_running: self.running_len() as u64,
             makespan_s: self.now_s(),
@@ -1241,12 +1222,14 @@ impl Scheduler {
     // -- checkpoint / resume ------------------------------------------
 
     /// Snapshot the whole fleet: queued jobs (with their fair-share
-    /// credits), in-flight cursors (mid search, mid slice), clocks,
-    /// ledgers, lifecycle metadata and completed reports. Jobs submitted
+    /// credits and lifecycle metadata), in-flight cursors (mid search,
+    /// mid slice), clocks, ledgers and the completed reports, which are
+    /// copied as bytes. Jobs submitted
     /// [`without_checkpoint`](crate::JobSpec::without_checkpoint) are
-    /// skipped — they are simply absent after a restore. The snapshot
-    /// is independent of the live scheduler; [`Scheduler::restore`]
-    /// rebuilds an equivalent scheduler that continues deterministically.
+    /// skipped, metadata included — they are simply absent after a
+    /// restore. The snapshot is independent of the live scheduler;
+    /// [`Scheduler::restore`] rebuilds an equivalent scheduler that
+    /// continues deterministically.
     pub fn checkpoint(&self) -> FleetCheckpoint {
         let included = |e: &&QueueEntry| self.meta.get(&e.job.id()).is_none_or(|m| m.checkpoint);
         FleetCheckpoint {
@@ -1271,29 +1254,32 @@ impl Scheduler {
             rr_next: self.rr_next,
             next_id: self.next_id,
             next_seq: self.next_seq,
-            done: self.done.clone(),
-            meta: self.meta.clone(),
+            results: self.results.uncached_copy(),
+            meta: self
+                .meta
+                .iter()
+                .filter(|(_, m)| m.checkpoint)
+                .map(|(id, m)| (*id, m.clone()))
+                .collect(),
             cancel_requested: self.cancel_requested.clone(),
             counters: self.counters,
         }
     }
 
     /// Rebuild a scheduler from a [`checkpoint`](Self::checkpoint) and
-    /// continue where it left off.
+    /// continue where it left off. The cost follows the live jobs: the
+    /// completed reports stay bytes until something reads them.
     pub fn restore(checkpoint: FleetCheckpoint) -> Self {
         let mut devices = MultiDevice::new_from_specs(checkpoint.specs);
         for (i, book) in checkpoint.device_books.iter().enumerate() {
             devices.device_mut(i).charge(book);
         }
-        // The envelope fast-path set is derivable: every non-terminal
-        // job whose metadata carries a deadline or budget.
+        // The envelope fast-path set is derivable: every live job whose
+        // metadata carries a deadline or budget.
         let policed: BTreeSet<JobId> = checkpoint
             .meta
             .iter()
-            .filter(|(id, m)| {
-                (m.deadline_s.is_some() || m.iter_budget.is_some())
-                    && !checkpoint.done.contains_key(id)
-            })
+            .filter(|(_, m)| m.deadline_s.is_some() || m.iter_budget.is_some())
             .map(|(id, _)| *id)
             .collect();
         // Telemetry is observational and not checkpointed: a restored
@@ -1302,18 +1288,6 @@ impl Scheduler {
             .cfg
             .telemetry_every_ticks
             .map(|_| Telemetry::with_cap(checkpoint.cfg.telemetry_max_samples));
-        // The cumulative outcome counters are derivable: one pass over
-        // the restored reports (restore is rare; ticks are not).
-        let (mut completed_count, mut cancelled_count, mut rejected_count) = (0u64, 0u64, 0u64);
-        for r in checkpoint.done.values() {
-            if r.rejected {
-                rejected_count += 1;
-            } else if r.cancelled {
-                cancelled_count += 1;
-            } else {
-                completed_count += 1;
-            }
-        }
         Self {
             devices,
             cfg: checkpoint.cfg,
@@ -1323,15 +1297,12 @@ impl Scheduler {
             rr_next: checkpoint.rr_next,
             next_id: checkpoint.next_id,
             next_seq: checkpoint.next_seq,
-            done: checkpoint.done,
+            results: checkpoint.results,
             meta: checkpoint.meta,
             cancel_requested: checkpoint.cancel_requested,
             counters: checkpoint.counters,
             policed,
             telemetry,
-            completed_count,
-            cancelled_count,
-            rejected_count,
             // Observability is never checkpointed: the restored fleet
             // starts unobserved until a sink/registry is re-attached.
             observe: ObserveState::default(),
@@ -1357,7 +1328,7 @@ pub struct FleetCheckpoint {
     pub(crate) rr_next: usize,
     pub(crate) next_id: u64,
     pub(crate) next_seq: u64,
-    pub(crate) done: BTreeMap<JobId, JobReport>,
+    pub(crate) results: ResultLog,
     pub(crate) meta: BTreeMap<JobId, JobMeta>,
     pub(crate) cancel_requested: BTreeSet<JobId>,
     pub(crate) counters: Counters,

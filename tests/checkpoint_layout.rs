@@ -12,22 +12,32 @@
 //! Each case also checks the contract the delta module promises: the
 //! chain [`CheckpointStore::load_latest`] replays re-encodes to exactly
 //! the bytes of a full [`Scheduler::checkpoint`] at the same instant.
+//!
+//! Both segment kinds end with the result-log section: the record
+//! count, one 17-byte `(id, fate, length)` header per record, the byte
+//! count and the record bytes, then a 64-bit checksum. A corrupted
+//! section is a typed error, never a silent decode.
 
+use lnls::core::{BitString, SearchConfig, TabuSearch};
+use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
-    CheckpointStore, DeltaCheckpointer, DeviceSpec, FleetClient, JobRegistry, MultiDevice,
-    Scenario, Scheduler, SchedulerConfig, SnapshotKind, Trace, TrafficGen,
+    AdmissionPolicy, BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec,
+    FleetCheckpoint, FleetClient, JobRegistry, JobSpec, JobStatus, MultiDevice, OneMax, Scenario,
+    Scheduler, SchedulerConfig, SnapshotKind, Trace, TrafficGen,
 };
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::fs;
 use std::path::Path;
 
 /// `(scenario, seed, bytes hashed, FNV-1a digest)`.
 const PINNED: [(&str, u64, usize, u64); 6] = [
-    ("checkpoint-churn", 1, 138_539, 0x4917_391e_c93f_6f9e),
-    ("checkpoint-churn", 42, 156_769, 0x5c00_002e_aadb_c38c),
-    ("saturation", 1, 158_907, 0x26b6_ef13_b4ad_6725),
-    ("saturation", 42, 224_022, 0x7ab9_5393_b5af_e64a),
-    ("steady", 1, 128_342, 0x69f9_09c3_4a19_6342),
-    ("steady", 42, 288_691, 0x0393_db02_bf11_7853),
+    ("checkpoint-churn", 1, 136_173, 0xe49a_b34c_9f02_aa75),
+    ("checkpoint-churn", 42, 155_074, 0x8f81_301d_c6ac_9b85),
+    ("saturation", 1, 156_487, 0x8399_c0cc_a2f6_fd4f),
+    ("saturation", 42, 219_478, 0x8435_a8a8_2d64_7ab9),
+    ("steady", 1, 127_098, 0xa0e6_97bb_fc7b_e2bb),
+    ("steady", 42, 284_325, 0x28e5_9141_b000_8b90),
 ];
 
 /// Deltas between two bases.
@@ -135,4 +145,100 @@ fn segment_bytes_match_the_pinned_layout() {
         }
     }
     assert!(mismatches.is_empty(), "persisted bytes moved:\n{}", mismatches.join("\n"));
+}
+
+fn onemax_job(seed: u64, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
+    let hood = TwoHamming::new(16);
+    let init = BitString::random(&mut StdRng::seed_from_u64(seed), 16);
+    let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(seed), hood.size());
+    BinaryJob::new(format!("onemax-{seed}"), OneMax::new(16), hood, search, init)
+}
+
+/// Where the result-log section of `records` records starts in
+/// `segment`, which it ends.
+fn log_section_start(segment: &[u8], records: usize) -> usize {
+    let word = |at: usize| {
+        let bytes = segment.get(at..at + 8)?;
+        usize::try_from(u64::from_le_bytes(bytes.try_into().ok()?)).ok()
+    };
+    let ends_here = |at: usize| {
+        let body_at = at + 8 + 17 * records;
+        word(at) == Some(records)
+            && word(body_at).is_some_and(|body| body_at + 8 + body + 8 == segment.len())
+    };
+    let starts: Vec<usize> = (0..segment.len()).filter(|&at| ends_here(at)).collect();
+    assert_eq!(starts.len(), 1, "one result-log section of {records} records ends the segment");
+    starts[0]
+}
+
+/// Every mutant of `segment` whose change falls in `from..`: the low
+/// bit of each byte flipped, and the segment cut at each byte.
+fn mutants(segment: &[u8], from: usize) -> impl Iterator<Item = (usize, Vec<u8>)> + '_ {
+    let flips = (from..segment.len()).map(move |at| {
+        let mut bytes = segment.to_vec();
+        bytes[at] ^= 1;
+        (at, bytes)
+    });
+    flips.chain((from..segment.len()).map(move |at| (at, segment[..at].to_vec())))
+}
+
+/// A fleet holding a shed, a cancelled and a done job, snapshotted as a
+/// base (the shed job's record) and one delta (the other two). Every
+/// flipped bit and every cut inside either log section is a typed
+/// error: `from_bytes` refuses the checkpoint, and `load_latest` names
+/// the delta.
+#[test]
+fn a_corrupt_result_log_is_a_typed_error() {
+    let dir = std::env::temp_dir().join(format!("lnls-log-corruption-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&dir);
+    let policy = AdmissionPolicy::queue_cap(2).with_shedding();
+    let fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 1, ..Default::default() },
+    );
+    let mut client = FleetClient::new(fleet, policy);
+    let spec = |seed: u64, iters: u64, priority: u8| {
+        JobSpec::new(onemax_job(seed, iters)).with_priority(priority)
+    };
+    let done = client.submit_spec(spec(0, 4, 1)).expect("an empty queue admits");
+    client.tick();
+    let shed = client.submit_spec(spec(1, 4, 0)).expect("under the cap");
+    let cancelled = client.submit_spec(spec(2, 4, 1)).expect("under the cap");
+    client.submit_spec(spec(3, 40, 2)).expect("sheds the lowest priority");
+    assert!(client.cancel(cancelled));
+    let mut ckpt = DeltaCheckpointer::open(&dir, 8).expect("store opens");
+    assert_eq!(ckpt.snapshot(client.scheduler()).expect("base writes").kind, SnapshotKind::Base);
+    let logged = client.reports().count();
+    while client.status(done) != JobStatus::Done {
+        assert!(client.tick());
+    }
+    assert_eq!(client.status(shed), JobStatus::Rejected);
+    assert_eq!(client.status(cancelled), JobStatus::Cancelled);
+    assert_eq!(ckpt.snapshot(client.scheduler()).expect("delta writes").kind, SnapshotKind::Delta);
+
+    let registry = JobRegistry::with_builtin();
+    let full = client.checkpoint().to_bytes();
+    let from = log_section_start(&full, 3);
+    for (at, bytes) in mutants(&full, from) {
+        let decoded = FleetCheckpoint::from_bytes(&bytes, &registry);
+        assert!(decoded.is_err(), "a checkpoint mutated at byte {at} of {} decoded", full.len());
+    }
+
+    let store = CheckpointStore::open(&dir).expect("store opens");
+    let name = "delta-00000001-00000001.ckpt";
+    let delta = fs::read(dir.join(name)).expect("the delta was written");
+    let from = log_section_start(&delta, client.reports().count() - logged);
+    for (at, bytes) in mutants(&delta, from) {
+        fs::write(dir.join(name), &bytes).expect("mutant writes");
+        match store.load_latest(&registry) {
+            Err(CheckpointError::CorruptSegment { segment, .. }) if segment.ends_with(name) => {}
+            Err(e) => panic!("the delta mutated at byte {at} failed as {e}"),
+            Ok(_) => panic!("the delta mutated at byte {at} of {} loaded", delta.len()),
+        }
+    }
+    fs::write(dir.join(name), &delta).expect("the intact delta writes back");
+    let loaded = store.load_latest(&registry).expect("the intact chain loads");
+    assert!(loaded.to_bytes() == full, "the intact chain equals the full checkpoint");
+    let _ = fs::remove_dir_all(&dir);
 }
