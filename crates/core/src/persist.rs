@@ -28,6 +28,8 @@ use lnls_gpu_sim::{DeviceSpec, EngineConfig, HostSpec, LaunchMode, SelectionMode
 use lnls_neighborhood::{FlipMove, KHamming, Neighborhood, OneHamming, ThreeHamming, TwoHamming};
 use rand::rngs::StdRng;
 use std::fmt;
+use std::io;
+use std::path::Path;
 use std::time::Duration;
 
 /// Decode failure: truncated input, a bad tag, or a value that fails an
@@ -115,6 +117,15 @@ pub trait Persist: Sized {
         self.write(&mut out);
         out
     }
+}
+
+/// Write `bytes` to `path` through `<path>.tmp` and a rename, so a
+/// reader finds the old file or the new one, never half of one. Fleet
+/// checkpoints, delta segments and workload traces all land this way.
+pub fn write_atomic(path: &Path, bytes: &[u8]) -> io::Result<()> {
+    let tmp = path.with_extension("tmp");
+    std::fs::write(&tmp, bytes)?;
+    std::fs::rename(&tmp, path)
 }
 
 /// A stable identity string for registry-keyed decoding: the runtime

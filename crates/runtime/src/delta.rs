@@ -33,9 +33,12 @@
 //!   plus one epoch of deltas. A failed snapshot forces the next one
 //!   to be a fresh base: the fingerprints have already moved past what
 //!   reached the disk.
-//! * **Shared codecs.** Base and delta segments write the scheduler's
-//!   cumulative counters, each job's metadata and the result-log section
-//!   through the same codecs, so the two layouts cannot drift apart.
+//! * **One body.** A base is a header (magic, config, device specs)
+//!   and then the body a delta writes, written against an empty chain:
+//!   every live job is dirty, every live job's metadata an upsert, and
+//!   the result log's tail is the whole log. One writer produces the
+//!   body of both kinds, and of [`FleetCheckpoint::to_bytes`]; one
+//!   reader replays it, so the two layouts cannot drift apart.
 //!
 //! Segments live in one directory per scheduler (`base-NNNNNNNN.ckpt`,
 //! `delta-NNNNNNNN-NNNNNNNN.ckpt`); [`CheckpointStore::load_latest`]
@@ -46,15 +49,19 @@
 //! delta indices, a truncated or garbled segment — comes back as a
 //! typed [`CheckpointError`] naming the exact segment, so the operator
 //! knows *which* file to restore instead of staring at a generic
-//! decode failure. Chain replay resolves every queue-layout and
-//! active-layout id against the jobs the chain carries, so a segment
-//! naming an unknown job is refused by name as well.
+//! decode failure. Every segment, base or delta, passes the same
+//! checks once its body is read: no trailing bytes; one clock and one
+//! active slot per backend, one ledger per device and at least one
+//! device; no job id twice across the queue and active layouts; and
+//! every layout id resolving to a job the chain carries, with its
+//! metadata. A segment that fails one is refused by name as well.
 
 use crate::exec::JobExec;
 use crate::job::JobId;
-use crate::persist::{encode_job, JobRegistry};
-use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry, Scheduler};
-use lnls_core::persist::{Persist, PersistError, Reader};
+use crate::persist::{encode_job, read_header, write_header, write_seq, JobRegistry};
+use crate::scheduler::{Active, FleetCheckpoint, FleetState, JobMeta, QueueEntry, Scheduler};
+use lnls_core::persist::{write_atomic, Persist, PersistError, Reader};
+use lnls_gpu_sim::TimeBook;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 use std::io;
@@ -170,13 +177,6 @@ impl CheckpointStore {
         self.dir.join(format!("delta-{epoch:08}-{index:08}.ckpt"))
     }
 
-    fn write_segment(&self, path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
-        let io_err = |source| CheckpointError::Io { segment: path.display().to_string(), source };
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, bytes).map_err(io_err)?;
-        std::fs::rename(&tmp, path).map_err(io_err)
-    }
-
     /// The newest epoch any segment on disk belongs to (`None` for an
     /// empty store). A re-armed [`DeltaCheckpointer`] starts past it so
     /// its first base never collides with — or leaves stale deltas
@@ -258,7 +258,7 @@ impl CheckpointStore {
                 return Err(CheckpointError::Empty { dir: self.dir.display().to_string() });
             }
         };
-        let base = FleetCheckpoint::load(self.base_path(epoch), registry)?;
+        let mut chain = ChainState::load_base(&self.base_path(epoch), registry)?;
         let mut indices = deltas.remove(&epoch).unwrap_or_default();
         indices.sort_unstable();
         // Indices must run 1..=k with no holes.
@@ -272,14 +272,13 @@ impl CheckpointStore {
                 });
             }
         }
-        let mut chain = ChainState::from_base(base);
         for index in indices {
             let path = self.delta_path(epoch, index);
             let segment = path.display().to_string();
             let bytes = std::fs::read(&path)
                 .map_err(|source| CheckpointError::Io { segment: segment.clone(), source })?;
             chain
-                .apply(&bytes, registry)
+                .delta(&bytes, registry)
                 .map_err(|source| CheckpointError::CorruptSegment { segment, source })?;
         }
         Ok(chain.into_checkpoint())
@@ -330,17 +329,7 @@ pub struct DeltaCheckpointer {
     deltas_per_base: u64,
     epoch: u64,
     next_index: u64,
-    /// iteration count at the last segment, per live job.
-    job_fp: BTreeMap<JobId, u64>,
-    /// `first_started_s` bits at the last segment, per live job.
-    meta_fp: BTreeMap<JobId, u64>,
-    /// Result-log records the chain holds.
-    logged: usize,
-    prev_queue: Vec<(u64, u64)>,
-}
-
-fn meta_fingerprint(m: &JobMeta) -> u64 {
-    m.first_started_s.map_or(u64::MAX, f64::to_bits)
+    written: Written,
 }
 
 impl DeltaCheckpointer {
@@ -359,10 +348,7 @@ impl DeltaCheckpointer {
             deltas_per_base: deltas_per_base.max(1),
             epoch,
             next_index: 0,
-            job_fp: BTreeMap::new(),
-            meta_fp: BTreeMap::new(),
-            logged: 0,
-            prev_queue: Vec::new(),
+            written: Written::default(),
         })
     }
 
@@ -377,178 +363,180 @@ impl DeltaCheckpointer {
     /// delta otherwise. After a failed snapshot the next one is a base:
     /// the fingerprints already moved past what reached the disk.
     pub fn snapshot(&mut self, scheduler: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
-        let written = if self.next_index == 0 || self.next_index > self.deltas_per_base {
-            self.write_base(scheduler)
-        } else {
-            self.write_delta(scheduler)
-        };
+        let written = self.write_segment(scheduler);
         if written.is_err() {
             self.next_index = 0;
         }
         written
     }
 
-    fn write_base(&mut self, scheduler: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
-        let checkpoint = scheduler.checkpoint();
-        let bytes = checkpoint.to_bytes();
-        self.epoch += 1;
-        let path = self.store.base_path(self.epoch);
-        self.store.write_segment(&path, &bytes)?;
-        // Only compact once the new anchor is durable; a crash between
-        // the two leaves both epochs loadable.
-        self.store.compact(self.epoch).map_err(|source| CheckpointError::Io {
-            segment: path.display().to_string(),
-            source,
-        })?;
-        self.next_index = 1;
-        // Fingerprints reset to exactly what the base carries.
-        self.job_fp.clear();
-        self.meta_fp.clear();
-        let mut live = 0usize;
-        self.prev_queue.clear();
-        for entry in &checkpoint.queue {
-            self.job_fp.insert(entry.job.id(), entry.job.iterations());
-            self.prev_queue.push((entry.job.id().0, entry.deficit));
-            live += 1;
-        }
-        for slot in checkpoint.active.iter().flatten() {
-            for aj in &slot.jobs {
-                self.job_fp.insert(aj.job.id(), aj.job.iterations());
-                live += 1;
-            }
-        }
-        for (id, m) in &checkpoint.meta {
-            self.meta_fp.insert(*id, meta_fingerprint(m));
-        }
-        self.logged = checkpoint.results.len();
-        Ok(SnapshotStats {
-            kind: SnapshotKind::Base,
-            bytes: bytes.len() as u64,
-            dirty_jobs: live,
-            live_jobs: live,
-        })
-    }
-
-    fn write_delta(&mut self, s: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
-        let included = |id: &JobId| s.meta.get(id).is_none_or(|m| m.checkpoint);
+    /// Write one segment from the live scheduler, in place: a base
+    /// resets the fingerprints, so its body is written against an
+    /// empty chain.
+    fn write_segment(&mut self, s: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
+        let base = self.next_index == 0 || self.next_index > self.deltas_per_base;
+        let devices = 0..s.devices.len();
         let mut out = Vec::new();
-        out.extend_from_slice(DELTA_MAGIC);
-        self.epoch.write(&mut out);
-        self.next_index.write(&mut out);
-        s.clocks.write(&mut out);
-        // The device books, laid out as a `Vec<TimeBook>` without
-        // cloning one.
-        s.devices.len().write(&mut out);
-        for i in 0..s.devices.len() {
-            s.devices.device(i).book().write(&mut out);
+        let path = if base {
+            self.epoch += 1;
+            self.next_index = 0;
+            self.written = Written::default();
+            write_header(&s.state.cfg, devices.clone().map(|i| s.devices.spec(i)), &mut out);
+            self.store.base_path(self.epoch)
+        } else {
+            out.extend_from_slice(DELTA_MAGIC);
+            self.epoch.write(&mut out);
+            self.next_index.write(&mut out);
+            self.store.delta_path(self.epoch, self.next_index)
+        };
+        let books = devices.map(|i| s.devices.device(i).book());
+        let (dirty_jobs, live_jobs) = write_body(&s.state, books, &mut self.written, &mut out);
+        let io_err = |source| CheckpointError::Io { segment: path.display().to_string(), source };
+        write_atomic(&path, &out).map_err(io_err)?;
+        if base {
+            // Only compact once the new anchor is durable; a crash
+            // between the two leaves both epochs loadable.
+            self.store.compact(self.epoch).map_err(io_err)?;
         }
-        s.rr_next.write(&mut out);
-        s.next_id.write(&mut out);
-        s.next_seq.write(&mut out);
-        s.counters.write(&mut out);
-        let cancels: Vec<u64> = s.cancel_requested.iter().map(|id| id.0).collect();
-        cancels.write(&mut out);
-
-        // Queue layout: differential when the tick's mutations kept the
-        // removal+append shape, full otherwise.
-        let new_queue: Vec<(u64, u64)> = s
-            .queue
-            .iter()
-            .filter(|e| included(&e.job.id()))
-            .map(|e| (e.job.id().0, e.deficit))
-            .collect();
-        match queue_diff(&self.prev_queue, &new_queue) {
-            Some((removed, deficits, appended)) => {
-                1u8.write(&mut out);
-                removed.write(&mut out);
-                deficits.write(&mut out);
-                appended.write(&mut out);
-            }
-            None => {
-                0u8.write(&mut out);
-                new_queue.write(&mut out);
-            }
-        }
-        self.prev_queue = new_queue;
-
-        // Active layout: O(backends), always full.
-        s.active.len().write(&mut out);
-        for slot in &s.active {
-            let jobs: Vec<(u64, u64)> = slot
-                .as_ref()
-                .map(|a| {
-                    a.jobs
-                        .iter()
-                        .filter(|e| included(&e.job.id()))
-                        .map(|e| (e.job.id().0, e.deficit))
-                        .collect()
-                })
-                .unwrap_or_default();
-            match slot {
-                Some(a) if !jobs.is_empty() => {
-                    1u8.write(&mut out);
-                    a.started_s.write(&mut out);
-                    a.slice_budget.write(&mut out);
-                    a.slice_used.write(&mut out);
-                    jobs.write(&mut out);
-                }
-                _ => 0u8.write(&mut out),
-            }
-        }
-
-        // Dirty jobs: live, checkpointable, and moved since the last
-        // segment (or new to the chain).
-        let mut live_ids: BTreeSet<JobId> = BTreeSet::new();
-        let mut dirty: Vec<&dyn JobExec> = Vec::new();
-        for QueueEntry { job, .. } in s.live() {
-            let id = job.id();
-            if !included(&id) {
-                continue;
-            }
-            live_ids.insert(id);
-            let fp = job.iterations();
-            if self.job_fp.get(&id) != Some(&fp) {
-                self.job_fp.insert(id, fp);
-                dirty.push(&**job);
-            }
-        }
-        self.job_fp.retain(|id, _| live_ids.contains(id));
-        dirty.len().write(&mut out);
-        for job in &dirty {
-            encode_job(*job, &mut out);
-        }
-
-        // Meta upserts of the jobs this segment carries: new ids, or
-        // the one mutable field (`first_started_s`) moved.
-        let mut meta_upserts: Vec<(JobId, &JobMeta)> = Vec::new();
-        for (id, m) in s.meta.iter().filter(|(id, _)| live_ids.contains(id)) {
-            let fp = meta_fingerprint(m);
-            if self.meta_fp.get(id) != Some(&fp) {
-                self.meta_fp.insert(*id, fp);
-                meta_upserts.push((*id, m));
-            }
-        }
-        self.meta_fp.retain(|id, _| live_ids.contains(id));
-        meta_upserts.len().write(&mut out);
-        for (id, m) in &meta_upserts {
-            id.write(&mut out);
-            m.write(&mut out);
-        }
-
-        // The result log's new tail.
-        s.results.write_section(self.logged, &mut out);
-        self.logged = s.results.len();
-
-        let path = self.store.delta_path(self.epoch, self.next_index);
-        self.store.write_segment(&path, &out)?;
         self.next_index += 1;
         Ok(SnapshotStats {
-            kind: SnapshotKind::Delta,
+            kind: if base { SnapshotKind::Base } else { SnapshotKind::Delta },
             bytes: out.len() as u64,
-            dirty_jobs: dirty.len(),
-            live_jobs: live_ids.len(),
+            dirty_jobs,
+            live_jobs,
         })
     }
+}
+
+/// What a chain's segments hold so far, so that the next body writes
+/// only what moved. An empty one writes everything: a base.
+#[derive(Default)]
+pub(crate) struct Written {
+    /// iteration count at the last segment, per live job.
+    job_fp: BTreeMap<JobId, u64>,
+    /// `first_started_s` bits at the last segment, per live job.
+    meta_fp: BTreeMap<JobId, u64>,
+    /// Result-log records the chain holds.
+    logged: usize,
+    /// `(id, deficit)` of each queued job at the last segment.
+    prev_queue: Vec<(u64, u64)>,
+}
+
+fn meta_fingerprint(m: &JobMeta) -> u64 {
+    m.first_started_s.map_or(u64::MAX, f64::to_bits)
+}
+
+/// Write the body of a segment against what `w` says the chain holds,
+/// and move `w` up to it: the scheduler scalars and the device ledgers
+/// `books`, the queue and active layouts, the jobs and metadata that
+/// moved, and the result log's new tail. Jobs submitted without a
+/// checkpoint are left out. Returns the jobs written in full and the
+/// live jobs.
+pub(crate) fn write_body<'a>(
+    s: &FleetState,
+    books: impl ExactSizeIterator<Item = &'a TimeBook>,
+    w: &mut Written,
+    out: &mut Vec<u8>,
+) -> (usize, usize) {
+    s.clocks.write(out);
+    write_seq(books, out);
+    s.rr_next.write(out);
+    s.next_id.write(out);
+    s.next_seq.write(out);
+    s.counters.write(out);
+    let cancels: Vec<u64> = s.cancel_requested.iter().map(|id| id.0).collect();
+    cancels.write(out);
+
+    // Queue layout: differential when the tick's mutations kept the
+    // removal+append shape, full otherwise.
+    let new_queue: Vec<(u64, u64)> = s
+        .queue
+        .iter()
+        .filter(|e| s.persists(e.job.id()))
+        .map(|e| (e.job.id().0, e.deficit))
+        .collect();
+    match queue_diff(&w.prev_queue, &new_queue) {
+        Some((removed, deficits, appended)) => {
+            1u8.write(out);
+            removed.write(out);
+            deficits.write(out);
+            appended.write(out);
+        }
+        None => {
+            0u8.write(out);
+            new_queue.write(out);
+        }
+    }
+    w.prev_queue = new_queue;
+
+    // Active layout: O(backends), always full.
+    s.active.len().write(out);
+    for slot in &s.active {
+        let jobs: Vec<(u64, u64)> = slot
+            .as_ref()
+            .map(|a| {
+                a.jobs
+                    .iter()
+                    .filter(|e| s.persists(e.job.id()))
+                    .map(|e| (e.job.id().0, e.deficit))
+                    .collect()
+            })
+            .unwrap_or_default();
+        match slot {
+            Some(a) if !jobs.is_empty() => {
+                1u8.write(out);
+                a.started_s.write(out);
+                a.slice_budget.write(out);
+                a.slice_used.write(out);
+                jobs.write(out);
+            }
+            _ => 0u8.write(out),
+        }
+    }
+
+    // Dirty jobs: live, checkpointable, and moved since the last
+    // segment (or new to the chain).
+    let mut live_ids: BTreeSet<JobId> = BTreeSet::new();
+    let mut dirty: Vec<&dyn JobExec> = Vec::new();
+    for QueueEntry { job, .. } in s.live() {
+        let id = job.id();
+        if !s.persists(id) {
+            continue;
+        }
+        live_ids.insert(id);
+        let fp = job.iterations();
+        if w.job_fp.get(&id) != Some(&fp) {
+            w.job_fp.insert(id, fp);
+            dirty.push(&**job);
+        }
+    }
+    w.job_fp.retain(|id, _| live_ids.contains(id));
+    dirty.len().write(out);
+    for job in &dirty {
+        encode_job(*job, out);
+    }
+
+    // Meta upserts of the jobs this segment carries: new ids, or
+    // the one mutable field (`first_started_s`) moved.
+    let mut meta_upserts: Vec<(JobId, &JobMeta)> = Vec::new();
+    for (id, m) in s.meta.iter().filter(|(id, _)| live_ids.contains(id)) {
+        let fp = meta_fingerprint(m);
+        if w.meta_fp.get(id) != Some(&fp) {
+            w.meta_fp.insert(*id, fp);
+            meta_upserts.push((*id, m));
+        }
+    }
+    w.meta_fp.retain(|id, _| live_ids.contains(id));
+    meta_upserts.len().write(out);
+    for (id, m) in &meta_upserts {
+        id.write(out);
+        m.write(out);
+    }
+
+    // The result log's new tail.
+    s.results.write_section(w.logged, out);
+    w.logged = s.results.len();
+    (dirty.len(), live_ids.len())
 }
 
 /// Try to express `new` as `old` minus removals (order preserved), with
@@ -591,13 +579,12 @@ fn queue_diff(
 /// slice_used, [(job id, iters done)])`, or `None` for an idle device.
 type ActiveSlot = Option<(f64, u64, u64, Vec<(u64, u64)>)>;
 
-/// Chain replay state: the decoded base, updated segment by segment.
-/// Queue and active state live as id layouts against a shared job
-/// table until [`into_checkpoint`](Self::into_checkpoint) materializes
-/// them — the base's own layouts count, so a chain of zero deltas
-/// (crash right after an epoch rotation) reproduces the base exactly,
-/// running jobs included.
-struct ChainState {
+/// Chain replay state: a base's header, then the body of every segment
+/// read over it. Queue and active state live as id layouts against a
+/// shared job table until [`into_checkpoint`](Self::into_checkpoint)
+/// materializes them.
+pub(crate) struct ChainState {
+    /// Everything but the queue and the active slots.
     checkpoint: FleetCheckpoint,
     jobs: BTreeMap<u64, Box<dyn JobExec>>,
     queue_layout: Vec<(u64, u64)>,
@@ -605,45 +592,66 @@ struct ChainState {
 }
 
 impl ChainState {
-    fn from_base(mut base: FleetCheckpoint) -> Self {
-        let mut jobs = BTreeMap::new();
-        let mut layout = |entries: Vec<QueueEntry>| -> Vec<(u64, u64)> {
-            entries
-                .into_iter()
-                .map(|e| {
-                    let id = e.job.id().0;
-                    jobs.insert(id, e.job);
-                    (id, e.deficit)
-                })
-                .collect()
+    /// Decode a base segment: its header, then its body against an
+    /// empty chain.
+    pub(crate) fn base(bytes: &[u8], registry: &JobRegistry) -> Result<Self, PersistError> {
+        let mut r = Reader::new(bytes);
+        let (cfg, specs) = read_header(&mut r)?;
+        let state = FleetState::new(cfg, 0);
+        let mut chain = Self {
+            checkpoint: FleetCheckpoint { specs, device_books: Vec::new(), state },
+            jobs: BTreeMap::new(),
+            queue_layout: Vec::new(),
+            active_layout: Vec::new(),
         };
-        let queue_layout = layout(std::mem::take(&mut base.queue));
-        let active_layout = std::mem::take(&mut base.active)
-            .into_iter()
-            .map(|slot| slot.map(|a| (a.started_s, a.slice_budget, a.slice_used, layout(a.jobs))))
-            .collect();
-        Self { checkpoint: base, jobs, queue_layout, active_layout }
+        chain.read_body(&mut r, registry)?;
+        Ok(chain)
     }
 
-    fn apply(&mut self, bytes: &[u8], registry: &JobRegistry) -> Result<(), PersistError> {
-        let ckpt = &mut self.checkpoint;
+    /// Read the base segment at `path`. A vanished file is
+    /// [`MissingBase`](CheckpointError::MissingBase), one that does not
+    /// decode a [`CorruptSegment`](CheckpointError::CorruptSegment).
+    pub(crate) fn load_base(path: &Path, registry: &JobRegistry) -> Result<Self, CheckpointError> {
+        let segment = path.display().to_string();
+        let bytes = match std::fs::read(path) {
+            Ok(bytes) => bytes,
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                return Err(CheckpointError::MissingBase { segment });
+            }
+            Err(e) => return Err(CheckpointError::Io { segment, source: e }),
+        };
+        Self::base(&bytes, registry)
+            .map_err(|source| CheckpointError::CorruptSegment { segment, source })
+    }
+
+    /// Replay one delta segment over the chain.
+    fn delta(&mut self, bytes: &[u8], registry: &JobRegistry) -> Result<(), PersistError> {
         let mut r = Reader::new(bytes);
-        if r.take(DELTA_MAGIC.len())? != DELTA_MAGIC {
-            return Err(PersistError::new("not a delta checkpoint segment (bad magic)"));
-        }
+        r.expect_magic(DELTA_MAGIC, "delta checkpoint segment")?;
         let _epoch: u64 = r.read()?;
         let _index: u64 = r.read()?;
-        ckpt.clocks = r.read()?;
-        ckpt.device_books = r.read()?;
-        ckpt.rr_next = r.read()?;
-        ckpt.next_id = r.read()?;
-        ckpt.next_seq = r.read()?;
-        ckpt.counters = r.read()?;
+        self.read_body(&mut r, registry)
+    }
+
+    /// Read what [`write_body`] wrote, then check the chain as it
+    /// stands: the checks every segment passes (see the module docs).
+    fn read_body(
+        &mut self,
+        r: &mut Reader<'_>,
+        registry: &JobRegistry,
+    ) -> Result<(), PersistError> {
+        let FleetCheckpoint { specs, device_books, state } = &mut self.checkpoint;
+        state.clocks = r.read()?;
+        *device_books = r.read()?;
+        state.rr_next = r.read()?;
+        state.next_id = r.read()?;
+        state.next_seq = r.read()?;
+        state.counters = r.read()?;
         let cancels: Vec<u64> = r.read()?;
-        ckpt.cancel_requested = cancels.into_iter().map(JobId).collect();
+        state.cancel_requested = cancels.into_iter().map(JobId).collect();
 
         // Queue layout (differential or full).
-        let queue_layout: Vec<(u64, u64)> = match u8::read(&mut r)? {
+        let queue_layout: Vec<(u64, u64)> = match u8::read(r)? {
             1 => {
                 let removed: Vec<u64> = r.read()?;
                 let deficits: Vec<(u64, u64)> = r.read()?;
@@ -672,7 +680,7 @@ impl ChainState {
         let active_len: usize = r.read()?;
         let mut active_layout: Vec<ActiveSlot> = Vec::with_capacity(active_len.min(1024));
         for _ in 0..active_len {
-            active_layout.push(match u8::read(&mut r)? {
+            active_layout.push(match u8::read(r)? {
                 0 => None,
                 1 => {
                     let started_s: f64 = r.read()?;
@@ -688,65 +696,84 @@ impl ChainState {
         // Dirty job payloads upsert the chain's job table.
         let dirty_len: usize = r.read()?;
         for _ in 0..dirty_len {
-            let job = registry.decode_job(&mut r)?;
+            let job = registry.decode_job(r)?;
             self.jobs.insert(job.id().0, job);
         }
 
         // Meta upserts.
         let meta_upserts: Vec<(JobId, JobMeta)> = r.read()?;
-        ckpt.meta.extend(meta_upserts);
+        state.meta.extend(meta_upserts);
 
         // The result log's tail.
-        ckpt.results.read_section(&mut r)?;
-        if r.remaining() != 0 {
-            return Err(PersistError::new(format!(
-                "delta segment has {} trailing bytes",
-                r.remaining()
-            )));
-        }
+        state.results.read_section(r)?;
 
+        // The checks every segment passes.
+        if r.remaining() != 0 {
+            return Err(PersistError::new(format!("segment has {} trailing bytes", r.remaining())));
+        }
+        if specs.is_empty() {
+            return Err(PersistError::new("checkpoint holds no device"));
+        }
+        let backends = specs.len().checked_add(state.cfg.cpu_workers);
+        if device_books.len() != specs.len()
+            || backends != Some(state.clocks.len())
+            || backends != Some(active_layout.len())
+        {
+            return Err(PersistError::new("inconsistent backend counts"));
+        }
+        let mut live = BTreeSet::new();
+        let layout_ids =
+            queue_layout.iter().chain(active_layout.iter().flatten().flat_map(|a| &a.3));
+        for &(id, _) in layout_ids {
+            if !live.insert(id) {
+                return Err(PersistError::new(format!("job #{id} appears twice in the layouts")));
+            }
+        }
         // Jobs that left every layout retired (or moved to another
         // scheduler): drop their payloads and metadata from the chain.
-        let live: BTreeSet<u64> = queue_layout
-            .iter()
-            .chain(active_layout.iter().flatten().flat_map(|(_, _, _, jobs)| jobs))
-            .map(|e| e.0)
-            .collect();
         self.jobs.retain(|id, _| live.contains(id));
-        ckpt.meta.retain(|id, _| live.contains(&id.0));
-        // Every layout id must resolve in the chain table, so that
-        // `into_checkpoint` can materialize them.
-        if let Some(id) = live.iter().find(|id| !self.jobs.contains_key(id)) {
-            return Err(PersistError::new(format!(
-                "layout references job #{id} absent from the chain"
-            )));
+        state.meta.retain(|id, _| live.contains(&id.0));
+        for id in live {
+            if !self.jobs.contains_key(&id) {
+                return Err(PersistError::new(format!(
+                    "layout references job #{id} absent from the chain"
+                )));
+            }
+            if !state.meta.contains_key(&JobId(id)) {
+                return Err(PersistError::new(format!("job #{id} has no metadata")));
+            }
         }
         self.queue_layout = queue_layout;
         self.active_layout = active_layout;
         Ok(())
     }
 
-    fn into_checkpoint(mut self) -> FleetCheckpoint {
-        // `apply` (or `from_base`) resolved every layout id.
-        let entries = |layout: &[(u64, u64)]| -> Vec<QueueEntry> {
+    /// The checkpoint the chain holds, each job moved out of the table
+    /// into its layout slot.
+    pub(crate) fn into_checkpoint(self) -> FleetCheckpoint {
+        let Self { mut checkpoint, mut jobs, queue_layout, active_layout } = self;
+        // `read_body` resolved every layout id, and each one once.
+        let mut entries = |layout: Vec<(u64, u64)>| -> Vec<QueueEntry> {
             layout
-                .iter()
-                .map(|&(id, deficit)| QueueEntry { job: self.jobs[&id].clone_box(), deficit })
+                .into_iter()
+                .map(|(id, deficit)| QueueEntry {
+                    job: jobs.remove(&id).expect("a resolved id"),
+                    deficit,
+                })
                 .collect()
         };
-        self.checkpoint.queue = entries(&self.queue_layout);
-        self.checkpoint.active = self
-            .active_layout
-            .iter()
+        checkpoint.state.queue = entries(queue_layout);
+        checkpoint.state.active = active_layout
+            .into_iter()
             .map(|slot| {
-                slot.as_ref().map(|(started_s, slice_budget, slice_used, jobs)| Active {
+                slot.map(|(started_s, slice_budget, slice_used, jobs)| Active {
                     jobs: entries(jobs),
-                    started_s: *started_s,
-                    slice_budget: *slice_budget,
-                    slice_used: *slice_used,
+                    started_s,
+                    slice_budget,
+                    slice_used,
                 })
             })
             .collect();
-        self.checkpoint
+        checkpoint
     }
 }

@@ -833,7 +833,7 @@ mod tests {
             .expect("a checkpoint just written decodes");
         let restored =
             FleetClient::resume(Scheduler::restore(revived), policy, client.rejected_submissions());
-        let log = &restored.scheduler().results;
+        let log = &restored.scheduler().state.results;
         assert_eq!(handles.map(|h| restored.status(h)), statuses);
         assert_eq!(restored.checkpoint().to_bytes(), bytes, "a restore re-encodes unchanged");
         assert_eq!(log.decoded_count(), 0, "restoring, statuses and re-encoding decode nothing");
@@ -858,10 +858,10 @@ mod tests {
         );
         fleet.tick();
         let mut restored = Scheduler::restore(fleet.checkpoint());
-        assert_eq!(restored.meta.len(), 1, "only the checkpointed job's metadata survives");
+        assert_eq!(restored.state.meta.len(), 1, "only the checkpointed job's metadata survives");
         assert!(restored.policed.is_empty(), "the opt-out job's deadline is not policed");
         restored.run_until_idle();
-        assert!(restored.meta.is_empty(), "metadata retires with its job");
+        assert!(restored.state.meta.is_empty(), "metadata retires with its job");
     }
 
     #[test]

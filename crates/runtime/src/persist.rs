@@ -4,8 +4,15 @@
 //!
 //! ## Format
 //!
-//! An 8-byte magic (`LNLSFLT` + version), then the scheduler state in
-//! field order through the [`lnls_core::persist`] codec. Jobs are
+//! An 8-byte magic (`LNLSFLT` + version), the scheduler config and the
+//! device specs, then the **body** a delta segment writes (see
+//! [`delta`](crate::delta)), written against an empty chain: the
+//! scheduler scalars and device ledgers, the queue and active layouts
+//! as job ids, every live job's payload, every live job's metadata and
+//! the whole result log. A base snapshot is exactly these bytes, and
+//! [`FleetCheckpoint::from_bytes`] replays them as a chain of one
+//! segment, so a checkpoint passes the checks every chain segment
+//! passes. Values go through the [`lnls_core::persist`] codec. Jobs are
 //! type-erased in memory, so each one is written as a **tag** (its
 //! [`PersistTag`]-derived registry key) plus a length-prefixed payload;
 //! loading looks the tag up in a [`JobRegistry`] to find the concrete
@@ -20,9 +27,8 @@
 //! over all of those. Each record is one report, encoded once when its
 //! job retired. [`FleetCheckpoint::from_bytes`] verifies the checksum
 //! and the headers and indexes the records without decoding a report;
-//! a report decodes when something first reads it. Delta segments end
-//! with the same section, holding only the records since the previous
-//! segment.
+//! a report decodes when something first reads it. A delta segment's
+//! section holds only the records since the previous segment.
 //!
 //! [`JobRegistry::with_builtin`] pre-registers every combination the
 //! workspace ships (QAP robust tabu; tabu *and* annealing jobs for
@@ -33,23 +39,23 @@
 //! [`JobCodec`] implementation — the same trait family submission
 //! flows through.
 
-use crate::delta::CheckpointError;
+use crate::delta::{write_body, ChainState, CheckpointError, Written};
 use crate::exec::JobExec;
 use crate::job::{AnnealJob, BinaryJob, JobId, JobOutcome, JobReport, QapJobSpec};
 use crate::lns::{LnsJob, PortfolioJob};
-use crate::results::ResultLog;
-use crate::scheduler::{Active, FleetCheckpoint, JobMeta, QueueEntry};
+use crate::scheduler::FleetCheckpoint;
 use crate::submit::JobCodec;
 use crate::{PlacePolicy, SchedulerConfig};
-use lnls_core::persist::{Persist, PersistError, Reader};
+use lnls_core::persist::{write_atomic, Persist, PersistError, Reader};
+use lnls_gpu_sim::DeviceSpec;
 use lnls_neighborhood::{KHamming, OneHamming, ThreeHamming, TwoHamming};
 use lnls_ppp::Ppp;
 use lnls_problems::{Knapsack, MaxCut, MaxSat, OneMax, Qubo};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"LNLSFLT\x09";
+const MAGIC: &[u8; 8] = b"LNLSFLT\x0a";
 
 type Loader = fn(&mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>;
 
@@ -145,27 +151,36 @@ pub(crate) fn encode_job(job: &dyn JobExec, out: &mut Vec<u8>) {
     payload.write(out);
 }
 
-/// Queue and assignment entries share one layout: a count, then each
-/// entry's credit followed by its tagged job.
-fn write_entries(entries: &[QueueEntry], out: &mut Vec<u8>) {
-    entries.len().write(out);
-    for entry in entries {
-        entry.deficit.write(out);
-        encode_job(&*entry.job, out);
+/// Lay `items` out as the `Vec` holding them would be, without
+/// collecting one.
+pub(crate) fn write_seq<'a, T: Persist + 'a>(
+    items: impl ExactSizeIterator<Item = &'a T>,
+    out: &mut Vec<u8>,
+) {
+    items.len().write(out);
+    for item in items {
+        item.write(out);
     }
 }
 
-fn read_entries(
+/// A base segment's header: the magic, the config and the device specs.
+/// The body follows it.
+pub(crate) fn write_header<'a>(
+    cfg: &SchedulerConfig,
+    specs: impl ExactSizeIterator<Item = &'a DeviceSpec>,
+    out: &mut Vec<u8>,
+) {
+    out.extend_from_slice(MAGIC);
+    write_cfg(cfg, out);
+    write_seq(specs, out);
+}
+
+/// Decode what [`write_header`] wrote.
+pub(crate) fn read_header(
     r: &mut Reader<'_>,
-    registry: &JobRegistry,
-) -> Result<Vec<QueueEntry>, PersistError> {
-    let len: usize = r.read()?;
-    let mut entries = Vec::with_capacity(len.min(1024));
-    for _ in 0..len {
-        let deficit: u64 = r.read()?;
-        entries.push(QueueEntry { deficit, job: registry.decode_job(r)? });
-    }
-    Ok(entries)
+) -> Result<(SchedulerConfig, Vec<DeviceSpec>), PersistError> {
+    r.expect_magic(MAGIC, "fleet checkpoint")?;
+    Ok((read_cfg(r)?, r.read()?))
 }
 
 fn write_cfg(cfg: &SchedulerConfig, out: &mut Vec<u8>) {
@@ -305,113 +320,21 @@ impl FleetCheckpoint {
     /// for the format).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut out = Vec::new();
-        out.extend_from_slice(MAGIC);
-        write_cfg(&self.cfg, &mut out);
-        self.specs.write(&mut out);
-        self.device_books.write(&mut out);
-        write_entries(&self.queue, &mut out);
-        self.active.len().write(&mut out);
-        for slot in &self.active {
-            match slot {
-                None => 0u8.write(&mut out),
-                Some(a) => {
-                    1u8.write(&mut out);
-                    a.started_s.write(&mut out);
-                    a.slice_budget.write(&mut out);
-                    a.slice_used.write(&mut out);
-                    write_entries(&a.jobs, &mut out);
-                }
-            }
-        }
-        self.clocks.write(&mut out);
-        self.rr_next.write(&mut out);
-        self.next_id.write(&mut out);
-        self.next_seq.write(&mut out);
-        self.meta.len().write(&mut out);
-        for (id, m) in &self.meta {
-            id.write(&mut out);
-            m.write(&mut out);
-        }
-        let cancels: Vec<u64> = self.cancel_requested.iter().map(|id| id.0).collect();
-        cancels.write(&mut out);
-        self.counters.write(&mut out);
-        self.results.write_section(0, &mut out);
+        write_header(&self.state.cfg, self.specs.iter(), &mut out);
+        write_body(&self.state, self.device_books.iter(), &mut Written::default(), &mut out);
         out
     }
 
     /// Decode a snapshot produced by [`to_bytes`](Self::to_bytes),
     /// resolving job tags through `registry`.
     pub fn from_bytes(bytes: &[u8], registry: &JobRegistry) -> Result<Self, PersistError> {
-        let mut r = Reader::new(bytes);
-        if r.take(MAGIC.len())? != MAGIC {
-            return Err(PersistError::new("not a fleet checkpoint (bad magic)"));
-        }
-        let cfg = read_cfg(&mut r)?;
-        let specs: Vec<_> = r.read()?;
-        let device_books: Vec<_> = r.read()?;
-        let queue = read_entries(&mut r, registry)?;
-        let active_len: usize = r.read()?;
-        let mut active = Vec::with_capacity(active_len.min(1024));
-        for _ in 0..active_len {
-            active.push(match u8::read(&mut r)? {
-                0 => None,
-                1 => Some(Active {
-                    started_s: r.read()?,
-                    slice_budget: r.read()?,
-                    slice_used: r.read()?,
-                    jobs: read_entries(&mut r, registry)?,
-                }),
-                b => return Err(PersistError::new(format!("bad active-slot tag {b}"))),
-            });
-        }
-        let clocks: Vec<f64> = r.read()?;
-        let rr_next: usize = r.read()?;
-        let next_id: u64 = r.read()?;
-        let next_seq: u64 = r.read()?;
-        let meta: Vec<(JobId, JobMeta)> = r.read()?;
-        let cancels: Vec<u64> = r.read()?;
-        let cancel_requested: BTreeSet<JobId> = cancels.into_iter().map(JobId).collect();
-        let counters = r.read()?;
-        let mut results = ResultLog::default();
-        results.read_section(&mut r)?;
-        let checkpoint = Self {
-            specs,
-            device_books,
-            cfg,
-            queue,
-            active,
-            clocks,
-            rr_next,
-            next_id,
-            next_seq,
-            results,
-            meta: meta.into_iter().collect(),
-            cancel_requested,
-            counters,
-        };
-        if r.remaining() != 0 {
-            return Err(PersistError::new(format!(
-                "checkpoint has {} trailing bytes",
-                r.remaining()
-            )));
-        }
-        let backends = checkpoint.specs.len().checked_add(checkpoint.cfg.cpu_workers);
-        if checkpoint.clocks.len() != checkpoint.active.len()
-            || checkpoint.specs.len() != checkpoint.device_books.len()
-            || backends != Some(checkpoint.active.len())
-        {
-            return Err(PersistError::new("inconsistent backend counts in checkpoint"));
-        }
-        Ok(checkpoint)
+        ChainState::base(bytes, registry).map(ChainState::into_checkpoint)
     }
 
     /// Write the snapshot to `path` (atomically enough for a checkpoint:
     /// temp file + rename).
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Read a snapshot written by [`save`](Self::save), resolving job
@@ -427,17 +350,7 @@ impl FleetCheckpoint {
     /// operator *which* segment to restore from backup instead of a
     /// generic decode failure.
     pub fn load(path: impl AsRef<Path>, registry: &JobRegistry) -> Result<Self, CheckpointError> {
-        let path = path.as_ref();
-        let segment = path.display().to_string();
-        let bytes = match std::fs::read(path) {
-            Ok(bytes) => bytes,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => {
-                return Err(CheckpointError::MissingBase { segment });
-            }
-            Err(e) => return Err(CheckpointError::Io { segment, source: e }),
-        };
-        Self::from_bytes(&bytes, registry)
-            .map_err(|source| CheckpointError::CorruptSegment { segment, source })
+        ChainState::load_base(path.as_ref(), registry).map(ChainState::into_checkpoint)
     }
 }
 
@@ -445,29 +358,38 @@ impl FleetCheckpoint {
 mod tests {
     use super::*;
     use crate::Scheduler;
-    use lnls_gpu_sim::DeviceSpec;
 
-    /// Corrupted configs decode to a typed error naming the bad value,
-    /// never to a panic (`cpu_workers` near the top of `usize` used to
-    /// overflow the backend count) or to a config `Scheduler::new`
-    /// refuses.
+    /// Corrupted configs and backend shapes decode to a typed error
+    /// naming the bad value, never to a panic (`cpu_workers` near the
+    /// top of `usize` used to overflow the backend count, and a fleet
+    /// without a device used to panic in `Scheduler::restore`) or to a
+    /// config `Scheduler::new` refuses.
     #[test]
     fn corrupted_configs_are_typed_errors() {
-        type Corrupt = fn(&mut SchedulerConfig);
-        let cases: [(Corrupt, &str); 4] = [
-            (|cfg| cfg.cpu_workers = usize::MAX, "backend counts"),
-            (|cfg| cfg.max_batch = 0, "max_batch"),
-            (|cfg| cfg.quantum_iters = Some(0), "quantum_iters"),
-            (|cfg| cfg.span_iters = 0, "span_iters"),
+        type Corrupt = fn(&mut FleetCheckpoint);
+        let cases: [(Corrupt, &str); 5] = [
+            (|c| c.state.cfg.cpu_workers = usize::MAX, "backend counts"),
+            (|c| c.state.cfg.max_batch = 0, "max_batch"),
+            (|c| c.state.cfg.quantum_iters = Some(0), "quantum_iters"),
+            (|c| c.state.cfg.span_iters = 0, "span_iters"),
+            (
+                |c| {
+                    c.specs.clear();
+                    c.device_books.clear();
+                    c.state.active.clear();
+                    c.state.clocks.clear();
+                },
+                "no device",
+            ),
         ];
         for (corrupt, names) in cases {
             let fleet =
                 Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), SchedulerConfig::default());
             let mut checkpoint = fleet.checkpoint();
-            corrupt(&mut checkpoint.cfg);
+            corrupt(&mut checkpoint);
             match FleetCheckpoint::from_bytes(&checkpoint.to_bytes(), &JobRegistry::new()) {
                 Err(e) => assert!(e.to_string().contains(names), "{e}"),
-                Ok(_) => panic!("a config with bad {names} must not decode"),
+                Ok(_) => panic!("a corrupted checkpoint ({names}) must not decode"),
             }
         }
     }

@@ -292,20 +292,9 @@ impl StolenJob {
 /// no longer starve short tenants. Results are invariant under any
 /// quantum; only waiting times change.
 pub struct Scheduler {
-    // Checkpointed state; the delta writer reads it in place.
     pub(crate) devices: MultiDevice,
-    cfg: SchedulerConfig,
-    pub(crate) queue: Vec<QueueEntry>,
-    pub(crate) active: Vec<Option<Active>>,
-    pub(crate) clocks: Vec<f64>,
-    pub(crate) rr_next: usize,
-    pub(crate) next_id: u64,
-    pub(crate) next_seq: u64,
-    pub(crate) results: ResultLog,
-    /// Metadata of the live jobs.
-    pub(crate) meta: BTreeMap<JobId, JobMeta>,
-    pub(crate) cancel_requested: BTreeSet<JobId>,
-    pub(crate) counters: Counters,
+    /// Checkpointed state; the snapshot writer reads it in place.
+    pub(crate) state: FleetState,
     /// Live jobs carrying an envelope constraint (deadline or iteration
     /// budget) — lets the per-tick policy sweep skip entirely in the
     /// common all-plain-submissions case.
@@ -324,22 +313,11 @@ impl Scheduler {
         assert!(cfg.quantum_iters != Some(0), "quantum_iters must be at least 1");
         assert!(cfg.span_iters >= 1, "span_iters must be at least 1");
         let backends = devices.len() + cfg.cpu_workers;
-        let id_base = cfg.id_base;
         let telemetry =
             cfg.telemetry_every_ticks.map(|_| Telemetry::with_cap(cfg.telemetry_max_samples));
         Self {
             devices,
-            cfg,
-            queue: Vec::new(),
-            active: (0..backends).map(|_| None).collect(),
-            clocks: vec![0.0; backends],
-            rr_next: 0,
-            next_id: id_base,
-            next_seq: id_base,
-            results: ResultLog::default(),
-            meta: BTreeMap::new(),
-            cancel_requested: BTreeSet::new(),
-            counters: Counters::default(),
+            state: FleetState::new(cfg, backends),
             policed: BTreeSet::new(),
             telemetry,
             observe: ObserveState::default(),
@@ -359,20 +337,20 @@ impl Scheduler {
     /// Current fleet time: the most advanced backend clock (modeled
     /// seconds — the clock [`JobSpec::with_deadline`] compares against).
     pub fn now_s(&self) -> f64 {
-        self.clocks.iter().copied().fold(0.0, f64::max)
+        self.state.clocks.iter().copied().fold(0.0, f64::max)
     }
 
     /// Jobs currently waiting in the queue (what admission-control caps
     /// count).
     pub fn queued_len(&self) -> usize {
-        self.queue.len()
+        self.state.queue.len()
     }
 
     /// Jobs currently placed on a backend (members of fused groups each
     /// count once). With `queued_len` this is the cheap idleness probe
     /// the workload driver polls every tick.
     pub fn running_len(&self) -> usize {
-        self.active.iter().flatten().map(|a| a.jobs.len()).sum()
+        self.state.active.iter().flatten().map(|a| a.jobs.len()).sum()
     }
 
     /// The telemetry series recorded so far, when
@@ -437,14 +415,14 @@ impl Scheduler {
         if !self.observe.enabled() {
             return;
         }
-        let record = EventRecord { tick: self.counters.ticks, now_s: self.now_s(), event };
+        let record = EventRecord { tick: self.state.counters.ticks, now_s: self.now_s(), event };
         self.observe.emit(record);
     }
 
     /// Identities of the currently queued jobs (one snapshot for
     /// admission-control planning, instead of per-job status scans).
     pub(crate) fn queued_job_ids(&self) -> BTreeSet<JobId> {
-        self.queue.iter().map(|e| e.job.id()).collect()
+        self.state.queue.iter().map(|e| e.job.id()).collect()
     }
 
     /// `(id, tenant, priority)` of every *live* job — queued or placed
@@ -455,25 +433,21 @@ impl Scheduler {
     /// count against caps and be shed-eligible, exactly as they were in
     /// the pre-crash client.
     pub(crate) fn live_rows(&self) -> Vec<(JobId, String, u8)> {
-        self.live()
+        self.state
+            .live()
             .map(|e| {
                 let id = e.job.id();
-                let tenant = self.meta.get(&id).map_or_else(String::new, |m| m.tenant.clone());
+                let tenant =
+                    self.state.meta.get(&id).map_or_else(String::new, |m| m.tenant.clone());
                 (id, tenant, e.job.priority())
             })
             .collect()
     }
 
-    /// Every live job: the queue in order, then each backend's
-    /// assignment in backend order.
-    pub(crate) fn live(&self) -> impl Iterator<Item = &QueueEntry> {
-        self.queue.iter().chain(self.active.iter().flatten().flat_map(|a| &a.jobs))
-    }
-
     /// True once `handle`'s job has a final report (done, cancelled or
     /// rejected) — the client uses this to prune its bookkeeping.
     pub(crate) fn is_terminal(&self, handle: JobHandle) -> bool {
-        self.results.fate(handle.id).is_some()
+        self.state.results.fate(handle.id).is_some()
     }
 
     /// Remove a *queued* (not running) job from this scheduler and hand
@@ -485,11 +459,11 @@ impl Scheduler {
     /// fair-share deficit and any pending cancel request travel with
     /// it; the donor forgets the job entirely.
     pub fn donate_queued(&mut self, id: JobId) -> Option<StolenJob> {
-        let pos = self.queue.iter().position(|e| e.job.id() == id)?;
-        let entry = self.queue.remove(pos);
-        let meta = self.meta.remove(&id).expect("every live job carries metadata");
+        let pos = self.state.queue.iter().position(|e| e.job.id() == id)?;
+        let entry = self.state.queue.remove(pos);
+        let meta = self.state.meta.remove(&id).expect("every live job carries metadata");
         self.policed.remove(&id);
-        let cancel_requested = self.cancel_requested.remove(&id);
+        let cancel_requested = self.state.cancel_requested.remove(&id);
         Some(StolenJob { job: entry.job, meta, deficit: entry.deficit, cancel_requested })
     }
 
@@ -507,17 +481,17 @@ impl Scheduler {
         let StolenJob { job, meta, deficit, cancel_requested } = stolen;
         let id = job.id();
         assert!(
-            !self.meta.contains_key(&id) && self.results.fate(id).is_none(),
+            !self.state.meta.contains_key(&id) && self.state.results.fate(id).is_none(),
             "adopted job id {id:?} collides; give shards disjoint `id_base` ranges"
         );
         if meta.iter_budget.is_some() || meta.deadline_s.is_some() {
             self.policed.insert(id);
         }
         if cancel_requested {
-            self.cancel_requested.insert(id);
+            self.state.cancel_requested.insert(id);
         }
-        self.meta.insert(id, meta);
-        self.queue.push(QueueEntry { job, deficit });
+        self.state.meta.insert(id, meta);
+        self.state.queue.push(QueueEntry { job, deficit });
         JobHandle { id }
     }
 
@@ -526,14 +500,14 @@ impl Scheduler {
     /// first: the newest arrival has waited least, so moving it
     /// perturbs fairness least.
     pub fn newest_queued(&self) -> Option<JobId> {
-        self.queue.iter().max_by_key(|e| e.job.seq()).map(|e| e.job.id())
+        self.state.queue.iter().max_by_key(|e| e.job.seq()).map(|e| e.job.id())
     }
 
     fn fresh_ids(&mut self) -> (JobId, u64) {
-        let id = JobId(self.next_id);
-        self.next_id += 1;
-        let seq = self.next_seq;
-        self.next_seq += 1;
+        let id = JobId(self.state.next_id);
+        self.state.next_id += 1;
+        let seq = self.state.next_seq;
+        self.state.next_seq += 1;
         (id, seq)
     }
 
@@ -559,8 +533,8 @@ impl Scheduler {
         let ctx = SubmitCtx {
             id,
             seq,
-            host: self.cfg.host.clone(),
-            selection: selection.unwrap_or(self.cfg.selection),
+            host: self.state.cfg.host.clone(),
+            selection: selection.unwrap_or(self.state.cfg.selection),
             name_override: name,
             priority_override: priority,
         };
@@ -575,7 +549,7 @@ impl Scheduler {
             tenant: tenant.clone(),
             priority: exec.priority(),
         });
-        self.meta.insert(
+        self.state.meta.insert(
             id,
             JobMeta {
                 submitted_s: self.now_s(),
@@ -586,7 +560,7 @@ impl Scheduler {
                 checkpoint,
             },
         );
-        self.queue.push(QueueEntry { job: exec, deficit: 0 });
+        self.state.queue.push(QueueEntry { job: exec, deficit: 0 });
         if let Some(event) = submitted_event {
             self.emit_event(event);
         }
@@ -595,13 +569,14 @@ impl Scheduler {
 
     /// Where `handle`'s job currently is.
     pub fn status(&self, handle: JobHandle) -> JobStatus {
-        if let Some(fate) = self.results.fate(handle.id) {
+        if let Some(fate) = self.state.results.fate(handle.id) {
             return fate.status();
         }
-        if self.queue.iter().any(|e| e.job.id() == handle.id) {
+        if self.state.queue.iter().any(|e| e.job.id() == handle.id) {
             return JobStatus::Queued;
         }
         let running = self
+            .state
             .active
             .iter()
             .flatten()
@@ -621,11 +596,11 @@ impl Scheduler {
     /// boundary — lands in [`reports`](Self::reports). Returns `false`
     /// for jobs already finished or unknown to this scheduler.
     pub fn cancel(&mut self, handle: JobHandle) -> bool {
-        if self.results.fate(handle.id).is_some() {
+        if self.state.results.fate(handle.id).is_some() {
             return false;
         }
-        if self.live().any(|e| e.job.id() == handle.id) {
-            self.cancel_requested.insert(handle.id);
+        if self.state.live().any(|e| e.job.id() == handle.id) {
+            self.state.cancel_requested.insert(handle.id);
             true
         } else {
             false
@@ -641,11 +616,11 @@ impl Scheduler {
     /// partial progress). Returns `false` when the job is not currently
     /// queued.
     pub fn reject_queued(&mut self, handle: JobHandle) -> bool {
-        let Some(i) = self.queue.iter().position(|e| e.job.id() == handle.id) else {
+        let Some(i) = self.state.queue.iter().position(|e| e.job.id() == handle.id) else {
             return false;
         };
-        let entry = self.queue.swap_remove(i);
-        self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+        let entry = self.state.queue.swap_remove(i);
+        self.state.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
         let now = self.now_s();
         self.complete(entry.job, "(rejected by admission control)".into(), now, false, true);
         true
@@ -653,12 +628,12 @@ impl Scheduler {
 
     /// The report of a completed job, if it completed.
     pub fn report(&self, handle: JobHandle) -> Option<&JobReport> {
-        self.results.report(handle.id)
+        self.state.results.report(handle.id)
     }
 
     /// All completed reports, in job-id order.
     pub fn reports(&self) -> impl Iterator<Item = &JobReport> {
-        self.results.reports()
+        self.state.results.reports()
     }
 
     /// Drive the simulation until `handle` completes, then return its
@@ -667,14 +642,14 @@ impl Scheduler {
     /// # Panics
     /// Panics if the job is unknown to this scheduler.
     pub fn await_report(&mut self, handle: JobHandle) -> &JobReport {
-        while self.results.fate(handle.id).is_none() {
+        while self.state.results.fate(handle.id).is_none() {
             assert!(
                 self.tick(),
                 "job {} cannot complete: scheduler went idle without it",
                 handle.id
             );
         }
-        self.results.report(handle.id).expect("a finished job has a report")
+        self.state.results.report(handle.id).expect("a finished job has a report")
     }
 
     /// Run until every submitted job has completed.
@@ -694,39 +669,39 @@ impl Scheduler {
         self.drain_policy();
         self.place();
         let mut progressed = false;
-        for b in 0..self.active.len() {
+        for b in 0..self.state.active.len() {
             progressed |= self.step_backend(b);
         }
-        self.counters.ticks += 1;
-        if let Some(every) = self.cfg.telemetry_every_ticks {
-            if every > 0 && self.counters.ticks.is_multiple_of(every) {
+        self.state.counters.ticks += 1;
+        if let Some(every) = self.state.cfg.telemetry_every_ticks {
+            if every > 0 && self.state.counters.ticks.is_multiple_of(every) {
                 self.sample_telemetry();
             }
         }
         if self.observe.metrics.is_some() {
-            let depth = self.queue.len() as f64;
+            let depth = self.state.queue.len() as f64;
             let running = self.running_len() as f64;
             if let Some(m) = self.observe.metrics.as_mut() {
                 m.set_gauge("fleet_queue_depth", depth);
                 m.set_gauge("fleet_jobs_running", running);
             }
         }
-        progressed || !self.queue.is_empty()
+        progressed || !self.state.queue.is_empty()
     }
 
     /// Append one [`TickSample`] of the current fleet state.
     fn sample_telemetry(&mut self) {
         let books = self.devices.books_sum();
         let sample = TickSample {
-            tick: self.counters.ticks,
+            tick: self.state.counters.ticks,
             now_s: self.now_s(),
-            queue_depth: self.queue.len() as u64,
+            queue_depth: self.state.queue.len() as u64,
             running: self.running_len() as u64,
-            completed: self.results.count(Fate::Done),
-            cancelled: self.results.count(Fate::Cancelled),
-            rejected: self.results.count(Fate::Rejected),
-            preemptions: self.counters.preemptions,
-            device_busy_s: self.clocks[..self.devices.len()].to_vec(),
+            completed: self.state.results.count(Fate::Done),
+            cancelled: self.state.results.count(Fate::Cancelled),
+            rejected: self.state.results.count(Fate::Rejected),
+            preemptions: self.state.counters.preemptions,
+            device_busy_s: self.state.clocks[..self.devices.len()].to_vec(),
             bytes_h2d: books.bytes_h2d,
             bytes_d2h: books.bytes_d2h,
         };
@@ -757,7 +732,7 @@ impl Scheduler {
         rejected: bool,
     ) {
         let id = job.id();
-        let meta = self.meta.remove(&id);
+        let meta = self.state.meta.remove(&id);
         let submitted_s = meta.as_ref().map_or(0.0, |m| m.submitted_s);
         let started_s =
             meta.as_ref().and_then(|m| m.first_started_s).unwrap_or(submitted_s).max(submitted_s);
@@ -782,7 +757,7 @@ impl Scheduler {
                 FleetEvent::Completed { job: id, device: backend_label, wait_s, turnaround_s }
             }
         });
-        self.results.push(report);
+        self.state.results.push(report);
         if let Some(event) = retire_event {
             self.emit_event(event);
         }
@@ -793,24 +768,25 @@ impl Scheduler {
     fn drain_ids(&mut self, ids: &BTreeSet<JobId>, queued_backend: &str, cancelled: bool) {
         let now = self.now_s();
         let mut i = 0;
-        while i < self.queue.len() {
-            if ids.contains(&self.queue[i].job.id()) {
-                let entry = self.queue.swap_remove(i);
-                self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+        while i < self.state.queue.len() {
+            if ids.contains(&self.state.queue[i].job.id()) {
+                let entry = self.state.queue.swap_remove(i);
+                self.state.counters.serialized_s +=
+                    entry.job.serial_equivalent_s(self.devices.spec(0));
                 self.complete(entry.job, queued_backend.into(), now, cancelled, false);
             } else {
                 i += 1;
             }
         }
-        for b in 0..self.active.len() {
-            let Some(mut active) = self.active[b].take() else { continue };
+        for b in 0..self.state.active.len() {
+            let Some(mut active) = self.state.active[b].take() else { continue };
             let mut still = Vec::with_capacity(active.jobs.len());
             for entry in active.jobs {
                 if ids.contains(&entry.job.id()) {
-                    self.counters.serialized_s +=
+                    self.state.counters.serialized_s +=
                         entry.job.serial_equivalent_s(self.devices.spec(0));
                     let name = self.backend_name(b);
-                    let at = self.clocks[b];
+                    let at = self.state.clocks[b];
                     self.complete(entry.job, name, at, cancelled, false);
                 } else {
                     still.push(entry);
@@ -818,16 +794,16 @@ impl Scheduler {
             }
             if !still.is_empty() {
                 active.jobs = still;
-                self.active[b] = Some(active);
+                self.state.active[b] = Some(active);
             }
         }
     }
 
     fn drain_cancelled(&mut self) {
-        if self.cancel_requested.is_empty() {
+        if self.state.cancel_requested.is_empty() {
             return;
         }
-        let ids = std::mem::take(&mut self.cancel_requested);
+        let ids = std::mem::take(&mut self.state.cancel_requested);
         self.drain_ids(&ids, "(cancelled while queued)", true);
     }
 
@@ -842,11 +818,11 @@ impl Scheduler {
         let now = self.now_s();
         let mut over_deadline = BTreeSet::new();
         let mut over_budget = BTreeSet::new();
-        for QueueEntry { job, .. } in self.live() {
+        for QueueEntry { job, .. } in self.state.live() {
             if !self.policed.contains(&job.id()) {
                 continue;
             }
-            let Some(meta) = self.meta.get(&job.id()) else { continue };
+            let Some(meta) = self.state.meta.get(&job.id()) else { continue };
             if meta.deadline_s.is_some_and(|d| now >= d) {
                 over_deadline.insert(job.id());
             } else if meta.iter_budget.is_some_and(|b| job.iterations() >= b) {
@@ -864,7 +840,7 @@ impl Scheduler {
     // -- placement ----------------------------------------------------
 
     fn idle_backends(&self) -> Vec<usize> {
-        (0..self.active.len()).filter(|&b| self.active[b].is_none()).collect()
+        (0..self.state.active.len()).filter(|&b| self.state.active[b].is_none()).collect()
     }
 
     /// Index into `queue` of the next lead job.
@@ -877,22 +853,22 @@ impl Scheduler {
     /// priority thus buys a proportionally *larger share* of the fleet
     /// instead of absolute precedence, and nobody starves.
     fn next_job_index(&mut self) -> Option<usize> {
-        if self.queue.is_empty() {
+        if self.state.queue.is_empty() {
             return None;
         }
-        match self.cfg.quantum_iters {
-            None => (0..self.queue.len()).min_by_key(|&i| {
-                let j = &self.queue[i].job;
+        match self.state.cfg.quantum_iters {
+            None => (0..self.state.queue.len()).min_by_key(|&i| {
+                let j = &self.state.queue[i].job;
                 (std::cmp::Reverse(j.priority()), j.seq())
             }),
             Some(q) => {
-                if self.queue.iter().all(|e| e.deficit == 0) {
-                    for e in &mut self.queue {
+                if self.state.queue.iter().all(|e| e.deficit == 0) {
+                    for e in &mut self.state.queue {
                         e.deficit += q * (e.job.priority() as u64 + 1);
                     }
                 }
-                (0..self.queue.len()).max_by_key(|&i| {
-                    let e = &self.queue[i];
+                (0..self.state.queue.len()).max_by_key(|&i| {
+                    let e = &self.state.queue[i];
                     (e.deficit, e.job.priority(), std::cmp::Reverse(e.job.seq()))
                 })
             }
@@ -902,29 +878,31 @@ impl Scheduler {
     fn place(&mut self) {
         loop {
             let idle = self.idle_backends();
-            if idle.is_empty() || self.queue.is_empty() {
+            if idle.is_empty() || self.state.queue.is_empty() {
                 return;
             }
-            let backend = match self.cfg.policy {
+            let backend = match self.state.cfg.policy {
                 PlacePolicy::RoundRobin => {
                     // Next idle backend at or after the cursor.
-                    let b = (0..self.active.len())
-                        .map(|o| (self.rr_next + o) % self.active.len())
-                        .find(|b| self.active[*b].is_none())
+                    let b = (0..self.state.active.len())
+                        .map(|o| (self.state.rr_next + o) % self.state.active.len())
+                        .find(|b| self.state.active[*b].is_none())
                         .expect("idle set is non-empty");
-                    self.rr_next = (b + 1) % self.active.len();
+                    self.state.rr_next = (b + 1) % self.state.active.len();
                     b
                 }
                 PlacePolicy::LeastLoaded => *idle
                     .iter()
                     .min_by(|&&a, &&b| {
-                        self.clocks[a].total_cmp(&self.clocks[b]).then_with(|| a.cmp(&b))
+                        self.state.clocks[a]
+                            .total_cmp(&self.state.clocks[b])
+                            .then_with(|| a.cmp(&b))
                     })
                     .expect("idle set is non-empty"),
             };
             let lead_idx = self.next_job_index().expect("queue is non-empty");
-            let lead = self.queue.swap_remove(lead_idx);
-            let slice_budget = match self.cfg.quantum_iters {
+            let lead = self.state.queue.swap_remove(lead_idx);
+            let slice_budget = match self.state.cfg.quantum_iters {
                 None => u64::MAX,
                 Some(q) => lead.deficit.max(q),
             };
@@ -934,24 +912,25 @@ impl Scheduler {
             // seconds still add up), so parallel devices beat wider
             // batches: cap the group so the key's jobs spread over every
             // idle device instead of piling onto this one.
-            if backend < self.devices.len() && self.cfg.max_batch > 1 {
+            if backend < self.devices.len() && self.state.cfg.max_batch > 1 {
                 if let Some(key) = jobs[0].job.batch_key() {
                     let same_key = 1 + self
+                        .state
                         .queue
                         .iter()
                         .filter(|e| e.job.batch_key().as_ref() == Some(&key))
                         .count();
                     let idle_devices = (0..self.devices.len())
-                        .filter(|&b| self.active[b].is_none())
+                        .filter(|&b| self.state.active[b].is_none())
                         .count()
                         .max(1);
-                    let cap = self.cfg.max_batch.min(same_key.div_ceil(idle_devices)).max(1);
+                    let cap = self.state.cfg.max_batch.min(same_key.div_ceil(idle_devices)).max(1);
                     self.drain_batch_peers(&key, &mut jobs, cap);
                 }
             }
             for entry in &jobs {
-                if let Some(m) = self.meta.get_mut(&entry.job.id()) {
-                    m.first_started_s.get_or_insert(self.clocks[backend]);
+                if let Some(m) = self.state.meta.get_mut(&entry.job.id()) {
+                    m.first_started_s.get_or_insert(self.state.clocks[backend]);
                 }
             }
             if self.observing() {
@@ -966,21 +945,25 @@ impl Scheduler {
                     self.emit_event(FleetEvent::BatchFused { device, lanes: jobs.len() as u64 });
                 }
             }
-            self.active[backend] =
-                Some(Active { jobs, started_s: self.clocks[backend], slice_budget, slice_used: 0 });
+            self.state.active[backend] = Some(Active {
+                jobs,
+                started_s: self.state.clocks[backend],
+                slice_budget,
+                slice_used: 0,
+            });
         }
     }
 
     fn drain_batch_peers(&mut self, key: &BatchKey, jobs: &mut Vec<QueueEntry>, cap: usize) {
         while jobs.len() < cap {
-            let peer = (0..self.queue.len())
-                .filter(|&i| self.queue[i].job.batch_key().as_ref() == Some(key))
+            let peer = (0..self.state.queue.len())
+                .filter(|&i| self.state.queue[i].job.batch_key().as_ref() == Some(key))
                 .min_by_key(|&i| {
-                    let j = &self.queue[i].job;
+                    let j = &self.state.queue[i].job;
                     (std::cmp::Reverse(j.priority()), j.seq())
                 });
             match peer {
-                Some(i) => jobs.push(self.queue.swap_remove(i)),
+                Some(i) => jobs.push(self.state.queue.swap_remove(i)),
                 None => return,
             }
         }
@@ -989,7 +972,7 @@ impl Scheduler {
     // -- stepping -----------------------------------------------------
 
     fn step_backend(&mut self, b: usize) -> bool {
-        let Some(mut active) = self.active[b].take() else {
+        let Some(mut active) = self.state.active[b].take() else {
             return false;
         };
         let is_device = b < self.devices.len();
@@ -1001,7 +984,7 @@ impl Scheduler {
             let device = self.backend_name(b);
             let jobs: Vec<JobId> = active.jobs.iter().map(|a| a.job.id()).collect();
             let book = is_device.then(|| self.devices.device(b).book().clone());
-            (device, jobs, self.clocks[b], book)
+            (device, jobs, self.state.clocks[b], book)
         });
         if let Some((device, jobs, start_s, _)) = quantum_ctx.as_ref() {
             self.emit_event(FleetEvent::QuantumStart {
@@ -1014,7 +997,7 @@ impl Scheduler {
         // one call; without a quantum the legacy contract holds — one
         // iteration per tick — so solo jobs stay observable (status,
         // mid-run checkpoint, cancellation) between iterations.
-        let mut quota = if self.cfg.quantum_iters.is_some() {
+        let mut quota = if self.state.cfg.quantum_iters.is_some() {
             active.slice_budget.saturating_sub(active.slice_used).max(1)
         } else {
             1
@@ -1025,7 +1008,7 @@ impl Scheduler {
         // exactly the same iteration under every span length.
         if active.jobs.len() == 1 {
             if let Some(budget) =
-                self.meta.get(&active.jobs[0].job.id()).and_then(|m| m.iter_budget)
+                self.state.meta.get(&active.jobs[0].job.id()).and_then(|m| m.iter_budget)
             {
                 let remaining = budget.saturating_sub(active.jobs[0].job.iterations());
                 quota = quota.min(remaining.max(1));
@@ -1039,16 +1022,18 @@ impl Scheduler {
             // tightest member budget; members still retire (and
             // re-batch) at iteration granularity because the span ends
             // early when any member finishes.
-            let mut span = self.cfg.span_iters;
-            if self.cfg.quantum_iters.is_some() {
+            let mut span = self.state.cfg.span_iters;
+            if self.state.cfg.quantum_iters.is_some() {
                 span = span.min(active.slice_budget.saturating_sub(active.slice_used).max(1));
             }
             for entry in &active.jobs {
-                if let Some(budget) = self.meta.get(&entry.job.id()).and_then(|m| m.iter_budget) {
+                if let Some(budget) =
+                    self.state.meta.get(&entry.job.id()).and_then(|m| m.iter_budget)
+                {
                     span = span.min(budget.saturating_sub(entry.job.iterations()).max(1));
                 }
             }
-            let mode = self.cfg.launch_mode;
+            let mode = self.state.cfg.launch_mode;
             let dev = self.devices.device_mut(b);
             let (lead, peers) = active.jobs.split_at_mut(1);
             let mut peer_refs: Vec<&mut Box<dyn JobExec>> =
@@ -1063,18 +1048,18 @@ impl Scheduler {
                 LaunchMode::PerIteration => run.iters,
                 LaunchMode::PersistentSpan => 1,
             };
-            self.counters.fused_launches += issued;
-            self.counters.launches_saved += lanes * run.iters - issued;
+            self.state.counters.fused_launches += issued;
+            self.state.counters.launches_saved += lanes * run.iters - issued;
             run
         } else if is_device {
             active.jobs[0].job.step_device(self.devices.device_mut(b), quota)
         } else {
-            active.jobs[0].job.step_host(&self.cfg.host, quota)
+            active.jobs[0].job.step_host(&self.state.cfg.host, quota)
         };
-        self.clocks[b] += run.seconds;
+        self.state.clocks[b] += run.seconds;
         active.slice_used += run.iters;
         // Fused groups advance every member one iteration per step.
-        let c = &mut self.counters;
+        let c = &mut self.state.counters;
         c.iterations_executed += run.iters * active.jobs.len() as u64;
         if is_device {
             c.stream_makespan_s += run.seconds;
@@ -1100,7 +1085,7 @@ impl Scheduler {
                 iters,
                 makespan_s: run.seconds,
                 start_s,
-                end_s: self.clocks[b],
+                end_s: self.state.clocks[b],
                 bytes_h2d,
                 bytes_d2h,
             });
@@ -1111,9 +1096,10 @@ impl Scheduler {
         let mut still: Vec<QueueEntry> = Vec::with_capacity(active.jobs.len());
         for entry in active.jobs {
             if entry.job.done() {
-                self.counters.serialized_s += entry.job.serial_equivalent_s(self.devices.spec(0));
+                self.state.counters.serialized_s +=
+                    entry.job.serial_equivalent_s(self.devices.spec(0));
                 let name = self.backend_name(b);
-                let at = self.clocks[b];
+                let at = self.state.clocks[b];
                 self.complete(entry.job, name, at, false, false);
             } else {
                 still.push(entry);
@@ -1121,10 +1107,11 @@ impl Scheduler {
         }
         if !still.is_empty() {
             let slice_over = active.slice_used >= active.slice_budget;
-            if self.cfg.quantum_iters.is_some() && slice_over && !self.queue.is_empty() {
+            if self.state.cfg.quantum_iters.is_some() && slice_over && !self.state.queue.is_empty()
+            {
                 // Preempt: spend each survivor's credit and send it back
                 // through the fair-share queue.
-                self.counters.preemptions += 1;
+                self.state.counters.preemptions += 1;
                 if observing {
                     let device = self.backend_name(b);
                     let ids: Vec<JobId> = still.iter().map(|a| a.job.id()).collect();
@@ -1133,17 +1120,17 @@ impl Scheduler {
                 for mut entry in still {
                     entry.job.unplaced();
                     entry.deficit = entry.deficit.saturating_sub(active.slice_used);
-                    self.queue.push(entry);
+                    self.state.queue.push(entry);
                 }
             } else {
                 if slice_over {
                     // Nobody is waiting: refresh the slice in place
                     // rather than churning through the queue.
                     active.slice_used = 0;
-                    active.slice_budget = self.cfg.quantum_iters.unwrap_or(u64::MAX);
+                    active.slice_budget = self.state.cfg.quantum_iters.unwrap_or(u64::MAX);
                 }
                 active.jobs = still;
-                self.active[b] = Some(active);
+                self.state.active[b] = Some(active);
             }
         }
         true
@@ -1162,8 +1149,9 @@ impl Scheduler {
     /// Fleet-level throughput, utilization and fairness summary.
     pub fn fleet_report(&self) -> FleetReport {
         let d = self.devices.len();
-        let c = &self.counters;
+        let c = &self.state.counters;
         let tenant_stats: Vec<TenantStat> = self
+            .state
             .results
             .reports()
             .map(|r| TenantStat {
@@ -1179,15 +1167,15 @@ impl Scheduler {
             })
             .collect();
         let mut report = FleetReport {
-            jobs_completed: self.results.count(Fate::Done),
-            jobs_cancelled: self.results.count(Fate::Cancelled),
-            jobs_rejected: self.results.count(Fate::Rejected),
-            jobs_queued: self.queue.len() as u64,
+            jobs_completed: self.state.results.count(Fate::Done),
+            jobs_cancelled: self.state.results.count(Fate::Cancelled),
+            jobs_rejected: self.state.results.count(Fate::Rejected),
+            jobs_queued: self.state.queue.len() as u64,
             jobs_running: self.running_len() as u64,
             makespan_s: self.now_s(),
             serialized_s: c.serialized_s,
-            device_busy_s: self.clocks[..d].to_vec(),
-            cpu_busy_s: self.clocks[d..].to_vec(),
+            device_busy_s: self.state.clocks[..d].to_vec(),
+            cpu_busy_s: self.state.clocks[d..].to_vec(),
             fused_launches: c.fused_launches,
             launches_saved: c.launches_saved,
             preemptions: c.preemptions,
@@ -1231,38 +1219,34 @@ impl Scheduler {
     /// [`Scheduler::restore`] rebuilds an equivalent scheduler that
     /// continues deterministically.
     pub fn checkpoint(&self) -> FleetCheckpoint {
-        let included = |e: &&QueueEntry| self.meta.get(&e.job.id()).is_none_or(|m| m.checkpoint);
+        let s = &self.state;
+        let persists = |e: &&QueueEntry| s.persists(e.job.id());
+        let active = s.active.iter().map(|slot| {
+            slot.as_ref().and_then(|a| {
+                let jobs: Vec<QueueEntry> = a.jobs.iter().filter(persists).cloned().collect();
+                (!jobs.is_empty()).then_some(Active { jobs, ..*a })
+            })
+        });
         FleetCheckpoint {
             specs: (0..self.devices.len()).map(|i| self.devices.spec(i).clone()).collect(),
             device_books: (0..self.devices.len())
                 .map(|i| self.devices.device(i).book().clone())
                 .collect(),
-            cfg: self.cfg.clone(),
-            queue: self.queue.iter().filter(included).cloned().collect(),
-            active: self
-                .active
-                .iter()
-                .map(|slot| {
-                    slot.as_ref().and_then(|a| {
-                        let jobs: Vec<QueueEntry> =
-                            a.jobs.iter().filter(included).cloned().collect();
-                        (!jobs.is_empty()).then_some(Active { jobs, ..*a })
-                    })
-                })
-                .collect(),
-            clocks: self.clocks.clone(),
-            rr_next: self.rr_next,
-            next_id: self.next_id,
-            next_seq: self.next_seq,
-            results: self.results.uncached_copy(),
-            meta: self
-                .meta
-                .iter()
-                .filter(|(_, m)| m.checkpoint)
-                .map(|(id, m)| (*id, m.clone()))
-                .collect(),
-            cancel_requested: self.cancel_requested.clone(),
-            counters: self.counters,
+            state: FleetState {
+                cfg: s.cfg.clone(),
+                queue: s.queue.iter().filter(persists).cloned().collect(),
+                active: active.collect(),
+                clocks: s.clocks.clone(),
+                results: s.results.uncached_copy(),
+                meta: s
+                    .meta
+                    .iter()
+                    .filter(|(id, _)| s.persists(**id))
+                    .map(|(id, m)| (*id, m.clone()))
+                    .collect(),
+                cancel_requested: s.cancel_requested.clone(),
+                ..*s
+            },
         }
     }
 
@@ -1270,13 +1254,14 @@ impl Scheduler {
     /// continue where it left off. The cost follows the live jobs: the
     /// completed reports stay bytes until something reads them.
     pub fn restore(checkpoint: FleetCheckpoint) -> Self {
-        let mut devices = MultiDevice::new_from_specs(checkpoint.specs);
-        for (i, book) in checkpoint.device_books.iter().enumerate() {
+        let FleetCheckpoint { specs, device_books, state } = checkpoint;
+        let mut devices = MultiDevice::new_from_specs(specs);
+        for (i, book) in device_books.iter().enumerate() {
             devices.device_mut(i).charge(book);
         }
         // The envelope fast-path set is derivable: every live job whose
         // metadata carries a deadline or budget.
-        let policed: BTreeSet<JobId> = checkpoint
+        let policed: BTreeSet<JobId> = state
             .meta
             .iter()
             .filter(|(_, m)| m.deadline_s.is_some() || m.iter_budget.is_some())
@@ -1284,29 +1269,69 @@ impl Scheduler {
             .collect();
         // Telemetry is observational and not checkpointed: a restored
         // fleet records a fresh series from its inherited tick counter.
-        let telemetry = checkpoint
+        let telemetry = state
             .cfg
             .telemetry_every_ticks
-            .map(|_| Telemetry::with_cap(checkpoint.cfg.telemetry_max_samples));
+            .map(|_| Telemetry::with_cap(state.cfg.telemetry_max_samples));
         Self {
             devices,
-            cfg: checkpoint.cfg,
-            queue: checkpoint.queue,
-            active: checkpoint.active,
-            clocks: checkpoint.clocks,
-            rr_next: checkpoint.rr_next,
-            next_id: checkpoint.next_id,
-            next_seq: checkpoint.next_seq,
-            results: checkpoint.results,
-            meta: checkpoint.meta,
-            cancel_requested: checkpoint.cancel_requested,
-            counters: checkpoint.counters,
+            state,
             policed,
             telemetry,
             // Observability is never checkpointed: the restored fleet
             // starts unobserved until a sink/registry is re-attached.
             observe: ObserveState::default(),
         }
+    }
+}
+
+/// The scheduler state a checkpoint carries: everything but the devices
+/// and what is derived from it or never checkpointed. A [`Scheduler`]
+/// runs on it and a [`FleetCheckpoint`] holds a copy, and one body codec
+/// writes and reads it for base and delta segments alike.
+pub(crate) struct FleetState {
+    pub cfg: SchedulerConfig,
+    pub queue: Vec<QueueEntry>,
+    pub active: Vec<Option<Active>>,
+    pub clocks: Vec<f64>,
+    pub rr_next: usize,
+    pub next_id: u64,
+    pub next_seq: u64,
+    pub results: ResultLog,
+    /// Metadata of the live jobs.
+    pub meta: BTreeMap<JobId, JobMeta>,
+    pub cancel_requested: BTreeSet<JobId>,
+    pub counters: Counters,
+}
+
+impl FleetState {
+    /// A fresh state with `backends` idle backends.
+    pub fn new(cfg: SchedulerConfig, backends: usize) -> Self {
+        Self {
+            queue: Vec::new(),
+            active: (0..backends).map(|_| None).collect(),
+            clocks: vec![0.0; backends],
+            rr_next: 0,
+            next_id: cfg.id_base,
+            next_seq: cfg.id_base,
+            results: ResultLog::default(),
+            meta: BTreeMap::new(),
+            cancel_requested: BTreeSet::new(),
+            counters: Counters::default(),
+            cfg,
+        }
+    }
+
+    /// Every live job: the queue in order, then each backend's
+    /// assignment in backend order.
+    pub fn live(&self) -> impl Iterator<Item = &QueueEntry> {
+        self.queue.iter().chain(self.active.iter().flatten().flat_map(|a| &a.jobs))
+    }
+
+    /// Whether `id`'s job rides in checkpoints: every job but those
+    /// submitted [`without_checkpoint`](crate::JobSpec::without_checkpoint).
+    pub fn persists(&self, id: JobId) -> bool {
+        self.meta.get(&id).is_none_or(|m| m.checkpoint)
     }
 }
 
@@ -1321,34 +1346,24 @@ impl Scheduler {
 pub struct FleetCheckpoint {
     pub(crate) specs: Vec<DeviceSpec>,
     pub(crate) device_books: Vec<TimeBook>,
-    pub(crate) cfg: SchedulerConfig,
-    pub(crate) queue: Vec<QueueEntry>,
-    pub(crate) active: Vec<Option<Active>>,
-    pub(crate) clocks: Vec<f64>,
-    pub(crate) rr_next: usize,
-    pub(crate) next_id: u64,
-    pub(crate) next_seq: u64,
-    pub(crate) results: ResultLog,
-    pub(crate) meta: BTreeMap<JobId, JobMeta>,
-    pub(crate) cancel_requested: BTreeSet<JobId>,
-    pub(crate) counters: Counters,
+    pub(crate) state: FleetState,
 }
 
 impl FleetCheckpoint {
     /// Jobs captured while queued or in flight (not yet completed).
     pub fn pending_jobs(&self) -> usize {
-        self.queue.len() + self.in_flight_jobs()
+        self.state.queue.len() + self.in_flight_jobs()
     }
 
     /// The scheduler tick counter at capture time — the phase a
     /// restored fleet resumes from (steal barriers and cadences key off
     /// it).
     pub fn ticks(&self) -> u64 {
-        self.counters.ticks
+        self.state.counters.ticks
     }
 
     /// Jobs captured mid-run (cursor state preserved).
     pub fn in_flight_jobs(&self) -> usize {
-        self.active.iter().flatten().map(|a| a.jobs.len()).sum()
+        self.state.active.iter().flatten().map(|a| a.jobs.len()).sum()
     }
 }

@@ -10,7 +10,7 @@
 
 use crate::scenario::FleetProfile;
 use crate::traffic::{Arrival, JobRecipe};
-use lnls_core::persist::{Persist, PersistError, Reader};
+use lnls_core::persist::{write_atomic, Persist, PersistError, Reader};
 use lnls_runtime::AdmissionPolicy;
 use lnls_shard::ShardConfig;
 use std::io;
@@ -62,10 +62,7 @@ impl Trace {
     /// Write the trace to `path` (temp file + rename, like fleet
     /// checkpoints).
     pub fn save(&self, path: impl AsRef<Path>) -> io::Result<()> {
-        let path = path.as_ref();
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.to_bytes())?;
-        std::fs::rename(&tmp, path)
+        write_atomic(path.as_ref(), &self.to_bytes())
     }
 
     /// Read a trace written by [`save`](Self::save).

@@ -2,12 +2,12 @@
 //!
 //! Each case lowers a catalog scenario's trace and runs it on one bare
 //! [`FleetClient`], snapshotting through a [`DeltaCheckpointer`] after
-//! every tick (a base every fourth segment). Every segment's bytes, as
-//! written, and then the final full checkpoint are hashed into one
-//! length + FNV-1a digest per case. The digests are recorded constants:
-//! a refactor of the codecs must reproduce them exactly, and an intended
-//! layout change bumps the segment magic and these constants in the same
-//! commit.
+//! every tick (a base every fourth segment). Each case keeps two
+//! length + FNV-1a digests: one over its delta segments, and one over
+//! its base segments plus the final full checkpoint. The digests are
+//! recorded constants: a refactor of the codecs must reproduce them
+//! exactly, and an intended layout change bumps the magic of the
+//! segment kind it moves and that kind's column in the same commit.
 //!
 //! Each case also checks the contract the delta module promises: the
 //! chain [`CheckpointStore::load_latest`] replays re-encodes to exactly
@@ -28,16 +28,20 @@ use lnls::prelude::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-/// `(scenario, seed, bytes hashed, FNV-1a digest)`.
-const PINNED: [(&str, u64, usize, u64); 6] = [
-    ("checkpoint-churn", 1, 136_173, 0xe49a_b34c_9f02_aa75),
-    ("checkpoint-churn", 42, 155_074, 0x8f81_301d_c6ac_9b85),
-    ("saturation", 1, 156_487, 0x8399_c0cc_a2f6_fd4f),
-    ("saturation", 42, 219_478, 0x8435_a8a8_2d64_7ab9),
-    ("steady", 1, 127_098, 0xa0e6_97bb_fc7b_e2bb),
-    ("steady", 42, 284_325, 0x28e5_9141_b000_8b90),
+/// `(scenario, seed, delta segments, base segments + final checkpoint)`,
+/// each column `(bytes hashed, FNV-1a digest)`.
+type Pinned = (&'static str, u64, (usize, u64), (usize, u64));
+
+const PINNED: [Pinned; 6] = [
+    ("checkpoint-churn", 1, (78_568, 0x1ddc_b25c_bca9_c51e), (58_036, 0xa1c2_1220_50ca_e4a8)),
+    ("checkpoint-churn", 42, (97_215, 0x1a1d_ea69_b5af_3bad), (58_239, 0x4a55_40d4_c4e1_e475)),
+    ("saturation", 1, (82_554, 0x33ae_cd09_0be5_cc8b), (74_558, 0x9cd8_3aed_767b_a91a)),
+    ("saturation", 42, (110_547, 0xfc6e_75f2_2d76_48af), (109_762, 0xbda2_e34a_83eb_450c)),
+    ("steady", 1, (72_274, 0x6021_4e02_6424_d050), (55_400, 0x6246_aa0e_53c7_af02)),
+    ("steady", 42, (162_382, 0xfbfa_0e1d_e125_4e6c), (123_388, 0xc2bf_d892_8fff_5db6)),
 ];
 
 /// Deltas between two bases.
@@ -60,6 +64,10 @@ impl Fnv1a {
             self.hash = self.hash.wrapping_mul(0x0100_0000_01b3);
         }
         self.len += bytes.len();
+    }
+
+    fn pin(&self) -> (usize, u64) {
+        (self.len, self.hash)
     }
 }
 
@@ -85,13 +93,14 @@ fn client_for(trace: &Trace) -> FleetClient {
 }
 
 /// Replay `(scenario, seed)` with a snapshot after every tick and hash
-/// every segment plus the final checkpoint.
-fn run_case(scenario: &str, seed: u64, dir: &Path) -> Fnv1a {
+/// the delta segments, and apart from them the base segments plus the
+/// final checkpoint.
+fn run_case(scenario: &str, seed: u64, dir: &Path) -> (Fnv1a, Fnv1a) {
     let trace = TrafficGen::lower(&Scenario::by_name(scenario).expect("catalog scenario"), seed);
     let mut client = client_for(&trace);
     let mut ckpt = DeltaCheckpointer::open(dir, DELTAS_PER_BASE).expect("store opens");
     let (mut epoch, mut index) = (0u64, 0u64);
-    let mut digest = Fnv1a::new();
+    let (mut deltas, mut bases) = (Fnv1a::new(), Fnv1a::new());
     let mut next = 0usize;
     loop {
         while let Some(arrival) = trace.arrivals.get(next) {
@@ -104,16 +113,17 @@ fn run_case(scenario: &str, seed: u64, dir: &Path) -> Fnv1a {
             next += 1;
         }
         let progressed = client.tick();
-        let segment = match ckpt.snapshot(client.scheduler()).expect("snapshot writes").kind {
-            SnapshotKind::Base => {
-                (epoch, index) = (epoch + 1, 0);
-                format!("base-{epoch:08}.ckpt")
-            }
-            SnapshotKind::Delta => {
-                index += 1;
-                format!("delta-{epoch:08}-{index:08}.ckpt")
-            }
-        };
+        let (digest, segment) =
+            match ckpt.snapshot(client.scheduler()).expect("snapshot writes").kind {
+                SnapshotKind::Base => {
+                    (epoch, index) = (epoch + 1, 0);
+                    (&mut bases, format!("base-{epoch:08}.ckpt"))
+                }
+                SnapshotKind::Delta => {
+                    index += 1;
+                    (&mut deltas, format!("delta-{epoch:08}-{index:08}.ckpt"))
+                }
+            };
         digest.update(&fs::read(dir.join(&segment)).expect("the segment just written"));
         if !progressed && next >= trace.arrivals.len() {
             break;
@@ -124,23 +134,26 @@ fn run_case(scenario: &str, seed: u64, dir: &Path) -> Fnv1a {
     let loaded = CheckpointStore::open(dir).expect("store opens").load_latest(&registry);
     let loaded = loaded.expect("the chain loads").to_bytes();
     assert!(loaded == full, "{scenario}/{seed}: the replayed chain must equal the full checkpoint");
-    digest.update(&full);
-    digest
+    bases.update(&full);
+    (deltas, bases)
 }
 
 #[test]
 fn segment_bytes_match_the_pinned_layout() {
     let mut mismatches = Vec::new();
-    for (scenario, seed, len, hash) in PINNED {
+    for (scenario, seed, delta, base) in PINNED {
         let dir = std::env::temp_dir()
             .join(format!("lnls-layout-{scenario}-{seed}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&dir);
-        let got = run_case(scenario, seed, &dir);
+        let (deltas, bases) = run_case(scenario, seed, &dir);
         let _ = fs::remove_dir_all(&dir);
-        if (got.len, got.hash) != (len, hash) {
+        let ((dl, dh), (bl, bh)) = (deltas.pin(), bases.pin());
+        if ((dl, dh), (bl, bh)) != (delta, base) {
             mismatches.push(format!(
-                "(\"{scenario}\", {seed}, {}, 0x{:016x}) (pinned: {len}, 0x{hash:016x})",
-                got.len, got.hash
+                "(\"{scenario}\", {seed}, ({dl}, 0x{dh:016x}), ({bl}, 0x{bh:016x})) \
+                 [delta moved: {}, base moved: {}]",
+                (dl, dh) != delta,
+                (bl, bh) != base
             ));
         }
     }
@@ -241,4 +254,75 @@ fn a_corrupt_result_log_is_a_typed_error() {
     let loaded = store.load_latest(&registry).expect("the intact chain loads");
     assert!(loaded.to_bytes() == full, "the intact chain equals the full checkpoint");
     let _ = fs::remove_dir_all(&dir);
+}
+
+/// Six jobs on one device after one tick, the last one's id flipped
+/// wherever its id could sit: every `5u64` in the checkpoint loses its
+/// low bit in turn. Each mutant is refused, or it restores into a fleet
+/// that runs to the end. The job payload's flipped id once decoded into
+/// two live copies of job #4, and the second to retire panicked.
+#[test]
+fn a_flipped_job_id_is_refused_or_runs_to_the_end() {
+    let mut fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 1, ..Default::default() },
+    );
+    for seed in 0..6 {
+        fleet.submit(onemax_job(seed, 20));
+    }
+    fleet.tick();
+    let bytes = fleet.checkpoint().to_bytes();
+    let registry = JobRegistry::with_builtin();
+    let five = 5u64.to_le_bytes();
+    let offsets: Vec<usize> =
+        bytes.windows(8).enumerate().filter(|(_, w)| *w == five).map(|(at, _)| at).collect();
+    assert!(offsets.len() >= 3, "job #5 sits in the layout, the metadata and the payload");
+    for at in offsets {
+        let mut mutant = bytes.clone();
+        mutant[at] ^= 1;
+        let Ok(checkpoint) = FleetCheckpoint::from_bytes(&mutant, &registry) else { continue };
+        let ran =
+            catch_unwind(AssertUnwindSafe(|| Scheduler::restore(checkpoint).run_until_idle()));
+        assert!(ran.is_ok(), "the checkpoint with byte {at} flipped decoded, then panicked");
+    }
+}
+
+/// A delta copied in from a fleet of another backend shape, under the
+/// name the chain expects next, is a `CorruptSegment` naming it. It
+/// once loaded into a checkpoint whose first tick indexed past the one
+/// device.
+#[test]
+fn a_delta_from_another_backend_shape_is_a_corrupt_segment() {
+    let root = std::env::temp_dir().join(format!("lnls-spliced-delta-{}", std::process::id()));
+    let _ = fs::remove_dir_all(&root);
+    let (small_dir, large_dir) = (root.join("small"), root.join("large"));
+    let fleet = |devices: usize, cpu_workers: usize| {
+        let config = SchedulerConfig { cpu_workers, ..Default::default() };
+        Scheduler::with_uniform_fleet(devices, DeviceSpec::gtx280(), config)
+    };
+    let (mut small, mut large) = (fleet(1, 0), fleet(2, 1));
+    for seed in 0..4 {
+        small.submit(onemax_job(seed, 20));
+        large.submit(onemax_job(seed, 20));
+    }
+    let mut ckpt = DeltaCheckpointer::open(&small_dir, 8).expect("store opens");
+    assert_eq!(ckpt.snapshot(&small).expect("base writes").kind, SnapshotKind::Base);
+    let mut ckpt = DeltaCheckpointer::open(&large_dir, 8).expect("store opens");
+    assert_eq!(ckpt.snapshot(&large).expect("base writes").kind, SnapshotKind::Base);
+    for seed in 4..6 {
+        large.submit(onemax_job(seed, 20));
+    }
+    large.tick();
+    assert_eq!(ckpt.snapshot(&large).expect("delta writes").kind, SnapshotKind::Delta);
+
+    let name = "delta-00000001-00000001.ckpt";
+    fs::copy(large_dir.join(name), small_dir.join(name)).expect("the delta copies");
+    let store = CheckpointStore::open(&small_dir).expect("store opens");
+    match store.load_latest(&JobRegistry::with_builtin()) {
+        Err(CheckpointError::CorruptSegment { segment, .. }) if segment.ends_with(name) => {}
+        Err(e) => panic!("the spliced delta failed as {e}"),
+        Ok(c) => panic!("the spliced delta loaded, with {} pending jobs", c.pending_jobs()),
+    }
+    let _ = fs::remove_dir_all(&root);
 }
