@@ -1,9 +1,15 @@
 //! Criterion micro-benchmarks of PPP evaluation: full re-evaluation vs
-//! the O(m·k + touched) incremental path, per neighborhood size — the
-//! quantity that decides every CPU column in the paper's tables.
+//! the O(m·k + touched) incremental path, per neighborhood size, and a
+//! whole neighborhood through the flat `eval_range` kernel vs the
+//! per-move path — the quantity that decides every CPU column in the
+//! paper's tables.
+//!
+//! ```text
+//! cargo bench -p lnls-bench --bench ppp_eval
+//! ```
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use lnls_core::{BinaryProblem, BitString, IncrementalEval};
+use lnls_core::{eval_each_move, BinaryProblem, BitString, IncrementalEval};
 use lnls_neighborhood::{KHamming, Neighborhood};
 use lnls_ppp::{Ppp, PppInstance};
 use rand::rngs::StdRng;
@@ -52,24 +58,36 @@ fn bench_neighbor_fitness(c: &mut Criterion) {
 
 fn bench_iteration_scan(c: &mut Criterion) {
     // One full tabu-iteration evaluation sweep (the unit the tables
-    // multiply by iteration counts).
-    let mut g = c.benchmark_group("ppp_iteration_scan");
-    for (m, n, k) in [(73usize, 73usize, 1usize), (73, 73, 2), (73, 73, 3)] {
-        let (p, s) = setup(m, n);
-        let mut st = p.init_state(&s);
-        let hood = KHamming::new(n, k);
-        g.throughput(Throughput::Elements(hood.size()));
-        g.bench_with_input(BenchmarkId::from_parameter(format!("{m}x{n}_k{k}")), &(), |b, _| {
-            b.iter(|| {
-                let mut best = i64::MAX;
-                for (_, mv) in lnls_neighborhood::LexMoves::new(n, k) {
-                    best = best.min(p.neighbor_fitness(&mut st, &s, &mv));
-                }
-                black_box(best)
-            })
-        });
+    // multiply by iteration counts): the `eval_range` call every
+    // explorer makes, then the per-move path it must reproduce.
+    // Throughput is in moves, so elem/s reads as moves per second.
+    let shapes = [(73usize, 73usize, 1usize), (73, 73, 2), (73, 73, 3), (101, 117, 3)];
+    for (group, per_move) in [("ppp_iteration_scan", false), ("ppp_iteration_scan_per_move", true)]
+    {
+        let mut g = c.benchmark_group(group);
+        for (m, n, k) in shapes {
+            let (p, s) = setup(m, n);
+            let mut st = p.init_state(&s);
+            let hood = KHamming::new(n, k);
+            let mut out = vec![0i64; hood.size() as usize];
+            g.throughput(Throughput::Elements(hood.size()));
+            g.bench_with_input(
+                BenchmarkId::from_parameter(format!("{m}x{n}_k{k}")),
+                &(),
+                |b, _| {
+                    b.iter(|| {
+                        if per_move {
+                            eval_each_move(&p, &mut st, &s, &hood, 0, &mut out);
+                        } else {
+                            p.eval_range(&mut st, &s, &hood, 0, &mut out);
+                        }
+                        black_box(out.iter().copied().min())
+                    })
+                },
+            );
+        }
+        g.finish();
     }
-    g.finish();
 }
 
 fn bench_apply_move(c: &mut Criterion) {

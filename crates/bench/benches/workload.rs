@@ -12,9 +12,14 @@
 //! `LNLS_BENCH_JSON_PATH`), merged with the fleet bench's rows, so the
 //! perf trajectory is machine-trackable across PRs.
 
-use lnls_gpu_sim::{EngineConfig, SelectionMode};
-use lnls_runtime::RingSink;
+use lnls_core::{BitString, SearchConfig, TabuSearch};
+use lnls_gpu_sim::{DeviceSpec, EngineConfig, SelectionMode};
+use lnls_neighborhood::{KHamming, Neighborhood};
+use lnls_ppp::{Ppp, PppInstance};
+use lnls_runtime::{BinaryJob, RingSink, Scheduler, SchedulerConfig};
 use lnls_workload::{Driver, Scenario, TrafficGen};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 use std::time::Instant;
 
 fn main() {
@@ -385,6 +390,53 @@ fn main() {
         ("observed_replay_ms", observed_ms.into()),
         ("metered_replay_ms", metered_ms.into()),
     ]);
+
+    // The paper's own regime: 3-Hamming tabu on its 73×73 and 101×117
+    // PPP instances (62,196 and 260,130 moves per iteration), a few jobs
+    // of a few iterations each on one device. Nearly all of the wall time
+    // is the PPP's `eval_range` kernel, so the row tracks its wall cost
+    // per move as well as the replay's wall time.
+    println!(
+        "\n{:>20} {:>5} {:>6} {:>9} | {:>10} {:>10}",
+        "scenario", "jobs", "iters", "moves/it", "wall(ms)", "ns/move"
+    );
+    for (m, n, jobs, iters) in [(73usize, 73usize, 3u64, 3u64), (101, 117, 2, 2)] {
+        let hood = KHamming::new(n, 3);
+        let mut fleet =
+            Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), SchedulerConfig::default());
+        for job in 0..jobs {
+            let job_seed = seed.wrapping_add(job);
+            let problem = Ppp::new(PppInstance::generate(m, n, job_seed));
+            let init = BitString::random(&mut StdRng::seed_from_u64(job_seed), n);
+            let config = SearchConfig::budget(iters).with_seed(job_seed).with_target(None);
+            let search = TabuSearch::paper(config, hood.size());
+            fleet.submit(BinaryJob::new(format!("ppp-paper-{job}"), problem, hood, search, init));
+        }
+        let t0 = Instant::now();
+        fleet.run_until_idle();
+        let wall = t0.elapsed().as_secs_f64();
+        let iterations = fleet.fleet_report().iterations_executed;
+        let ns_per_move = wall * 1e9 / (iterations * hood.size()) as f64;
+        let scenario = format!("ppp-paper/{m}x{n}-k3");
+        println!(
+            "{:>20} {:>5} {:>6} {:>9} | {:>10.1} {:>10.1}",
+            scenario,
+            jobs,
+            iterations,
+            hood.size(),
+            wall * 1e3,
+            ns_per_move
+        );
+        json.record(&[
+            ("scenario", scenario.into()),
+            ("seed", seed.into()),
+            ("jobs", jobs.into()),
+            ("iterations", iterations.into()),
+            ("moves_per_iteration", hood.size().into()),
+            ("replay_wall_s", wall.into()),
+            ("ns_per_move", ns_per_move.into()),
+        ]);
+    }
 
     match json.finish() {
         Ok(path) => println!("\nmachine-readable summary: {}", path.display()),

@@ -114,6 +114,9 @@ impl PppInstance {
         }
         let m: usize = it.next().ok_or("missing m")?.parse().map_err(|e| format!("bad m: {e}"))?;
         let n: usize = it.next().ok_or("missing n")?.parse().map_err(|e| format!("bad n: {e}"))?;
+        if m == 0 || n == 0 {
+            return Err(format!("m and n must be positive, got m = {m}, n = {n}"));
+        }
 
         let rows_line = lines.next().ok_or("missing rows line")?;
         let mut rows_it = rows_line.split_whitespace();
@@ -123,7 +126,9 @@ impl PppInstance {
         let rows: Vec<u64> = rows_it
             .map(|t| u64::from_str_radix(t, 16).map_err(|e| format!("bad row word: {e}")))
             .collect::<Result<_, _>>()?;
-        let a = EpsilonMatrix::from_row_words(m, n, &rows);
+        if m.checked_mul(n.div_ceil(64)) != Some(rows.len()) {
+            return Err(format!("rows has {} words, expected {m}·⌈{n}/64⌉", rows.len()));
+        }
 
         let hist_line = lines.next().ok_or("missing hist line")?;
         let mut hist_it = hist_line.split_whitespace();
@@ -150,6 +155,9 @@ impl PppInstance {
                 .iter()
                 .map(|t| u64::from_str_radix(t, 16).map_err(|e| format!("bad secret word: {e}")))
                 .collect::<Result<_, _>>()?;
+            if words.len() < n.div_ceil(64) {
+                return Err(format!("secret has {} words, expected ⌈{n}/64⌉", words.len()));
+            }
             let mut v = BitString::zeros(n);
             for i in 0..n {
                 if (words[i / 64] >> (i % 64)) & 1 == 1 {
@@ -158,6 +166,7 @@ impl PppInstance {
             }
             Some(v)
         };
+        let a = EpsilonMatrix::from_row_words(m, n, &rows);
         Ok(Self { a, target_hist, secret })
     }
 
@@ -241,6 +250,17 @@ mod tests {
         assert!(PppInstance::parse("").is_err());
         assert!(PppInstance::parse("ppp 3").is_err());
         assert!(PppInstance::parse("ppp 3 3\nrows zz\nhist 0\nsecret -").is_err());
+        // Each of these used to panic while building the matrix or the
+        // secret; each is an error naming the field now.
+        let rejects = |text: &str, field: &str| {
+            let err = PppInstance::parse(text).expect_err(text);
+            assert!(err.contains(field), "{text:?} failed as {err:?}, which does not name {field}");
+        };
+        rejects("ppp 3 2\nrows 0 1\nhist 0 1 2\nsecret -", "rows");
+        rejects("ppp 0 2\nrows\nhist 0 0 0\nsecret -", "m and n");
+        rejects("ppp 2 0\nrows\nhist 0\nsecret -", "m and n");
+        let hist = vec!["0"; 71].join(" ");
+        rejects(&format!("ppp 1 70\nrows 0 0\nhist {hist}\nsecret 1"), "secret");
     }
 
     #[test]

@@ -7,11 +7,35 @@
 //! `ΔY_j = Σ_c 4·(a_jc ⊕ v_c) − 2`, and the histogram-cost delta is
 //! accumulated through a scratch delta-histogram (`O(touched bins)`
 //! cleanup, no allocation).
+//!
+//! That per-move path ([`neighbor_fitness`](IncrementalEval::neighbor_fitness))
+//! is the oracle. Explorers evaluate through
+//! [`eval_range`](IncrementalEval::eval_range), which `Ppp` answers with
+//! the paper's §III array fill laid out flat for any range of a fixed-k
+//! lexicographic neighborhood:
+//!
+//! 1. the column deltas `D[c·m + r]` (`ΔY_r` when bit `c` flips, ±2) are
+//!    unpacked once per call into one contiguous `n × m` array;
+//! 2. the prefix products `P_t = Y + Σ_{u<t} D[bits_u]` are rebuilt only
+//!    from the first bit position a lexicographic step changes, so a
+//!    2-Hamming range pays one `m`-row rebuild per first bit `i` and a
+//!    3-Hamming range one per `(i, j)`;
+//! 3. each move is one branch-free pass over the `m` rows of
+//!    `P_{k−1} + D[last]` (the negativity sum and each row's histogram
+//!    bin), the bin counts, then the histogram distance to the target.
+//!    Every row value has the parity of `n`, so the bins are `(y + n) / 2`
+//!    and the distance reads only the `⌊n/2⌋ + 1` bins that can match.
+//!
+//! The result is the exact integer the per-move path returns. Unions of
+//! radii, any neighborhood whose size is not `C(n, k)`, and instances
+//! whose per-move sums could overflow `i32` fall back to the per-move
+//! path.
 
 use crate::instance::PppInstance;
 use crate::objective::{fitness_parts, NEG_WEIGHT};
-use lnls_core::{BinaryProblem, BitString, IncrementalEval};
-use lnls_neighborhood::FlipMove;
+use lnls_core::{eval_each_move, BinaryProblem, BitString, IncrementalEval};
+use lnls_neighborhood::flip::MAX_FLIPS;
+use lnls_neighborhood::{checked_binomial, lex_advance, FlipMove, Neighborhood};
 
 /// The PPP wrapped as a minimization problem.
 #[derive(Clone, Debug)]
@@ -233,6 +257,161 @@ impl IncrementalEval for Ppp {
         touched.clear();
         *neg_cost += neg_d;
         *hist_cost += hist_d;
+    }
+
+    /// The flat range kernel (module docs) for any range of a fixed-k
+    /// lexicographic neighborhood; anything else — a union of radii, a
+    /// neighborhood of another dimension, a range past the end — is
+    /// evaluated move by move.
+    fn eval_range<N: Neighborhood>(
+        &self,
+        state: &mut PppState,
+        s: &BitString,
+        hood: &N,
+        lo: u64,
+        out: &mut [i64],
+    ) {
+        let (m, n, k) = (self.inst.m(), self.inst.n(), hood.k());
+        let fixed_k = (1..=MAX_FLIPS).contains(&k)
+            && hood.dim() == n
+            && checked_binomial(n as u64, k as u64) == Some(hood.size())
+            && !out.is_empty()
+            && lo.checked_add(out.len() as u64).is_some_and(|hi| hi <= hood.size());
+        let target = fixed_k.then(|| HistTarget::new(&self.inst.target_hist, m, n)).flatten();
+        let Some(target) = target else {
+            return eval_each_move(self, state, s, hood, lo, out);
+        };
+        self.eval_fixed_k(&state.y, s, &target, hood.unrank(lo), out);
+    }
+}
+
+impl Ppp {
+    /// The kernel behind [`eval_range`](IncrementalEval::eval_range),
+    /// kept apart from the neighborhood type so it is compiled once:
+    /// fills `out` with the fitness of `first` and of the moves after it
+    /// in lexicographic order over `n` bits, which the caller has
+    /// checked exist.
+    fn eval_fixed_k(
+        &self,
+        y: &[i32],
+        s: &BitString,
+        target: &HistTarget,
+        first: FlipMove,
+        out: &mut [i64],
+    ) {
+        let (m, n, k) = (self.inst.m(), self.inst.n(), first.k());
+        let d = self.column_deltas(s);
+        let mut bits = [0u32; MAX_FLIPS];
+        bits[..k].copy_from_slice(first.bits());
+        // Level t of `prefix` is P_t = Y + Σ_{u<t} D[bits_u], t < k.
+        let mut prefix = vec![0i32; k * m];
+        prefix[..m].copy_from_slice(y);
+        let mut stale = 1;
+        let (mut bins, mut count) = (vec![0u32; m], vec![0i32; 2 * (n + 1)]);
+        let mut at = 0;
+        loop {
+            for t in stale..k {
+                let (done, rest) = prefix.split_at_mut(t * m);
+                let col = &d[bits[t - 1] as usize * m..][..m];
+                for ((p, &q), &dc) in rest[..m].iter_mut().zip(&done[(t - 1) * m..]).zip(col) {
+                    *p = q + dc;
+                }
+            }
+            // One run: every last bit from bits[k-1] to n-1 under the
+            // same prefix, cut short where the range ends.
+            let last = bits[k - 1] as usize;
+            let run = (n - last).min(out.len() - at);
+            let level = &prefix[(k - 1) * m..];
+            for (o, col) in out[at..at + run].iter_mut().zip(d[last * m..].chunks_exact(m)) {
+                *o = target.fitness(level, col, &mut bins, &mut count);
+            }
+            at += run;
+            if at == out.len() {
+                return;
+            }
+            bits[k - 1] = n as u32 - 1;
+            let before = bits;
+            let advanced = lex_advance(&mut bits[..k], n as u32);
+            debug_assert!(advanced, "the range fits, so a next prefix exists");
+            stale = (0..k).find(|&t| bits[t] != before[t]).expect("an advance changes a bit") + 1;
+        }
+    }
+
+    /// `D[c·m + r]`: `ΔY_r = 4·(a_rc ⊕ v_c) − 2` when bit `c` of `s`
+    /// flips, one contiguous `m`-row slice per column.
+    fn column_deltas(&self, s: &BitString) -> Vec<i32> {
+        let (m, n) = (self.inst.m(), self.inst.n());
+        let mut d = vec![0i32; n * m];
+        for (c, col) in d.chunks_exact_mut(m).enumerate() {
+            let inv = if s.get(c) { u64::MAX } else { 0 };
+            for (rows, &word) in col.chunks_mut(64).zip(self.inst.a.col_words(c)) {
+                let bits = word ^ inv;
+                for (r, dr) in rows.iter_mut().enumerate() {
+                    *dr = 4 * ((bits >> r) & 1) as i32 - 2;
+                }
+            }
+        }
+        d
+    }
+}
+
+/// The histogram term of the range kernel. Every row value has the
+/// parity of `n` (`Y_r = n − 2·popcount`), so a row of value `y` is
+/// counted in bin `(y + n) / 2` of `0..=n`. The non-negative values fill
+/// bins `⌈n/2⌉..=n`, which `same` (the target bins of `n`'s parity) is
+/// laid against; a target bin of the other parity costs `|H_b|` whatever
+/// the move, which `other` sums once.
+struct HistTarget {
+    same: Vec<i32>,
+    other: i64,
+    n: usize,
+}
+
+impl HistTarget {
+    /// `None` unless `target` has the `n + 1` bins of an `m × n`
+    /// instance and a move's two cost terms fit `i32`: the negativity
+    /// sum is at most `2n·m`, the histogram distance at most `Σ|H_b| + m`.
+    fn new(target: &[i32], m: usize, n: usize) -> Option<Self> {
+        let fits = |bound: u64| bound <= i32::MAX as u64;
+        let spread: u64 = target.iter().map(|&h| h.unsigned_abs() as u64).sum();
+        let small = fits((2 * n as u64).saturating_mul(m as u64)) && fits(spread + m as u64);
+        if target.len() != n + 1 || !small {
+            return None;
+        }
+        let same = target.iter().skip(n % 2).step_by(2).copied().collect();
+        let other = target.iter().skip(1 - n % 2).step_by(2).map(|&h| (h as i64).abs()).sum();
+        Some(Self { same, other, n })
+    }
+
+    /// The fitness of the move whose rows are `prefix + col`, in
+    /// branch-free passes: each row's negativity term and bin, then the
+    /// bin counts — alternate rows into the two halves of `count`, so a
+    /// run of rows with one value does not wait on its own stores — and
+    /// the histogram distance. `count` is all-zero between calls.
+    #[inline]
+    fn fitness(&self, prefix: &[i32], col: &[i32], bins: &mut [u32], count: &mut [i32]) -> i64 {
+        let n = self.n as i32;
+        let mut neg = 0i32;
+        for ((bin, &p), &dc) in bins.iter_mut().zip(prefix).zip(col) {
+            let y = p + dc;
+            neg += y.abs() - y;
+            *bin = ((y + n) >> 1) as u32;
+        }
+        let (even, odd) = count.split_at_mut(self.n + 1);
+        let mut pairs = bins.chunks_exact(2);
+        for pair in &mut pairs {
+            even[pair[0] as usize] += 1;
+            odd[pair[1] as usize] += 1;
+        }
+        for &bin in pairs.remainder() {
+            even[bin as usize] += 1;
+        }
+        let lo = self.n + 1 - self.same.len();
+        let hist: i32 = (self.same.iter().zip(&even[lo..]).zip(&odd[lo..]))
+            .map(|((&h, &a), &b)| (h - a - b).abs())
+            .sum();
+        count.fill(0);
+        NEG_WEIGHT * neg as i64 + hist as i64 + self.other
     }
 }
 

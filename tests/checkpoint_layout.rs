@@ -22,8 +22,8 @@ use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{Neighborhood, TwoHamming};
 use lnls::prelude::{
     AdmissionPolicy, BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec,
-    FleetCheckpoint, FleetClient, JobRegistry, JobSpec, JobStatus, MultiDevice, OneMax, Scenario,
-    Scheduler, SchedulerConfig, SnapshotKind, Trace, TrafficGen,
+    FleetCheckpoint, FleetClient, JobRegistry, JobSpec, JobStatus, MultiDevice, OneMax, Ppp,
+    PppInstance, Scenario, Scheduler, SchedulerConfig, SnapshotKind, Trace, TrafficGen,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -325,4 +325,30 @@ fn a_delta_from_another_backend_shape_is_a_corrupt_segment() {
         Ok(c) => panic!("the spliced delta loaded, with {} pending jobs", c.pending_jobs()),
     }
     let _ = fs::remove_dir_all(&root);
+}
+
+/// Two 20×20 PPP tabu jobs on one device after one tick, with one
+/// digit of the first instance's `ppp 20 20` header turned into
+/// `ppp 30 20`: the instance text keeps its length, so the checkpoint
+/// decodes up to `PppInstance::parse`, which must refuse 30 rows of
+/// matrix words given for 20. It once panicked there instead.
+#[test]
+fn a_ppp_instance_with_a_wrong_row_count_is_refused() {
+    let mut fleet = Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), Default::default());
+    for seed in 0..2 {
+        let hood = TwoHamming::new(20);
+        let init = BitString::random(&mut StdRng::seed_from_u64(seed), 20);
+        let search = TabuSearch::paper(SearchConfig::budget(20).with_seed(seed), hood.size());
+        let problem = Ppp::new(PppInstance::generate(20, 20, seed));
+        fleet.submit(BinaryJob::new(format!("ppp-{seed}"), problem, hood, search, init));
+    }
+    fleet.tick();
+    let mut bytes = fleet.checkpoint().to_bytes();
+    let header = b"ppp 20 20";
+    let at = bytes.windows(header.len()).position(|w| w == header).expect("a PPP instance");
+    bytes[at + 4] = b'3';
+    let registry = JobRegistry::with_builtin();
+    let decoded = catch_unwind(AssertUnwindSafe(|| FleetCheckpoint::from_bytes(&bytes, &registry)));
+    assert!(decoded.is_ok(), "decoding the checkpoint panicked");
+    assert!(decoded.unwrap().is_err(), "a 30-row header over 20 rows of words decoded");
 }
