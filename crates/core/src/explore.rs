@@ -7,7 +7,7 @@
 //! * [`SequentialExplorer`] — one host thread, the paper's "CPU time"
 //!   configuration;
 //! * [`ParallelCpuExplorer`] — all host cores via scoped threads (an obvious
-//!   baseline the paper leaves on the table; used by the ablations);
+//!   baseline the paper leaves on the table; only tests drive it today);
 //! * `PppGpuExplorer` (in `lnls-ppp`) — the simulated-GPU path of the
 //!   paper, implementing this same trait.
 //!

@@ -9,6 +9,11 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
 
+/// Most repair lanes a round may run: [`LnsSearch::with_lanes`] asserts
+/// it and the decoder refuses more, so every search a caller can build
+/// restores from its own checkpoint.
+const MAX_LANES: usize = 1 << 16;
+
 /// Configuration builder for the destroy-and-repair search.
 ///
 /// `max_iters` counts **rounds** (one round = destroy → multi-lane
@@ -37,9 +42,10 @@ impl LnsSearch {
         }
     }
 
-    /// Use `lanes` parallel repair lanes (at least 1).
+    /// Use `lanes` parallel repair lanes (at least 1, at most 2^16).
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(lanes >= 1, "need at least one repair lane");
+        assert!(lanes <= MAX_LANES, "at most {MAX_LANES} repair lanes, got {lanes}");
         self.lanes = lanes;
         self
     }
@@ -328,7 +334,7 @@ impl<P: IncrementalEval> LnsCursor<P> {
         if s.len() != problem.dim() || best.len() != problem.dim() {
             return Err(PersistError::new("solution length does not match the problem"));
         }
-        if lanes == 0 || lanes > 1 << 16 || inner_iters == 0 {
+        if lanes == 0 || lanes > MAX_LANES || inner_iters == 0 {
             return Err(PersistError::new("corrupt lns repair shape"));
         }
         let state = problem.init_state(&s);
@@ -513,6 +519,12 @@ mod tests {
             "a different instance must be refused"
         );
         assert!(LnsCursor::<Qubo>::read_persisted(&mut Reader::new(&[1, 2, 3]), &a).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn with_lanes_refuses_a_shape_its_decoder_refuses() {
+        let _ = LnsSearch::paper(SearchConfig::budget(1)).with_lanes(MAX_LANES + 1);
     }
 
     #[test]

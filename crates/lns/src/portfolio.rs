@@ -14,6 +14,12 @@ use std::time::Duration;
 /// Display names of the three racing lanes, by lane index.
 pub const LANE_NAMES: [&str; 3] = ["tabu", "sa", "gvns"];
 
+/// Largest leader boost: [`PortfolioSearch::with_boost`] asserts it and
+/// the decoder refuses more, so every race a caller can build restores
+/// from its own checkpoint (a leader window prices `boost + 2` kernel
+/// entries).
+const MAX_BOOST: u64 = 1 << 16;
+
 /// Configuration builder for the portfolio race.
 ///
 /// `max_iters` counts **rounds**. Every round each lane advances one
@@ -44,9 +50,11 @@ impl PortfolioSearch {
         self
     }
 
-    /// Give the leading lane `boost` sub-steps per round (at least 1).
+    /// Give the leading lane `boost` sub-steps per round (at least 1, at
+    /// most 2^16).
     pub fn with_boost(mut self, boost: u64) -> Self {
         assert!(boost >= 1, "the leader keeps at least one sub-step");
+        assert!(boost <= MAX_BOOST, "a boost of at most {MAX_BOOST} sub-steps, got {boost}");
         self.boost = boost;
         self
     }
@@ -428,7 +436,7 @@ impl<P: IncrementalEval> PortfolioCursor<P> {
         if leader >= 3 {
             return Err(PersistError::new(format!("portfolio leader lane {leader} out of range")));
         }
-        if realloc_every == 0 || boost == 0 {
+        if realloc_every == 0 || boost == 0 || boost > MAX_BOOST {
             return Err(PersistError::new("corrupt portfolio reallocation schedule"));
         }
         if hood.dim() != problem.dim() {
@@ -619,5 +627,34 @@ mod tests {
         cursor.persist(&mut bytes);
         assert!(PortfolioCursor::read_persisted(&mut Reader::new(&bytes), &b).is_err());
         assert!(PortfolioCursor::<Knapsack>::read_persisted(&mut Reader::new(&[0, 1]), &a).is_err());
+    }
+
+    #[test]
+    fn persist_rejects_a_boost_past_the_bound() {
+        // A boost of 2^40 used to decode, and the runtime sizes a leader
+        // window's kernel chain at boost + 2 entries: 8 TiB of f64.
+        let mut rng = StdRng::seed_from_u64(16);
+        let sat = MaxSat::random(&mut rng, 12, 40);
+        let init = BitString::random(&mut rng, 12);
+        let search = PortfolioSearch::paper(SearchConfig::budget(10).with_seed(1));
+        let cursor = search.with_boost(MAX_BOOST).cursor(&sat, init);
+        let mut bytes = Vec::new();
+        cursor.persist(&mut bytes);
+        let mut prefix = Vec::new();
+        cursor.max_rounds.write(&mut prefix);
+        cursor.target.write(&mut prefix);
+        cursor.realloc_every.write(&mut prefix);
+        let boost = prefix.len()..prefix.len() + 8;
+        assert_eq!(bytes[boost.clone()], MAX_BOOST.to_le_bytes());
+        let decode = |bytes: &[u8]| PortfolioCursor::read_persisted(&mut Reader::new(bytes), &sat);
+        assert!(decode(&bytes).is_ok(), "the bound itself restores");
+        bytes[boost].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(decode(&bytes).is_err());
+    }
+
+    #[test]
+    #[should_panic(expected = "at most")]
+    fn with_boost_refuses_a_boost_its_decoder_refuses() {
+        let _ = PortfolioSearch::paper(SearchConfig::budget(1)).with_boost(MAX_BOOST + 1);
     }
 }

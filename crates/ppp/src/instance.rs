@@ -166,6 +166,13 @@ impl PppInstance {
             }
             Some(v)
         };
+        // Every line parsed; now the histogram must be one of m row
+        // products: every bin in 0..=m, summing to m. A negative bin
+        // would overflow the distance's `abs`.
+        let in_range = target_hist.iter().all(|&h| usize::try_from(h).is_ok_and(|h| h <= m));
+        if !in_range || target_hist.iter().map(|&h| h as usize).sum::<usize>() != m {
+            return Err(format!("hist bins must lie in 0..={m} and sum to m = {m}"));
+        }
         let a = EpsilonMatrix::from_row_words(m, n, &rows);
         Ok(Self { a, target_hist, secret })
     }
@@ -261,6 +268,11 @@ mod tests {
         rejects("ppp 2 0\nrows\nhist 0\nsecret -", "m and n");
         let hist = vec!["0"; 71].join(" ");
         rejects(&format!("ppp 1 70\nrows 0 0\nhist {hist}\nsecret 1"), "secret");
+        // A bin outside 0..=m used to parse, then overflow `abs` in
+        // `evaluate` and `init_state`; bins summing past m are no
+        // histogram of m rows.
+        rejects("ppp 1 1\nrows 0\nhist -2147483648 1\nsecret -", "hist");
+        rejects("ppp 1 1\nrows 0\nhist 1 1\nsecret -", "hist");
     }
 
     #[test]

@@ -5,19 +5,21 @@
 //! disk snapshots), and — when two erased jobs report the same
 //! [`BatchKey`] — fusable. The key embeds the concrete Rust type
 //! (`TypeId`), so a leader may downcast its batch peers to its own type
-//! and drive them through one [`BatchedExplorer`] pass.
+//! and drive them through one fused pass.
 //!
-//! Every executor is a thin shell around a [`SearchCursor`]
-//! (`TabuCursor` for binary jobs, `RtsCursor` for QAP jobs, an
-//! [`AnnealCursor`] behind the object-safe
-//! [`ProblemCursor`](lnls_core::ProblemCursor) adapter for annealing
-//! jobs): the cursor owns the walk, the executor owns the pricing. That
-//! is what makes preemption free of semantic consequence — a job
-//! stepped in quanta makes exactly the moves a run-to-completion job
-//! makes.
+//! The five bundled job families share one executor, [`Exec`]: a shell
+//! that owns the job's identity ([`JobHead`]) and implements [`JobExec`]
+//! once — the accessors, the peer downcast, the report, clones and the
+//! payload header — around the family's [`Walk`]. A walk is a
+//! [`SearchCursor`] plus what pricing it needs (`TabuCursor` for binary
+//! jobs, `RtsCursor` for QAP jobs, an [`AnnealCursor`], `LnsCursor` or
+//! `PortfolioCursor` behind the object-safe [`ProblemCursor`] adapter):
+//! the cursor owns the walk, the family owns the pricing. That is what
+//! makes preemption free of semantic consequence — a job stepped in
+//! quanta makes exactly the moves a run-to-completion job makes.
 //!
 //! [`JobExec`] is public so external workloads can implement
-//! [`SearchJob`](crate::SearchJob) end to end; the bundled executors
+//! [`SearchJob`](crate::SearchJob) end to end; the shell and the walks
 //! stay private behind their spec types.
 
 use crate::job::{JobId, JobOutcome, JobReport};
@@ -77,10 +79,11 @@ pub struct StepRun {
 ///
 /// Implementations wrap a [`SearchCursor`] (directly, or behind
 /// [`DynCursor`]) and price its iterations onto the backend they are
-/// stepped on; the scheduler never sees anything else. The bundled
-/// executors — binary tabu, QAP robust tabu, simulated annealing — are
-/// built by the corresponding spec types; external workloads implement
-/// this trait plus [`SearchJob`](crate::SearchJob) to plug in.
+/// stepped on; the scheduler never sees anything else. The five bundled
+/// job families — binary tabu, QAP robust tabu, simulated annealing,
+/// destroy-and-repair LNS and portfolio races — share one implementation
+/// built by their spec types; external workloads implement this trait
+/// plus [`SearchJob`](crate::SearchJob) to plug in.
 pub trait JobExec: Send {
     /// The identity assigned at submission.
     fn id(&self) -> JobId;
@@ -164,53 +167,289 @@ pub trait JobExec: Send {
     fn persist(&self, out: &mut Vec<u8>);
 }
 
+impl StepRun {
+    /// Fold `span`, which advanced this step by `iters` iterations, into
+    /// the step.
+    pub(crate) fn absorb(&mut self, iters: u64, span: StepRun) {
+        self.iters += iters;
+        self.seconds += span.seconds;
+        self.serialized_s += span.serialized_s;
+        self.spans += span.spans;
+        self.launch_overhead_saved_s += span.launch_overhead_saved_s;
+    }
+}
+
+/// Price one fused stream span — `iters` iterations of `lanes` sharing
+/// the per-iteration kernel chain `kernels` — through the span pricer,
+/// book it on `dev` with `host_s` of host work, and report it as one
+/// span of `iters` iterations.
+pub(crate) fn charge_span(
+    dev: &mut Device,
+    lanes: &[LaneIo],
+    kernels: &[f64],
+    host_s: f64,
+    iters: u64,
+    mode: LaunchMode,
+) -> StepRun {
+    let sched = price_fused_span(dev.spec(), lanes, kernels, iters as usize, mode);
+    let (book, saved) = TimeBook::fused_span(dev.spec(), lanes, kernels, host_s, iters, mode);
+    dev.charge(&book);
+    StepRun {
+        iters,
+        seconds: sched.makespan,
+        serialized_s: sched.serialized,
+        spans: 1,
+        launch_overhead_saved_s: saved,
+    }
+}
+
+// ---------------------------------------------------------------------
+// The shell
+// ---------------------------------------------------------------------
+
+/// The identity the scheduler assigned a bundled job: the first four
+/// fields of every bundled payload.
+#[derive(Clone)]
+pub(crate) struct JobHead {
+    id: JobId,
+    name: String,
+    priority: u8,
+    seq: u64,
+}
+
+impl Persist for JobHead {
+    fn write(&self, out: &mut Vec<u8>) {
+        self.id.write(out);
+        self.name.write(out);
+        self.priority.write(out);
+        self.seq.write(out);
+    }
+
+    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        Ok(Self { id: r.read()?, name: r.read()?, priority: r.read()?, seq: r.read()? })
+    }
+}
+
+/// What one bundled job family supplies to [`Exec`]: its walk, the
+/// pricing of its steps, its outcome and its payload body. The methods
+/// mirror [`JobExec`]'s; the shell supplies everything else.
+pub(crate) trait Walk: Send + Sized + 'static {
+    /// Registry tag the family's payloads persist under.
+    fn tag() -> String;
+
+    /// See [`JobExec::done`].
+    fn done(&self) -> bool;
+
+    /// See [`JobExec::iterations`].
+    fn iterations(&self) -> u64;
+
+    /// See [`JobExec::batch_key`]; `None` (the default) never fuses.
+    fn batch_key(&self) -> Option<BatchKey> {
+        None
+    }
+
+    /// See [`JobExec::step_device`].
+    fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun;
+
+    /// See [`JobExec::step_host`].
+    fn step_host(&mut self, host: &HostSpec, quota: u64) -> StepRun;
+
+    /// See [`JobExec::step_batch`]; the shell has downcast the peers
+    /// already. The default serves families that never fuse.
+    fn step_batch(
+        &mut self,
+        peers: &mut [&mut Self],
+        dev: &mut Device,
+        span_iters: u64,
+        _mode: LaunchMode,
+    ) -> StepRun {
+        assert!(peers.is_empty(), "batch_key() is None, so no peers ever arrive");
+        self.step_device(dev, span_iters.max(1))
+    }
+
+    /// See [`JobExec::serial_equivalent_s`].
+    fn serial_equivalent_s(&self, spec: &DeviceSpec) -> f64;
+
+    /// The outcome a report from `backend` carries (the best-so-far when
+    /// the walk is not done).
+    fn outcome(&self, backend: &str) -> JobOutcome;
+
+    /// Iterations that ran inside fused groups.
+    fn fused_iterations(&self) -> u64 {
+        0
+    }
+
+    /// See [`JobExec::unplaced`].
+    fn unplaced(&mut self) {}
+
+    /// Deep copy for checkpoints. Backend-resident caches and scratch
+    /// stay behind: a revived job rebuilds them, as a real restart would.
+    fn fork(&self) -> Self;
+
+    /// The payload after the [`JobHead`].
+    fn write_body(&self, out: &mut Vec<u8>);
+
+    /// Inverse of [`write_body`](Self::write_body).
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError>;
+}
+
+/// The one [`JobExec`] implementation behind the bundled job families:
+/// a [`JobHead`] and the family's [`Walk`].
+pub(crate) struct Exec<W> {
+    head: JobHead,
+    walk: W,
+}
+
+impl<W: Walk> Exec<W> {
+    /// The executor of a fresh submission under `ctx`: the envelope's
+    /// name and priority overrides win over the spec's own.
+    pub fn new(ctx: &SubmitCtx, name: String, priority: u8, walk: W) -> Self {
+        let (name, priority) = (ctx.name(name), ctx.priority(priority));
+        Self { head: JobHead { id: ctx.id, name, priority, seq: ctx.seq }, walk }
+    }
+
+    /// Decode one payload written by [`JobExec::persist`]: the
+    /// [`JobHead`], then the walk's body.
+    pub fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
+        let head = r.read()?;
+        Ok(Box::new(Self { head, walk: W::read_body(r)? }))
+    }
+}
+
+impl<W: Walk> JobExec for Exec<W> {
+    fn id(&self) -> JobId {
+        self.head.id
+    }
+
+    fn name(&self) -> &str {
+        &self.head.name
+    }
+
+    fn priority(&self) -> u8 {
+        self.head.priority
+    }
+
+    fn seq(&self) -> u64 {
+        self.head.seq
+    }
+
+    fn done(&self) -> bool {
+        self.walk.done()
+    }
+
+    fn iterations(&self) -> u64 {
+        self.walk.iterations()
+    }
+
+    fn batch_key(&self) -> Option<BatchKey> {
+        self.walk.batch_key()
+    }
+
+    fn as_any_mut(&mut self) -> &mut dyn Any {
+        self
+    }
+
+    fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
+        self.walk.step_device(dev, quota)
+    }
+
+    fn step_host(&mut self, host: &HostSpec, quota: u64) -> StepRun {
+        self.walk.step_host(host, quota)
+    }
+
+    fn step_batch(
+        &mut self,
+        peers: &mut [&mut Box<dyn JobExec>],
+        dev: &mut Device,
+        span_iters: u64,
+        mode: LaunchMode,
+    ) -> StepRun {
+        let mut peers: Vec<&mut W> = peers
+            .iter_mut()
+            .map(|p| {
+                let peer = p.as_any_mut().downcast_mut::<Self>();
+                &mut peer.expect("batch key embeds TypeId; peers must share the leader's type").walk
+            })
+            .collect();
+        self.walk.step_batch(&mut peers, dev, span_iters, mode)
+    }
+
+    fn serial_equivalent_s(&self, spec: &DeviceSpec) -> f64 {
+        self.walk.serial_equivalent_s(spec)
+    }
+
+    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
+        JobReport {
+            id: self.head.id,
+            name: self.head.name.clone(),
+            tenant: String::new(),
+            outcome: self.walk.outcome(&backend),
+            backend,
+            submitted_s: 0.0,
+            started_s,
+            finished_s,
+            fused_iterations: self.walk.fused_iterations(),
+            cancelled: false,
+            rejected: false,
+        }
+    }
+
+    fn unplaced(&mut self) {
+        self.walk.unplaced()
+    }
+
+    fn clone_box(&self) -> Box<dyn JobExec> {
+        Box::new(Self { head: self.head.clone(), walk: self.walk.fork() })
+    }
+
+    fn persist_tag(&self) -> String {
+        W::tag()
+    }
+
+    fn persist(&self, out: &mut Vec<u8>) {
+        self.head.write(out);
+        self.walk.write_body(out);
+    }
+}
+
 // ---------------------------------------------------------------------
 // Binary tabu jobs
 // ---------------------------------------------------------------------
 
-/// Executor for [`BinaryJob`](crate::BinaryJob): a [`TabuCursor`] stepped
+/// Walk of a [`BinaryJob`](crate::BinaryJob): a [`TabuCursor`] stepped
 /// in quanta, batchable with same-key tenants.
-pub(crate) struct BinaryTabuJob<P, N>
-where
-    P: IncrementalEval + 'static,
-    N: Neighborhood + Clone + Send + Sync + 'static,
-{
-    pub id: JobId,
-    pub name: String,
-    pub priority: u8,
-    pub seq: u64,
-    pub problem: Arc<P>,
-    pub hood: N,
-    pub cursor: TabuCursor<P>,
-    pub out: Vec<i64>,
-    pub state_h2d_bytes: u64,
-    pub host: HostSpec,
-    pub selection: SelectionMode,
-    pub fused_iters: u64,
+pub(crate) struct TabuWalk<P: IncrementalEval, N> {
+    problem: Arc<P>,
+    hood: N,
+    cursor: TabuCursor<P>,
+    /// Fitness scratch of the latest evaluation: never persisted, and
+    /// left behind by [`fork`](Walk::fork).
+    out: Vec<i64>,
+    state_h2d_bytes: u64,
+    host: HostSpec,
+    selection: SelectionMode,
+    fused_iters: u64,
 }
 
-impl<P, N> BinaryTabuJob<P, N>
+impl<P, N> TabuWalk<P, N>
 where
-    P: IncrementalEval + 'static,
-    N: Neighborhood + Clone + Send + Sync + 'static,
+    P: IncrementalEval + Persist + PersistTag + 'static,
+    N: Neighborhood + Clone + Send + Sync + Persist + PersistTag + 'static,
 {
-    pub fn new(ctx: SubmitCtx, spec: crate::job::BinaryJob<P, N>) -> Self {
+    pub fn exec(ctx: &SubmitCtx, spec: crate::job::BinaryJob<P, N>) -> Exec<Self> {
         let cursor = spec.search.cursor(&spec.problem, spec.init);
         let state_h2d_bytes = spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64);
-        Self {
-            id: ctx.id,
-            name: ctx.name(spec.name),
-            priority: ctx.priority(spec.priority),
-            seq: ctx.seq,
+        let walk = Self {
             problem: Arc::new(spec.problem),
             hood: spec.hood,
             cursor,
             out: Vec::new(),
             state_h2d_bytes,
-            host: ctx.host,
+            host: ctx.host.clone(),
             selection: ctx.selection,
             fused_iters: 0,
-        }
+        };
+        Exec::new(ctx, spec.name, spec.priority, walk)
     }
 
     fn profile(&self, spec: &DeviceSpec) -> LaneProfile {
@@ -233,25 +472,13 @@ where
     }
 }
 
-impl<P, N> JobExec for BinaryTabuJob<P, N>
+impl<P, N> Walk for TabuWalk<P, N>
 where
     P: IncrementalEval + Persist + PersistTag + 'static,
     N: Neighborhood + Clone + Send + Sync + Persist + PersistTag + 'static,
 {
-    fn id(&self) -> JobId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
+    fn tag() -> String {
+        format!("tabu/{}/{}", P::TAG, N::TAG)
     }
 
     fn done(&self) -> bool {
@@ -270,10 +497,6 @@ where
             hood_size: self.hood.size(),
             k: self.hood.k(),
         })
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
@@ -318,22 +541,14 @@ where
 
     fn step_batch(
         &mut self,
-        peers: &mut [&mut Box<dyn JobExec>],
+        peers: &mut [&mut Self],
         dev: &mut Device,
         span_iters: u64,
         mode: LaunchMode,
     ) -> StepRun {
         let spec = dev.spec().clone();
         let prof = self.profile(&spec);
-        let mut typed: Vec<&mut Self> = peers
-            .iter_mut()
-            .map(|p| {
-                p.as_any_mut()
-                    .downcast_mut::<Self>()
-                    .expect("batch key embeds TypeId; peers must share the leader's type")
-            })
-            .collect();
-        let peer_profiles: Vec<LaneProfile> = typed.iter().map(|t| t.profile(&spec)).collect();
+        let peer_profiles: Vec<LaneProfile> = peers.iter().map(|t| t.profile(&spec)).collect();
 
         // Selection is per lane: each member's effective mode — the
         // fleet default or its own JobSpec override — prices its slice
@@ -344,14 +559,14 @@ where
         // nothing the walks can observe.
         let mut bex = BatchedExplorer::new(self.hood.clone(), spec);
         bex.begin_span(mode);
-        let fused = !typed.is_empty();
+        let fused = !peers.is_empty();
         let budget = span_iters.max(1);
         let mut iters = 0;
         loop {
             {
-                let mut lanes: Vec<BatchLane<'_, P>> = Vec::with_capacity(1 + typed.len());
+                let mut lanes: Vec<BatchLane<'_, P>> = Vec::with_capacity(1 + peers.len());
                 lanes.push(self.lane(prof));
-                for (t, p) in typed.iter_mut().zip(&peer_profiles) {
+                for (t, p) in peers.iter_mut().zip(&peer_profiles) {
                     lanes.push(t.lane(*p));
                 }
                 bex.explore_span(&mut lanes);
@@ -360,12 +575,12 @@ where
             if fused {
                 self.fused_iters += 1;
             }
-            for t in typed.iter_mut() {
+            for t in peers.iter_mut() {
                 t.cursor.select_and_commit(&*t.problem, &t.hood, &t.out);
                 t.fused_iters += 1;
             }
             iters += 1;
-            if iters >= budget || self.cursor.is_done() || typed.iter().any(|t| t.cursor.is_done())
+            if iters >= budget || self.cursor.is_done() || peers.iter().any(|t| t.cursor.is_done())
             {
                 break;
             }
@@ -385,30 +600,17 @@ where
         self.profile(spec).solo_seconds(spec) * self.cursor.iterations() as f64
     }
 
-    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
-        let result =
-            self.cursor.clone().into_result(std::time::Duration::ZERO, None, backend.clone());
-        JobReport {
-            id: self.id,
-            name: self.name.clone(),
-            tenant: String::new(),
-            backend,
-            submitted_s: 0.0,
-            started_s,
-            finished_s,
-            fused_iterations: self.fused_iters,
-            cancelled: false,
-            rejected: false,
-            outcome: JobOutcome::binary(result),
-        }
+    fn outcome(&self, backend: &str) -> JobOutcome {
+        let wall = std::time::Duration::ZERO;
+        JobOutcome::binary(self.cursor.clone().into_result(wall, None, backend.to_string()))
     }
 
-    fn clone_box(&self) -> Box<dyn JobExec> {
-        Box::new(Self {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            seq: self.seq,
+    fn fused_iterations(&self) -> u64 {
+        self.fused_iters
+    }
+
+    fn fork(&self) -> Self {
+        Self {
             problem: Arc::clone(&self.problem),
             hood: self.hood.clone(),
             cursor: self.cursor.clone(),
@@ -417,18 +619,10 @@ where
             host: self.host.clone(),
             selection: self.selection,
             fused_iters: self.fused_iters,
-        })
+        }
     }
 
-    fn persist_tag(&self) -> String {
-        tabu_tag::<P, N>()
-    }
-
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.id.0.write(out);
-        self.name.write(out);
-        self.priority.write(out);
-        self.seq.write(out);
+    fn write_body(&self, out: &mut Vec<u8>) {
         self.state_h2d_bytes.write(out);
         self.host.write(out);
         self.selection.write(out);
@@ -437,68 +631,44 @@ where
         self.hood.write(out);
         self.cursor.persist(out);
     }
-}
 
-/// Registry key of a binary tabu job over `(P, N)`.
-pub(crate) fn tabu_tag<P: PersistTag, N: PersistTag>() -> String {
-    format!("tabu/{}/{}", P::TAG, N::TAG)
-}
-
-/// Decode one [`BinaryTabuJob`] payload (inverse of its `persist`).
-pub(crate) fn read_tabu_job<P, N>(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>
-where
-    P: IncrementalEval + Persist + PersistTag + 'static,
-    N: Neighborhood + Clone + Send + Sync + Persist + PersistTag + 'static,
-{
-    let id = JobId(r.read::<u64>()?);
-    let name: String = r.read()?;
-    let priority: u8 = r.read()?;
-    let seq: u64 = r.read()?;
-    let state_h2d_bytes: u64 = r.read()?;
-    let host: HostSpec = r.read()?;
-    let selection: SelectionMode = r.read()?;
-    let fused_iters: u64 = r.read()?;
-    let problem: P = r.read()?;
-    let hood: N = r.read()?;
-    if hood.dim() != problem.dim() {
-        return Err(PersistError::new("neighborhood/problem dimension mismatch"));
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let state_h2d_bytes = r.read()?;
+        let host = r.read()?;
+        let selection = r.read()?;
+        let fused_iters = r.read()?;
+        let problem: P = r.read()?;
+        let hood: N = r.read()?;
+        if hood.dim() != problem.dim() {
+            return Err(PersistError::new("neighborhood/problem dimension mismatch"));
+        }
+        let cursor = TabuCursor::read_persisted(r, &problem)?;
+        let problem = Arc::new(problem);
+        Ok(Self {
+            problem,
+            hood,
+            cursor,
+            out: Vec::new(),
+            state_h2d_bytes,
+            host,
+            selection,
+            fused_iters,
+        })
     }
-    let cursor = TabuCursor::read_persisted(r, &problem)?;
-    Ok(Box::new(BinaryTabuJob {
-        id,
-        name,
-        priority,
-        seq,
-        problem: Arc::new(problem),
-        hood,
-        cursor,
-        out: Vec::new(),
-        state_h2d_bytes,
-        host,
-        selection,
-        fused_iters,
-    }))
 }
 
 // ---------------------------------------------------------------------
 // QAP jobs
 // ---------------------------------------------------------------------
 
-/// Registry key of a QAP robust-tabu job.
-pub(crate) const QAP_TAG: &str = "qap/rts";
-
-/// Executor for [`QapJobSpec`](crate::QapJobSpec): an [`RtsCursor`]
+/// Walk of a [`QapJobSpec`](crate::QapJobSpec): an [`RtsCursor`]
 /// stepped in quanta. Unbatchable; the device path prices through the
 /// real simulated swap kernel (instance matrices uploaded once per
 /// device residency, assignment re-uploaded per iteration), the host
 /// path through the delta table.
-pub(crate) struct QapJob {
-    pub id: JobId,
-    pub name: String,
-    pub priority: u8,
-    pub seq: u64,
-    pub instance: Arc<QapInstance>,
-    pub cursor: RtsCursor,
+pub(crate) struct QapWalk {
+    instance: Arc<QapInstance>,
+    cursor: RtsCursor,
     /// The fitness-selection mode the fleet (or a per-job override)
     /// asked for. The QAP swap path still *evaluates* through the
     /// functional simulated kernel — the full `C(n,2)` delta array is
@@ -511,34 +681,32 @@ pub(crate) struct QapJob {
     /// selects the winner, and one packed record
     /// ([`ARGMIN_RECORD_BYTES`]) crosses PCIe per iteration instead of
     /// the whole delta array.
-    pub selection: SelectionMode,
+    selection: SelectionMode,
     /// Device seconds charged so far (serialized-baseline contribution
     /// of the device-resident part of the walk).
-    pub charged_s: f64,
+    charged_s: f64,
     /// Accumulated device ledger across every device quantum — surfaced
     /// in the job report (`RtsResult::book`), like a solo device run's.
-    pub book: TimeBook,
+    book: TimeBook,
     /// Iterations executed on CPU workers (priced onto the reference
     /// device for the serialized baseline).
-    pub host_iters: u64,
+    host_iters: u64,
     /// Device-resident evaluator, kept across quanta while the job stays
-    /// on a device. Dropped on checkpoint/clone — a revived job pays the
-    /// instance re-upload again, exactly as a real restart would.
-    pub gpu: Option<GpuSwapEvaluator>,
-    /// Host-side delta table, kept across host quanta. Invalidated when
-    /// the walk advances on a device (the table's incremental state only
-    /// tracks commits it saw).
-    pub table: Option<TableEvaluator>,
+    /// on a device. Left behind by [`fork`](Walk::fork) — a revived job
+    /// pays the instance re-upload again, exactly as a real restart
+    /// would.
+    gpu: Option<GpuSwapEvaluator>,
+    /// Host-side delta table, kept across host quanta and left behind by
+    /// [`fork`](Walk::fork). Invalidated when the walk advances on a
+    /// device (the table's incremental state only tracks commits it
+    /// saw).
+    table: Option<TableEvaluator>,
 }
 
-impl QapJob {
-    pub fn new(ctx: SubmitCtx, spec: crate::job::QapJobSpec) -> Self {
+impl QapWalk {
+    pub fn exec(ctx: &SubmitCtx, spec: crate::job::QapJobSpec) -> Exec<Self> {
         let cursor = lnls_qap::RobustTabu::new(spec.config).cursor(&spec.instance, spec.init);
-        Self {
-            id: ctx.id,
-            name: ctx.name(spec.name),
-            priority: ctx.priority(spec.priority),
-            seq: ctx.seq,
+        let walk = Self {
             instance: Arc::new(spec.instance),
             cursor,
             selection: ctx.selection,
@@ -547,7 +715,8 @@ impl QapJob {
             host_iters: 0,
             gpu: None,
             table: None,
-        }
+        };
+        Exec::new(ctx, spec.name, spec.priority, walk)
     }
 
     /// Modeled per-iteration seconds of the O(n)-per-swap kernel over
@@ -562,21 +731,9 @@ impl QapJob {
     }
 }
 
-impl JobExec for QapJob {
-    fn id(&self) -> JobId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
+impl Walk for QapWalk {
+    fn tag() -> String {
+        "qap/rts".to_string()
     }
 
     fn done(&self) -> bool {
@@ -585,10 +742,6 @@ impl JobExec for QapJob {
 
     fn iterations(&self) -> u64 {
         self.cursor.iterations()
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
@@ -672,33 +825,16 @@ impl JobExec for QapJob {
         self.charged_s + self.iter_estimate_s(spec) * self.host_iters as f64
     }
 
-    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
+    fn outcome(&self, backend: &str) -> JobOutcome {
         // Device-resident iterations priced their launches into the
         // job's ledger; host-only runs report no book, matching a solo
         // TableEvaluator run.
         let book = (self.book.launches > 0).then(|| self.book.clone());
-        let result = self.cursor.clone().into_result(book, backend.clone());
-        JobReport {
-            id: self.id,
-            name: self.name.clone(),
-            tenant: String::new(),
-            backend,
-            submitted_s: 0.0,
-            started_s,
-            finished_s,
-            fused_iterations: 0,
-            cancelled: false,
-            rejected: false,
-            outcome: JobOutcome::qap(result),
-        }
+        JobOutcome::qap(self.cursor.clone().into_result(book, backend.to_string()))
     }
 
-    fn clone_box(&self) -> Box<dyn JobExec> {
-        Box::new(Self {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            seq: self.seq,
+    fn fork(&self) -> Self {
+        Self {
             instance: Arc::clone(&self.instance),
             cursor: self.cursor.clone(),
             selection: self.selection,
@@ -707,18 +843,10 @@ impl JobExec for QapJob {
             host_iters: self.host_iters,
             gpu: None,
             table: None,
-        })
+        }
     }
 
-    fn persist_tag(&self) -> String {
-        QAP_TAG.to_string()
-    }
-
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.id.0.write(out);
-        self.name.write(out);
-        self.priority.write(out);
-        self.seq.write(out);
+    fn write_body(&self, out: &mut Vec<u8>) {
         self.selection.write(out);
         self.charged_s.write(out);
         self.book.write(out);
@@ -726,18 +854,33 @@ impl JobExec for QapJob {
         (*self.instance).write(out);
         self.cursor.persist(out);
     }
+
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let selection = r.read()?;
+        let charged_s = r.read()?;
+        let book = r.read()?;
+        let host_iters = r.read()?;
+        let instance: QapInstance = r.read()?;
+        let cursor = RtsCursor::read_persisted(r, &instance)?;
+        let instance = Arc::new(instance);
+        Ok(Self {
+            instance,
+            cursor,
+            selection,
+            charged_s,
+            book,
+            host_iters,
+            gpu: None,
+            table: None,
+        })
+    }
 }
 
 // ---------------------------------------------------------------------
 // Simulated-annealing jobs
 // ---------------------------------------------------------------------
 
-/// Registry key of an annealing job over `(P, N)`.
-pub(crate) fn anneal_tag<P: PersistTag, N: PersistTag>() -> String {
-    format!("anneal/{}/{}", P::TAG, N::TAG)
-}
-
-/// Executor for [`AnnealJob`](crate::AnnealJob): an [`AnnealCursor`]
+/// Walk of an [`AnnealJob`](crate::AnnealJob): an [`AnnealCursor`]
 /// driven through the object-safe [`ProblemCursor`] adapter (SA samples
 /// its own neighbors, so the problem is the only external a step
 /// needs).
@@ -756,40 +899,29 @@ pub(crate) fn anneal_tag<P: PersistTag, N: PersistTag>() -> String {
 /// launches — the overhead-dominated regime is exactly where that
 /// matters. Sampling stays per chain (each walk draws its own move from
 /// its own RNG), so fusion is pricing-only, like everywhere else.
-pub(crate) struct AnnealExec<P, N>
-where
-    P: IncrementalEval + Send + Sync + 'static,
-    N: Neighborhood + Clone + 'static,
-{
-    pub id: JobId,
-    pub name: String,
-    pub priority: u8,
-    pub seq: u64,
-    pub walk: ProblemCursor<P, AnnealCursor<P, N>>,
-    pub state_h2d_bytes: u64,
-    pub host: HostSpec,
+pub(crate) struct AnnealWalk<P: IncrementalEval, N: Neighborhood> {
+    walk: ProblemCursor<P, AnnealCursor<P, N>>,
+    state_h2d_bytes: u64,
+    host: HostSpec,
     /// Iterations executed inside fused (≥ 2 member) launches.
-    pub fused_iters: u64,
+    fused_iters: u64,
 }
 
-impl<P, N> AnnealExec<P, N>
+impl<P, N> AnnealWalk<P, N>
 where
-    P: IncrementalEval + Send + Sync + 'static,
-    N: Neighborhood + Clone + 'static,
+    P: IncrementalEval + Persist + PersistTag + 'static,
+    N: Neighborhood + Clone + Persist + PersistTag + 'static,
 {
-    pub fn new(ctx: SubmitCtx, spec: crate::job::AnnealJob<P, N>) -> Self {
+    pub fn exec(ctx: &SubmitCtx, spec: crate::job::AnnealJob<P, N>) -> Exec<Self> {
         let cursor = spec.sa.cursor(&spec.problem, spec.init);
         let state_h2d_bytes = spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64);
-        Self {
-            id: ctx.id,
-            name: ctx.name(spec.name),
-            priority: ctx.priority(spec.priority),
-            seq: ctx.seq,
+        let walk = Self {
             walk: ProblemCursor::new(Arc::new(spec.problem), cursor),
             state_h2d_bytes,
-            host: ctx.host,
+            host: ctx.host.clone(),
             fused_iters: 0,
-        }
+        };
+        Exec::new(ctx, spec.name, spec.priority, walk)
     }
 
     /// One sampled-neighbor evaluation: `m = 1`.
@@ -805,25 +937,13 @@ where
     }
 }
 
-impl<P, N> JobExec for AnnealExec<P, N>
+impl<P, N> Walk for AnnealWalk<P, N>
 where
-    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
+    P: IncrementalEval + Persist + PersistTag + 'static,
     N: Neighborhood + Clone + Persist + PersistTag + 'static,
 {
-    fn id(&self) -> JobId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
+    fn tag() -> String {
+        format!("anneal/{}/{}", P::TAG, N::TAG)
     }
 
     fn done(&self) -> bool {
@@ -846,10 +966,6 @@ where
             hood_size: 1,
             k: self.walk.cursor().hood().k(),
         })
-    }
-
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
     }
 
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
@@ -889,7 +1005,7 @@ where
 
     fn step_batch(
         &mut self,
-        peers: &mut [&mut Box<dyn JobExec>],
+        peers: &mut [&mut Self],
         dev: &mut Device,
         span_iters: u64,
         mode: LaunchMode,
@@ -902,16 +1018,8 @@ where
         // per-chain state uploads across iterations exactly like the
         // tabu path.
         let spec = dev.spec().clone();
-        let mut typed: Vec<&mut Self> = peers
-            .iter_mut()
-            .map(|p| {
-                p.as_any_mut()
-                    .downcast_mut::<Self>()
-                    .expect("batch key embeds TypeId; peers must share the leader's type")
-            })
-            .collect();
         let profiles: Vec<LaneProfile> = std::iter::once(self.profile(&spec))
-            .chain(typed.iter().map(|t| t.profile(&spec)))
+            .chain(peers.iter().map(|t| t.profile(&spec)))
             .collect();
         let lanes: Vec<LaneIo> = profiles
             .iter()
@@ -919,141 +1027,66 @@ where
             .collect();
         let kernel_s: f64 = profiles.iter().map(|p| p.kernel_seconds).sum();
         let host_per_iter: f64 = profiles.iter().map(|p| p.host_seconds).sum();
-        let fused = !typed.is_empty();
+        let fused = !peers.is_empty();
         let budget = span_iters.max(1);
         let mut iters = 0u64;
         loop {
             self.walk.step(1);
-            for t in typed.iter_mut() {
+            for t in peers.iter_mut() {
                 t.walk.step(1);
             }
             iters += 1;
             if fused {
                 self.fused_iters += 1;
-                for t in typed.iter_mut() {
+                for t in peers.iter_mut() {
                     t.fused_iters += 1;
                 }
             }
-            if iters >= budget || self.walk.is_done() || typed.iter().any(|t| t.walk.is_done()) {
+            if iters >= budget || self.walk.is_done() || peers.iter().any(|t| t.walk.is_done()) {
                 break;
             }
         }
-        let sched = price_fused_span(&spec, &lanes, &[kernel_s], iters as usize, mode);
-        let host_s = host_per_iter * iters as f64;
-        let (book, saved) = TimeBook::fused_span(&spec, &lanes, &[kernel_s], host_s, iters, mode);
-        dev.charge(&book);
-        StepRun {
-            iters,
-            seconds: sched.makespan,
-            serialized_s: sched.serialized,
-            spans: 1,
-            launch_overhead_saved_s: saved,
-        }
+        charge_span(dev, &lanes, &[kernel_s], host_per_iter * iters as f64, iters, mode)
     }
 
     fn serial_equivalent_s(&self, spec: &DeviceSpec) -> f64 {
         self.profile(spec).solo_seconds(spec) * self.walk.iterations() as f64
     }
 
-    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
+    fn outcome(&self, _backend: &str) -> JobOutcome {
         let hood_name = self.walk.cursor().hood().name();
-        let result = self.walk.cursor().clone().into_result(std::time::Duration::ZERO, hood_name);
-        JobReport {
-            id: self.id,
-            name: self.name.clone(),
-            tenant: String::new(),
-            backend,
-            submitted_s: 0.0,
-            started_s,
-            finished_s,
-            fused_iterations: self.fused_iters,
-            cancelled: false,
-            rejected: false,
-            outcome: JobOutcome::binary(result),
-        }
+        let wall = std::time::Duration::ZERO;
+        JobOutcome::binary(self.walk.cursor().clone().into_result(wall, hood_name))
     }
 
-    fn clone_box(&self) -> Box<dyn JobExec> {
-        Box::new(Self {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            seq: self.seq,
+    fn fused_iterations(&self) -> u64 {
+        self.fused_iters
+    }
+
+    fn fork(&self) -> Self {
+        Self {
             walk: self.walk.clone(),
             state_h2d_bytes: self.state_h2d_bytes,
             host: self.host.clone(),
             fused_iters: self.fused_iters,
-        })
+        }
     }
 
-    fn persist_tag(&self) -> String {
-        anneal_tag::<P, N>()
-    }
-
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.id.0.write(out);
-        self.name.write(out);
-        self.priority.write(out);
-        self.seq.write(out);
+    fn write_body(&self, out: &mut Vec<u8>) {
         self.state_h2d_bytes.write(out);
         self.host.write(out);
         self.fused_iters.write(out);
         self.walk.problem().write(out);
         self.walk.cursor().persist(out);
     }
-}
 
-/// Decode one [`AnnealExec`] payload (inverse of its `persist`).
-pub(crate) fn read_anneal_job<P, N>(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>
-where
-    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
-    N: Neighborhood + Clone + Persist + PersistTag + 'static,
-{
-    let id = JobId(r.read::<u64>()?);
-    let name: String = r.read()?;
-    let priority: u8 = r.read()?;
-    let seq: u64 = r.read()?;
-    let state_h2d_bytes: u64 = r.read()?;
-    let host: HostSpec = r.read()?;
-    let fused_iters: u64 = r.read()?;
-    let problem: P = r.read()?;
-    let cursor = AnnealCursor::<P, N>::read_persisted(r, &problem)?;
-    Ok(Box::new(AnnealExec {
-        id,
-        name,
-        priority,
-        seq,
-        walk: ProblemCursor::new(Arc::new(problem), cursor),
-        state_h2d_bytes,
-        host,
-        fused_iters,
-    }))
-}
-
-/// Decode one [`QapJob`] payload (inverse of its `persist`).
-pub(crate) fn read_qap_job(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-    let id = JobId(r.read::<u64>()?);
-    let name: String = r.read()?;
-    let priority: u8 = r.read()?;
-    let seq: u64 = r.read()?;
-    let selection: SelectionMode = r.read()?;
-    let charged_s: f64 = r.read()?;
-    let book: TimeBook = r.read()?;
-    let host_iters: u64 = r.read()?;
-    let instance: QapInstance = r.read()?;
-    let cursor = RtsCursor::read_persisted(r, &instance)?;
-    Ok(Box::new(QapJob {
-        id,
-        name,
-        priority,
-        seq,
-        instance: Arc::new(instance),
-        cursor,
-        selection,
-        charged_s,
-        book,
-        host_iters,
-        gpu: None,
-        table: None,
-    }))
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let state_h2d_bytes = r.read()?;
+        let host = r.read()?;
+        let fused_iters = r.read()?;
+        let problem: P = r.read()?;
+        let cursor = AnnealCursor::read_persisted(r, &problem)?;
+        let walk = ProblemCursor::new(Arc::new(problem), cursor);
+        Ok(Self { walk, state_h2d_bytes, host, fused_iters })
+    }
 }

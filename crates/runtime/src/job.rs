@@ -167,10 +167,7 @@
 //! assert!(fleet.fleet_report().fleet_book.launches >= 3);
 //! ```
 
-use crate::exec::{
-    anneal_tag, read_anneal_job, read_qap_job, read_tabu_job, tabu_tag, AnnealExec, BinaryTabuJob,
-    JobExec, QapJob, QAP_TAG,
-};
+use crate::exec::{AnnealWalk, Exec, JobExec, QapWalk, TabuWalk, Walk};
 use crate::submit::{JobCodec, SearchJob, SubmitCtx};
 use lnls_core::persist::{Persist, PersistError, PersistTag, Reader};
 use lnls_core::{BitString, IncrementalEval, SearchResult, SimulatedAnnealing, TabuSearch};
@@ -456,11 +453,11 @@ where
     }
 
     fn persist_tag(&self) -> String {
-        tabu_tag::<P, N>()
+        TabuWalk::<P, N>::tag()
     }
 
     fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
-        Box::new(BinaryTabuJob::new(ctx, *self))
+        Box::new(TabuWalk::exec(&ctx, *self))
     }
 }
 
@@ -470,11 +467,11 @@ where
     N: Neighborhood + Clone + Send + Sync + Persist + PersistTag + 'static,
 {
     fn registry_tag() -> String {
-        tabu_tag::<P, N>()
+        TabuWalk::<P, N>::tag()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-        read_tabu_job::<P, N>(r)
+        Exec::<TabuWalk<P, N>>::decode(r)
     }
 }
 
@@ -526,21 +523,21 @@ impl SearchJob for QapJobSpec {
     }
 
     fn persist_tag(&self) -> String {
-        QAP_TAG.to_string()
+        QapWalk::tag()
     }
 
     fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
-        Box::new(QapJob::new(ctx, *self))
+        Box::new(QapWalk::exec(&ctx, *self))
     }
 }
 
 impl JobCodec for QapJobSpec {
     fn registry_tag() -> String {
-        QAP_TAG.to_string()
+        QapWalk::tag()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-        read_qap_job(r)
+        Exec::<QapWalk>::decode(r)
     }
 }
 
@@ -554,9 +551,11 @@ impl JobCodec for QapJobSpec {
 /// [`ProblemCursor`](lnls_core::ProblemCursor) adapter; each iteration
 /// evaluates **one** sampled neighbor, so launches are priced as
 /// single-neighbor kernels (overhead-dominated — the paper's argument
-/// for large launches, seen from the other side). Annealing jobs never
-/// fuse and report through [`SearchResult`], so
-/// [`JobOutcome::as_binary`] works on them.
+/// for large launches, seen from the other side). Chains sharing a
+/// problem family, dimension and sampling neighborhood fuse into one
+/// multi-lane sampled launch per iteration (pricing-only: each chain
+/// still draws its own moves). Annealing jobs report through
+/// [`SearchResult`], so [`JobOutcome::as_binary`] works on them.
 pub struct AnnealJob<P, N: Neighborhood> {
     /// Submission name (reports only).
     pub name: String,
@@ -612,11 +611,11 @@ where
     }
 
     fn persist_tag(&self) -> String {
-        anneal_tag::<P, N>()
+        AnnealWalk::<P, N>::tag()
     }
 
     fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
-        Box::new(AnnealExec::new(ctx, *self))
+        Box::new(AnnealWalk::exec(&ctx, *self))
     }
 }
 
@@ -626,10 +625,10 @@ where
     N: Neighborhood + Clone + Persist + PersistTag + 'static,
 {
     fn registry_tag() -> String {
-        anneal_tag::<P, N>()
+        AnnealWalk::<P, N>::tag()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-        read_anneal_job::<P, N>(r)
+        Exec::<AnnealWalk<P, N>>::decode(r)
     }
 }

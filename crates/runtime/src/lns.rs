@@ -1,41 +1,32 @@
-//! Executors for the `lnls-lns` cursor families: destroy-and-repair
-//! jobs ([`LnsJob`]) and portfolio races ([`PortfolioJob`]).
+//! Walks for the `lnls-lns` cursor families: destroy-and-repair jobs
+//! ([`LnsJob`]) and portfolio races ([`PortfolioJob`]). Both run in the
+//! shared executor shell ([`Exec`]), so this module holds only their
+//! walks, pricing, outcomes and payload bodies.
 //!
 //! Neither family fuses with *other* tenants (both keep the default
 //! `None` batch key): each job is its own fused batch, and rounds of
 //! different jobs have unrelated freed sets, so there is nothing
 //! coherent to fuse across tenants. A destroy-and-repair round repairs
-//! `L` lanes of the freed sub-problem in lockstep, so the executor
-//! prices every round as one multi-lane stream span of `inner_iters`
-//! fused repair launches through [`price_fused_span`] (and books it
-//! through [`TimeBook::fused_span`]) — the paper's launch-amortization
-//! argument applied *inside* a single tenant. A portfolio round
-//! advances three heterogeneous lanes (tabu, annealing, shaken descent)
-//! whose per-iteration shapes differ wildly; the executor prices one
-//! span per leader window (the leader is constant between reallocation
-//! boundaries) with a kernel chain entry per lane sub-step, which is
-//! exactly the stress test the heterogeneous-lane batcher needed.
+//! `L` lanes of the freed sub-problem in lockstep, so the walk prices
+//! every round as one multi-lane stream span of `inner_iters` fused
+//! repair launches through [`charge_span`] — the paper's
+//! launch-amortization argument applied *inside* a single tenant. A
+//! portfolio round advances three heterogeneous lanes (tabu, annealing,
+//! shaken descent) whose per-iteration shapes differ wildly; the walk
+//! prices one span per leader window (the leader is constant between
+//! reallocation boundaries) with a kernel chain entry per lane
+//! sub-step, which is exactly the stress test the heterogeneous-lane
+//! batcher needed.
 
-use crate::exec::{JobExec, StepRun};
-use crate::job::{JobId, JobOutcome, JobReport};
+use crate::exec::{charge_span, Exec, JobExec, StepRun, Walk};
+use crate::job::JobOutcome;
 use crate::submit::{JobCodec, SearchJob, SubmitCtx};
 use lnls_core::persist::{Persist, PersistError, PersistTag, Reader};
 use lnls_core::{BitString, DynCursor, IncrementalEval, LaneProfile, ProblemCursor};
-use lnls_gpu_sim::{price_fused_span, Device, DeviceSpec, HostSpec, LaneIo, LaunchMode, TimeBook};
+use lnls_gpu_sim::{Device, DeviceSpec, HostSpec, LaneIo, LaunchMode};
 use lnls_lns::{LnsCursor, LnsSearch, PortfolioCursor, PortfolioSearch};
 use lnls_neighborhood::Neighborhood;
-use std::any::Any;
 use std::sync::Arc;
-
-/// Registry tag of destroy-and-repair jobs over `P`.
-pub(crate) fn lns_tag<P: PersistTag>() -> String {
-    format!("lns/{}", P::TAG)
-}
-
-/// Registry tag of portfolio-race jobs over `P`.
-pub(crate) fn portfolio_tag<P: PersistTag>() -> String {
-    format!("portfolio/{}", P::TAG)
-}
 
 // ---------------------------------------------------------------------
 // Destroy-and-repair jobs
@@ -117,11 +108,11 @@ where
     }
 
     fn persist_tag(&self) -> String {
-        lns_tag::<P>()
+        LnsWalk::<P>::tag()
     }
 
     fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
-        Box::new(LnsExec::new(ctx, *self))
+        Box::new(LnsWalk::exec(&ctx, *self))
     }
 }
 
@@ -130,53 +121,42 @@ where
     P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
     fn registry_tag() -> String {
-        lns_tag::<P>()
+        LnsWalk::<P>::tag()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-        read_lns_job::<P>(r)
+        Exec::<LnsWalk<P>>::decode(r)
     }
 }
 
-/// Executor for [`LnsJob`]: an [`LnsCursor`] stepped round by round,
-/// each round priced as one fused multi-lane repair span.
-pub(crate) struct LnsExec<P>
-where
-    P: IncrementalEval + Send + Sync + 'static,
-{
-    pub id: JobId,
-    pub name: String,
-    pub priority: u8,
-    pub seq: u64,
-    pub state_h2d_bytes: u64,
-    pub host: HostSpec,
-    pub launch_mode: LaunchMode,
+/// Walk of an [`LnsJob`]: an [`LnsCursor`] stepped round by round, each
+/// round priced as one fused multi-lane repair span.
+pub(crate) struct LnsWalk<P: IncrementalEval> {
+    state_h2d_bytes: u64,
+    host: HostSpec,
+    launch_mode: LaunchMode,
     /// Accumulated launch-per-pass solo cost of the rounds executed so
     /// far — the serialized-fleet baseline contribution (the freed-set
     /// size varies round to round, so this cannot be reconstructed from
     /// the final state).
-    pub serial_s: f64,
-    pub walk: ProblemCursor<P, LnsCursor<P>>,
+    serial_s: f64,
+    walk: ProblemCursor<P, LnsCursor<P>>,
 }
 
-impl<P> LnsExec<P>
+impl<P> LnsWalk<P>
 where
-    P: IncrementalEval + Send + Sync + 'static,
+    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
-    pub fn new(ctx: SubmitCtx, spec: LnsJob<P>) -> Self {
+    fn exec(ctx: &SubmitCtx, spec: LnsJob<P>) -> Exec<Self> {
         let cursor = spec.search.cursor(&spec.problem, spec.init);
-        let state_h2d_bytes = spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64);
-        Self {
-            id: ctx.id,
-            name: ctx.name(spec.name),
-            priority: ctx.priority(spec.priority),
-            seq: ctx.seq,
-            state_h2d_bytes,
-            host: ctx.host,
+        let walk = Self {
+            state_h2d_bytes: spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64),
+            host: ctx.host.clone(),
             launch_mode: spec.launch_mode,
             serial_s: 0.0,
             walk: ProblemCursor::new(Arc::new(spec.problem), cursor),
-        }
+        };
+        Exec::new(ctx, spec.name, spec.priority, walk)
     }
 
     /// One repair lane's per-pass shape for the *next* round: `m` freed
@@ -193,24 +173,12 @@ where
     }
 }
 
-impl<P> JobExec for LnsExec<P>
+impl<P> Walk for LnsWalk<P>
 where
     P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
-    fn id(&self) -> JobId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
+    fn tag() -> String {
+        format!("lns/{}", P::TAG)
     }
 
     fn done(&self) -> bool {
@@ -221,14 +189,10 @@ where
         self.walk.iterations()
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
         // Step up to `quota` rounds, pricing each round as one fused
         // multi-lane span of `inner_iters` repair launches.
-        let (spec, mode) = (dev.spec().clone(), self.launch_mode);
+        let spec = dev.spec().clone();
         let lanes_n = self.walk.cursor().lanes();
         let inner = self.walk.cursor().inner_iters();
         let mut run = StepRun::default();
@@ -244,17 +208,10 @@ where
             // One fused kernel per repair pass covers all lanes (work is
             // additive across the fused grid).
             let kernel_s = prof.kernel_seconds * lanes_n as f64;
-            let sched = price_fused_span(&spec, &lanes, &[kernel_s], inner as usize, mode);
             let host_s = prof.host_seconds * lanes_n as f64 * inner as f64;
-            let (book, saved) =
-                TimeBook::fused_span(&spec, &lanes, &[kernel_s], host_s, inner, mode);
-            dev.charge(&book);
+            let span = charge_span(dev, &lanes, &[kernel_s], host_s, inner, self.launch_mode);
             self.serial_s += prof.solo_seconds(&spec) * (lanes_n as u64 * inner) as f64;
-            run.iters += 1;
-            run.seconds += sched.makespan;
-            run.serialized_s += sched.serialized;
-            run.spans += 1;
-            run.launch_overhead_saved_s += saved;
+            run.absorb(1, span);
         }
         run
     }
@@ -284,46 +241,21 @@ where
         self.serial_s
     }
 
-    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
-        let result = self.walk.cursor().clone().into_result(std::time::Duration::ZERO);
-        JobReport {
-            id: self.id,
-            name: self.name.clone(),
-            tenant: String::new(),
-            backend,
-            submitted_s: 0.0,
-            started_s,
-            finished_s,
-            fused_iterations: 0,
-            cancelled: false,
-            rejected: false,
-            outcome: JobOutcome::binary(result),
-        }
+    fn outcome(&self, _backend: &str) -> JobOutcome {
+        JobOutcome::binary(self.walk.cursor().clone().into_result(std::time::Duration::ZERO))
     }
 
-    fn clone_box(&self) -> Box<dyn JobExec> {
-        Box::new(Self {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            seq: self.seq,
+    fn fork(&self) -> Self {
+        Self {
             state_h2d_bytes: self.state_h2d_bytes,
             host: self.host.clone(),
             launch_mode: self.launch_mode,
             serial_s: self.serial_s,
             walk: self.walk.clone(),
-        })
+        }
     }
 
-    fn persist_tag(&self) -> String {
-        lns_tag::<P>()
-    }
-
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.id.0.write(out);
-        self.name.write(out);
-        self.priority.write(out);
-        self.seq.write(out);
+    fn write_body(&self, out: &mut Vec<u8>) {
         self.state_h2d_bytes.write(out);
         self.host.write(out);
         self.launch_mode.write(out);
@@ -331,34 +263,17 @@ where
         self.walk.problem().write(out);
         self.walk.cursor().persist(out);
     }
-}
 
-/// Decode one [`LnsExec`] payload (inverse of its `persist`).
-pub(crate) fn read_lns_job<P>(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>
-where
-    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
-{
-    let id = JobId(r.read::<u64>()?);
-    let name: String = r.read()?;
-    let priority: u8 = r.read()?;
-    let seq: u64 = r.read()?;
-    let state_h2d_bytes: u64 = r.read()?;
-    let host: HostSpec = r.read()?;
-    let launch_mode: LaunchMode = r.read()?;
-    let serial_s: f64 = r.read()?;
-    let problem: P = r.read()?;
-    let cursor = LnsCursor::read_persisted(r, &problem)?;
-    Ok(Box::new(LnsExec {
-        id,
-        name,
-        priority,
-        seq,
-        state_h2d_bytes,
-        host,
-        launch_mode,
-        serial_s,
-        walk: ProblemCursor::new(Arc::new(problem), cursor),
-    }))
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let state_h2d_bytes = r.read()?;
+        let host = r.read()?;
+        let launch_mode = r.read()?;
+        let serial_s = r.read()?;
+        let problem: P = r.read()?;
+        let cursor = LnsCursor::read_persisted(r, &problem)?;
+        let walk = ProblemCursor::new(Arc::new(problem), cursor);
+        Ok(Self { state_h2d_bytes, host, launch_mode, serial_s, walk })
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -445,11 +360,11 @@ where
     }
 
     fn persist_tag(&self) -> String {
-        portfolio_tag::<P>()
+        PortfolioWalk::<P>::tag()
     }
 
     fn into_exec(self: Box<Self>, ctx: SubmitCtx) -> Box<dyn JobExec> {
-        Box::new(PortfolioExec::new(ctx, *self))
+        Box::new(PortfolioWalk::exec(&ctx, *self))
     }
 }
 
@@ -458,52 +373,41 @@ where
     P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
     fn registry_tag() -> String {
-        portfolio_tag::<P>()
+        PortfolioWalk::<P>::tag()
     }
 
     fn decode(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError> {
-        read_portfolio_job::<P>(r)
+        Exec::<PortfolioWalk<P>>::decode(r)
     }
 }
 
-/// Executor for [`PortfolioJob`]: a [`PortfolioCursor`] stepped round by
+/// Walk of a [`PortfolioJob`]: a [`PortfolioCursor`] stepped round by
 /// round, priced one heterogeneous-lane span per leader window.
-pub(crate) struct PortfolioExec<P>
-where
-    P: IncrementalEval + Send + Sync + 'static,
-{
-    pub id: JobId,
-    pub name: String,
-    pub priority: u8,
-    pub seq: u64,
-    pub state_h2d_bytes: u64,
-    pub host: HostSpec,
-    pub launch_mode: LaunchMode,
+pub(crate) struct PortfolioWalk<P: IncrementalEval> {
+    state_h2d_bytes: u64,
+    host: HostSpec,
+    launch_mode: LaunchMode,
     /// Accumulated solo cost of the sub-steps executed so far (the
     /// leader schedule varies, so this cannot be reconstructed from the
     /// final state).
-    pub serial_s: f64,
-    pub walk: ProblemCursor<P, PortfolioCursor<P>>,
+    serial_s: f64,
+    walk: ProblemCursor<P, PortfolioCursor<P>>,
 }
 
-impl<P> PortfolioExec<P>
+impl<P> PortfolioWalk<P>
 where
-    P: IncrementalEval + Send + Sync + 'static,
+    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
-    pub fn new(ctx: SubmitCtx, spec: PortfolioJob<P>) -> Self {
+    fn exec(ctx: &SubmitCtx, spec: PortfolioJob<P>) -> Exec<Self> {
         let cursor = spec.search.cursor(&spec.problem, spec.init);
-        let state_h2d_bytes = spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64);
-        Self {
-            id: ctx.id,
-            name: ctx.name(spec.name),
-            priority: ctx.priority(spec.priority),
-            seq: ctx.seq,
-            state_h2d_bytes,
-            host: ctx.host,
+        let walk = Self {
+            state_h2d_bytes: spec.state_h2d_bytes.unwrap_or(4 * spec.problem.dim() as u64),
+            host: ctx.host.clone(),
             launch_mode: spec.launch_mode,
             serial_s: 0.0,
             walk: ProblemCursor::new(Arc::new(spec.problem), cursor),
-        }
+        };
+        Exec::new(ctx, spec.name, spec.priority, walk)
     }
 
     /// The three lanes' per-sub-step shapes: full-neighborhood tabu
@@ -543,24 +447,12 @@ where
     }
 }
 
-impl<P> JobExec for PortfolioExec<P>
+impl<P> Walk for PortfolioWalk<P>
 where
     P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
 {
-    fn id(&self) -> JobId {
-        self.id
-    }
-
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    fn priority(&self) -> u8 {
-        self.priority
-    }
-
-    fn seq(&self) -> u64 {
-        self.seq
+    fn tag() -> String {
+        format!("portfolio/{}", P::TAG)
     }
 
     fn done(&self) -> bool {
@@ -571,16 +463,12 @@ where
         self.walk.iterations()
     }
 
-    fn as_any_mut(&mut self) -> &mut dyn Any {
-        self
-    }
-
     fn step_device(&mut self, dev: &mut Device, quota: u64) -> StepRun {
         // Step up to `quota` rounds; each leader window (the leader is
         // constant between reallocation boundaries) is priced as one fused
         // heterogeneous-lane span with one kernel-chain entry per lane
         // sub-step.
-        let (spec, mode) = (dev.spec().clone(), self.launch_mode);
+        let spec = dev.spec().clone();
         let mut run = StepRun::default();
         while run.iters < quota && !self.walk.is_done() {
             let leader = self.walk.cursor().leader();
@@ -606,27 +494,20 @@ where
             if ran == 0 {
                 break;
             }
-            let sched = price_fused_span(&spec, &lanes, &kernels, ran as usize, mode);
             let n = ran as f64;
             let host_one: f64 = profs
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.host_seconds * self.substeps(i, leader) as f64)
                 .sum();
-            let (book, saved) =
-                TimeBook::fused_span(&spec, &lanes, &kernels, host_one * n, ran, mode);
-            dev.charge(&book);
+            let span = charge_span(dev, &lanes, &kernels, host_one * n, ran, self.launch_mode);
             self.serial_s += profs
                 .iter()
                 .enumerate()
                 .map(|(i, p)| p.solo_seconds(&spec) * self.substeps(i, leader) as f64)
                 .sum::<f64>()
                 * n;
-            run.iters += ran;
-            run.seconds += sched.makespan;
-            run.serialized_s += sched.serialized;
-            run.spans += 1;
-            run.launch_overhead_saved_s += saved;
+            run.absorb(ran, span);
         }
         run
     }
@@ -657,52 +538,23 @@ where
         self.serial_s
     }
 
-    fn finish(&mut self, backend: String, started_s: f64, finished_s: f64) -> JobReport {
+    fn outcome(&self, _backend: &str) -> JobOutcome {
         let outcome = self.walk.cursor().outcome();
         let result = self.walk.cursor().clone().into_result(std::time::Duration::ZERO);
-        JobReport {
-            id: self.id,
-            name: self.name.clone(),
-            tenant: String::new(),
-            backend,
-            submitted_s: 0.0,
-            started_s,
-            finished_s,
-            fused_iterations: 0,
-            cancelled: false,
-            rejected: false,
-            outcome: JobOutcome::with_detail(
-                result.best_fitness,
-                result.iterations,
-                result.success,
-                outcome,
-            ),
-        }
+        JobOutcome::with_detail(result.best_fitness, result.iterations, result.success, outcome)
     }
 
-    fn clone_box(&self) -> Box<dyn JobExec> {
-        Box::new(Self {
-            id: self.id,
-            name: self.name.clone(),
-            priority: self.priority,
-            seq: self.seq,
+    fn fork(&self) -> Self {
+        Self {
             state_h2d_bytes: self.state_h2d_bytes,
             host: self.host.clone(),
             launch_mode: self.launch_mode,
             serial_s: self.serial_s,
             walk: self.walk.clone(),
-        })
+        }
     }
 
-    fn persist_tag(&self) -> String {
-        portfolio_tag::<P>()
-    }
-
-    fn persist(&self, out: &mut Vec<u8>) {
-        self.id.0.write(out);
-        self.name.write(out);
-        self.priority.write(out);
-        self.seq.write(out);
+    fn write_body(&self, out: &mut Vec<u8>) {
         self.state_h2d_bytes.write(out);
         self.host.write(out);
         self.launch_mode.write(out);
@@ -710,34 +562,17 @@ where
         self.walk.problem().write(out);
         self.walk.cursor().persist(out);
     }
-}
 
-/// Decode one [`PortfolioExec`] payload (inverse of its `persist`).
-pub(crate) fn read_portfolio_job<P>(r: &mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>
-where
-    P: IncrementalEval + Persist + PersistTag + Send + Sync + 'static,
-{
-    let id = JobId(r.read::<u64>()?);
-    let name: String = r.read()?;
-    let priority: u8 = r.read()?;
-    let seq: u64 = r.read()?;
-    let state_h2d_bytes: u64 = r.read()?;
-    let host: HostSpec = r.read()?;
-    let launch_mode: LaunchMode = r.read()?;
-    let serial_s: f64 = r.read()?;
-    let problem: P = r.read()?;
-    let cursor = PortfolioCursor::read_persisted(r, &problem)?;
-    Ok(Box::new(PortfolioExec {
-        id,
-        name,
-        priority,
-        seq,
-        state_h2d_bytes,
-        host,
-        launch_mode,
-        serial_s,
-        walk: ProblemCursor::new(Arc::new(problem), cursor),
-    }))
+    fn read_body(r: &mut Reader<'_>) -> Result<Self, PersistError> {
+        let state_h2d_bytes = r.read()?;
+        let host = r.read()?;
+        let launch_mode = r.read()?;
+        let serial_s = r.read()?;
+        let problem: P = r.read()?;
+        let cursor = PortfolioCursor::read_persisted(r, &problem)?;
+        let walk = ProblemCursor::new(Arc::new(problem), cursor);
+        Ok(Self { state_h2d_bytes, host, launch_mode, serial_s, walk })
+    }
 }
 
 #[cfg(test)]

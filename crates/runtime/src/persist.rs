@@ -17,7 +17,7 @@
 //! [`PersistTag`]-derived registry key) plus a length-prefixed payload;
 //! loading looks the tag up in a [`JobRegistry`] to find the concrete
 //! decoder. The registry is explicit because Rust cannot conjure a
-//! monomorphized `BinaryTabuJob<P, N>` from bytes alone — the host
+//! monomorphized `Exec<TabuWalk<P, N>>` from bytes alone — the host
 //! process must say which `(problem, neighborhood)` pairs it was built
 //! with, exactly like it had to in order to submit them.
 //!

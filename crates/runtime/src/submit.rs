@@ -16,11 +16,14 @@
 //!
 //! is submittable through the single generic
 //! [`Scheduler::submit`](crate::Scheduler::submit). The workspace ships
-//! three implementations — [`BinaryJob`](crate::BinaryJob) (full
+//! five implementations — [`BinaryJob`](crate::BinaryJob) (full
 //! neighborhood tabu, fusable), [`QapJobSpec`](crate::QapJobSpec)
-//! (robust tabu over swap moves) and [`AnnealJob`](crate::AnnealJob)
-//! (simulated annealing, sampling-style pricing) — and new workloads
-//! plug in without touching this crate.
+//! (robust tabu over swap moves), [`AnnealJob`](crate::AnnealJob)
+//! (simulated annealing, sampling-style pricing, fusable),
+//! [`LnsJob`](crate::LnsJob) (destroy-and-repair rounds, one fused
+//! repair span each) and [`PortfolioJob`](crate::PortfolioJob) (a
+//! tabu/annealing/descent race) — all five built into one executor
+//! shell, and new workloads plug in without touching this crate.
 
 use crate::exec::JobExec;
 use crate::job::JobId;

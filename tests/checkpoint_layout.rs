@@ -35,9 +35,13 @@ use std::path::Path;
 /// each column `(bytes hashed, FNV-1a digest)`.
 type Pinned = (&'static str, u64, (usize, u64), (usize, u64));
 
-const PINNED: [Pinned; 6] = [
+const PINNED: [Pinned; 10] = [
     ("checkpoint-churn", 1, (78_568, 0x1ddc_b25c_bca9_c51e), (58_036, 0xa1c2_1220_50ca_e4a8)),
     ("checkpoint-churn", 42, (97_215, 0x1a1d_ea69_b5af_3bad), (58_239, 0x4a55_40d4_c4e1_e475)),
+    ("lns-repair", 1, (86_069, 0x9760_d29d_7b70_16e3), (98_212, 0x9771_2ceb_74dd_8d52)),
+    ("lns-repair", 42, (182_745, 0x5bbe_ae46_7192_423e), (199_061, 0xe2bc_3dde_5e08_fbd9)),
+    ("portfolio-race", 1, (77_035, 0x6eab_bba2_c3ff_82f1), (78_585, 0x6775_d553_d3e1_b469)),
+    ("portfolio-race", 42, (135_671, 0xe58e_d2fc_0ede_e9fb), (141_572, 0x1b7b_981d_24c6_64c4)),
     ("saturation", 1, (82_554, 0x33ae_cd09_0be5_cc8b), (74_558, 0x9cd8_3aed_767b_a91a)),
     ("saturation", 42, (110_547, 0xfc6e_75f2_2d76_48af), (109_762, 0xbda2_e34a_83eb_450c)),
     ("steady", 1, (72_274, 0x6021_4e02_6424_d050), (55_400, 0x6246_aa0e_53c7_af02)),
