@@ -227,7 +227,6 @@ impl<N: Neighborhood> BatchedExplorer<N> {
         let mut argmin_keys = 0u64;
         let mut io = Vec::with_capacity(lanes.len());
         for lane in lanes.iter_mut() {
-            lane.out.clear();
             lane.out.resize(m as usize, 0);
             lane.problem.eval_range(lane.state, lane.s, &self.hood, 0, lane.out);
             // A one-key reduction cannot shrink the readback it gates

@@ -107,7 +107,6 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for SequentialExplorer<N> 
 
     fn explore(&mut self, problem: &P, s: &BitString, state: &mut P::State, out: &mut Vec<i64>) {
         let t0 = Instant::now();
-        out.clear();
         out.resize(self.hood.size() as usize, 0);
         problem.eval_range(state, s, &self.hood, 0, out);
         self.wall += t0.elapsed();
@@ -162,7 +161,6 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
     fn explore(&mut self, problem: &P, s: &BitString, state: &mut P::State, out: &mut Vec<i64>) {
         let t0 = Instant::now();
         let m = self.hood.size() as usize;
-        out.clear();
         out.resize(m, 0);
         let workers = self.workers.min(m.max(1));
         if workers <= 1 || m < 1024 {

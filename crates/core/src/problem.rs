@@ -63,7 +63,8 @@ pub trait IncrementalEval: BinaryProblem {
     /// [`neighbor_fitness`](Self::neighbor_fitness) once per move
     /// ([`eval_each_move`]); a problem may override it with a flat
     /// kernel for the ranges it recognizes, but must return exactly the
-    /// default's values.
+    /// default's values. It must write every slot: explorers reuse `out`
+    /// across iterations without clearing it.
     ///
     /// # Panics
     /// Panics if `lo + out.len()` exceeds `hood.size()`.

@@ -311,28 +311,17 @@ impl<P: IncrementalEval> TabuCursor<P> {
     /// lowest index), or the best index overall when every move is tabu,
     /// with its fitness.
     ///
-    /// The scan reads `out` by index alone. Only a candidate that beats
-    /// the current admissible best, is not rescued by aspiration, and
-    /// whose tabu status depends on its bits (solution ring, attribute
-    /// memory) is decoded with `unrank` — the caller's decoder, so a
-    /// mixed-radius neighborhood (`UnionHamming`) stays index-aligned
-    /// with `out`.
+    /// The scan itself is [`best_admissible`]. Only a candidate that
+    /// beats the current admissible best, is not rescued by aspiration,
+    /// and whose tabu status depends on its bits (solution ring,
+    /// attribute memory) is decoded with `unrank` — the caller's decoder,
+    /// so a mixed-radius neighborhood (`UnionHamming`) stays
+    /// index-aligned with `out`.
     fn select(&self, out: &[i64], unrank: &impl Fn(u64) -> FlipMove, iter: u64) -> (i64, u64) {
-        let mut best_adm: Option<(i64, u64)> = None;
-        let mut best_any: Option<(i64, u64)> = None;
-        for (idx, &f) in (0u64..).zip(out) {
-            if best_any.is_none_or(|(bf, _)| f < bf) {
-                best_any = Some((f, idx));
-            }
-            if best_adm.is_some_and(|(bf, _)| f >= bf) {
-                continue;
-            }
-            let aspires = self.search.aspiration && f < self.best_fitness;
-            if aspires || !self.is_tabu(idx, unrank, iter) {
-                best_adm = Some((f, idx));
-            }
-        }
-        best_adm.or(best_any).expect("non-empty neighborhood")
+        let aspiration = self.search.aspiration.then_some(self.best_fitness);
+        best_admissible(out, &|idx, f| {
+            aspiration.is_some_and(|best| f < best) || !self.is_tabu(idx, unrank, iter)
+        })
     }
 
     /// Whether the move with flat index `idx` is tabu at iteration `iter`.
@@ -605,6 +594,58 @@ impl<P: IncrementalEval> TabuCursor<P> {
     }
 }
 
+/// Moves per chunk of [`best_admissible`]'s scan.
+const SELECT_CHUNK: usize = 64;
+
+/// The smallest entry of `xs` (`i64::MAX` when empty), kept in eight
+/// independent lanes: no compare waits on the one before it, as in a
+/// single compare-and-move chain, and targets with 64-bit vector
+/// compares can vectorize them.
+fn chunk_min(xs: &[i64]) -> i64 {
+    const LANES: usize = 8;
+    let mut lanes = [i64::MAX; LANES];
+    let mut blocks = xs.chunks_exact(LANES);
+    for block in &mut blocks {
+        for (lane, &f) in lanes.iter_mut().zip(block) {
+            *lane = (*lane).min(f);
+        }
+    }
+    lanes.iter().chain(blocks.remainder()).fold(i64::MAX, |m, &f| m.min(f))
+}
+
+/// The tabu selection rule over a fitness vector: the lowest `out[i]`
+/// among the indices `admissible(i, out[i])` accepts, ties to the lowest
+/// index; the lowest overall when it accepts none.
+///
+/// `out` is scanned in chunks of [`SELECT_CHUNK`]. Once an admissible
+/// incumbent exists, a chunk is walked move by move only when its
+/// minimum is strictly below the incumbent's fitness: its indices are
+/// all higher, so a tie cannot win. Neighbors have similar fitness, so
+/// the incumbent settles early and most chunks cost one eight-lane
+/// minimum. `admissible` must be pure; it sees each candidate at most
+/// once, in index order.
+///
+/// Non-generic on purpose: it is compiled once here, whichever crate
+/// instantiates the cursor.
+fn best_admissible(out: &[i64], admissible: &dyn Fn(u64, i64) -> bool) -> (i64, u64) {
+    let mut best: Option<(i64, u64)> = None;
+    for (lo, chunk) in (0u64..).step_by(SELECT_CHUNK).zip(out.chunks(SELECT_CHUNK)) {
+        if best.is_some_and(|(bf, _)| chunk_min(chunk) >= bf) {
+            continue;
+        }
+        for (idx, &f) in (lo..).zip(chunk) {
+            if best.is_none_or(|(bf, _)| f < bf) && admissible(idx, f) {
+                best = Some((f, idx));
+            }
+        }
+    }
+    best.unwrap_or_else(|| {
+        let f = chunk_min(out);
+        let idx = out.iter().position(|&x| x == f).expect("non-empty neighborhood");
+        (f, idx as u64)
+    })
+}
+
 impl<P: IncrementalEval> SearchCursor for TabuCursor<P> {
     type Ctx<'a>
         = (&'a P, &'a mut dyn Explorer<P>)
@@ -871,15 +912,39 @@ mod tests {
         admissible.into_iter().min().or(all.into_iter().min()).expect("non-empty")
     }
 
+    /// A fitness vector over `m` moves. Shape 0 draws from five values,
+    /// so ties are everywhere; shape 1 from a wide range, so the minimum
+    /// is nearly unique and may sit in any chunk; shape 2 falls with the
+    /// index, so later chunks keep beating the incumbent. On top, half
+    /// the vectors get a new low tied across a chunk boundary, and a
+    /// quarter a strict minimum on the last move, inside the ragged tail
+    /// of the last chunk.
+    fn fitness_vector(rng: &mut StdRng, m: usize, shape: u8) -> Vec<i64> {
+        use rand::Rng;
+        let mut out: Vec<i64> = match shape {
+            0 => (0..m).map(|_| rng.gen_range(0..5)).collect(),
+            1 => (0..m).map(|_| rng.gen_range(-1_000..1_000)).collect(),
+            _ => (0..m).map(|i| (m - i) as i64 / 8 + rng.gen_range(0i64..3)).collect(),
+        };
+        let low = *out.iter().min().expect("non-empty neighborhood");
+        if m > SELECT_CHUNK && rng.gen_bool(0.5) {
+            let edge = SELECT_CHUNK * rng.gen_range(1..=(m - 1) / SELECT_CHUNK);
+            out[edge - 1] = low - 1;
+            out[edge] = low - 1;
+        }
+        if rng.gen_bool(0.25) {
+            out[m - 1] = low - 2;
+        }
+        out
+    }
+
     /// Random tabu memory over `hood` (about `tabu_pct`% of the moves, or
-    /// every move at 100), random fitness with many ties, then the index
-    /// scan against [`reference_select`].
+    /// every move at 100), a [`fitness_vector`] of `shape`, an aspiration
+    /// threshold drawn from it, then the chunked scan against
+    /// [`reference_select`].
     fn check_selection<N: Neighborhood>(
         hood: &N,
-        seed: u64,
-        strategy: u8,
-        aspiration: bool,
-        tabu_pct: u64,
+        (seed, strategy, aspiration, tabu_pct, shape): (u64, u8, bool, u64, u8),
     ) -> proptest::TestCaseResult {
         use rand::Rng;
         let mut rng = StdRng::seed_from_u64(seed);
@@ -928,8 +993,8 @@ mod tests {
         for &idx in &c.mring {
             *c.mring_set.entry(idx).or_insert(0) += 1;
         }
-        c.best_fitness = rng.gen_range(0..5);
-        let out: Vec<i64> = (0..m).map(|_| rng.gen_range(0..5)).collect();
+        let out = fitness_vector(&mut rng, m as usize, shape);
+        c.best_fitness = out[rng.gen_range(0..m as usize)] + rng.gen_range(-1i64..2);
 
         let got = c.select(&out, &|i| hood.unrank(i), iter);
         proptest::prop_assert_eq!(got, reference_select(&c, hood, &out, iter));
@@ -945,19 +1010,20 @@ mod tests {
             strategy in 0u8..3,
             aspiration in proptest::any::<bool>(),
             tabu_pct in 0u64..101,
-            hood in 0u8..4,
+            hood_and_n in 0usize..12,
+            shape in 0u8..3,
         ) {
             // A third of the cases mark every move tabu (the fallback).
             let tabu_pct = if seed % 3 == 0 { 100 } else { tabu_pct };
-            let n = 9;
+            // 9 to 1,140 moves: one chunk up to eighteen, every last one
+            // ragged.
+            let (hood, n) = (hood_and_n % 4, [9, 14, 20][hood_and_n / 4]);
+            let case = (seed, strategy, aspiration, tabu_pct, shape);
             match hood {
-                0 => check_selection(&OneHamming::new(n), seed, strategy, aspiration, tabu_pct)?,
-                1 => check_selection(&TwoHamming::new(n), seed, strategy, aspiration, tabu_pct)?,
-                2 => check_selection(&KHamming::new(n, 3), seed, strategy, aspiration, tabu_pct)?,
-                _ => {
-                    let union = UnionHamming::new(n, &[1, 2]);
-                    check_selection(&union, seed, strategy, aspiration, tabu_pct)?
-                }
+                0 => check_selection(&OneHamming::new(n), case)?,
+                1 => check_selection(&TwoHamming::new(n), case)?,
+                2 => check_selection(&KHamming::new(n, 3), case)?,
+                _ => check_selection(&UnionHamming::new(n, &[1, 2]), case)?,
             }
         }
     }

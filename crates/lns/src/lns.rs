@@ -14,6 +14,18 @@ use std::collections::BTreeSet;
 /// restores from its own checkpoint.
 const MAX_LANES: usize = 1 << 16;
 
+/// Most lane-passes (`lanes × inner_iters`) a round may run, under the
+/// same contract as [`MAX_LANES`]. The runtime prices a round as one
+/// stream span holding an upload and a readback per lane-pass, so this
+/// keeps one span's schedule in the tens of megabytes. It admits every
+/// lane count at the default two passes.
+const MAX_LANE_PASSES: u64 = 1 << 17;
+
+/// Whether `lanes` lanes of `inner_iters` passes fit [`MAX_LANE_PASSES`].
+fn lane_passes_fit(lanes: usize, inner_iters: u64) -> bool {
+    (lanes as u64).checked_mul(inner_iters).is_some_and(|p| p <= MAX_LANE_PASSES)
+}
+
 /// Configuration builder for the destroy-and-repair search.
 ///
 /// `max_iters` counts **rounds** (one round = destroy → multi-lane
@@ -42,18 +54,29 @@ impl LnsSearch {
         }
     }
 
-    /// Use `lanes` parallel repair lanes (at least 1, at most 2^16).
+    /// Use `lanes` parallel repair lanes (at least 1, at most 2^16, and
+    /// at most 2^17 lane-passes with the current pass count).
     pub fn with_lanes(mut self, lanes: usize) -> Self {
         assert!(lanes >= 1, "need at least one repair lane");
         assert!(lanes <= MAX_LANES, "at most {MAX_LANES} repair lanes, got {lanes}");
         self.lanes = lanes;
-        self
+        self.assert_lane_passes()
     }
 
-    /// Run `inner_iters` repair passes per round (at least 1).
+    /// Run `inner_iters` repair passes per round (at least 1, and at most
+    /// 2^17 lane-passes with the current lane count).
     pub fn with_inner_iters(mut self, inner_iters: u64) -> Self {
         assert!(inner_iters >= 1, "need at least one repair pass");
         self.inner_iters = inner_iters;
+        self.assert_lane_passes()
+    }
+
+    fn assert_lane_passes(self) -> Self {
+        let (lanes, passes) = (self.lanes, self.inner_iters);
+        assert!(
+            lane_passes_fit(lanes, passes),
+            "at most {MAX_LANE_PASSES} lane-passes per round, got {lanes} lanes × {passes} passes"
+        );
         self
     }
 
@@ -334,7 +357,11 @@ impl<P: IncrementalEval> LnsCursor<P> {
         if s.len() != problem.dim() || best.len() != problem.dim() {
             return Err(PersistError::new("solution length does not match the problem"));
         }
-        if lanes == 0 || lanes > MAX_LANES || inner_iters == 0 {
+        if lanes == 0
+            || lanes > MAX_LANES
+            || inner_iters == 0
+            || !lane_passes_fit(lanes, inner_iters)
+        {
             return Err(PersistError::new("corrupt lns repair shape"));
         }
         let state = problem.init_state(&s);
@@ -525,6 +552,40 @@ mod tests {
     #[should_panic(expected = "at most")]
     fn with_lanes_refuses_a_shape_its_decoder_refuses() {
         let _ = LnsSearch::paper(SearchConfig::budget(1)).with_lanes(MAX_LANES + 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "lane-passes")]
+    fn with_inner_iters_refuses_a_shape_its_decoder_refuses() {
+        // The runtime prices a round's passes as one stream span: 2^40
+        // passes aborted the process on the span's event reservation.
+        let _ = LnsSearch::paper(SearchConfig::budget(1)).with_inner_iters(1 << 40);
+    }
+
+    #[test]
+    fn persist_rejects_lane_passes_past_the_bound() {
+        let mut rng = StdRng::seed_from_u64(12);
+        let qubo = Qubo::random(&mut rng, 12, 6, 0.6);
+        let init = BitString::random(&mut rng, 12);
+        let search = LnsSearch::paper(SearchConfig::budget(4).with_seed(2));
+        let cursor = search.with_lanes(2).with_inner_iters(MAX_LANE_PASSES / 2).cursor(&qubo, init);
+        let mut bytes = Vec::new();
+        cursor.persist(&mut bytes);
+        let mut prefix = Vec::new();
+        cursor.max_rounds.write(&mut prefix);
+        cursor.target.write(&mut prefix);
+        cursor.lanes.write(&mut prefix);
+        let at = prefix.len();
+        let (lanes, passes) = (at - 8..at, at..at + 8);
+        assert_eq!(bytes[passes.clone()], (MAX_LANE_PASSES / 2).to_le_bytes());
+        let decode = |bytes: &[u8]| LnsCursor::read_persisted(&mut Reader::new(bytes), &qubo);
+        assert!(decode(&bytes).is_ok(), "the bound itself restores");
+        // One lane more puts the same passes past the product bound.
+        let mut wider = bytes.clone();
+        wider[lanes].copy_from_slice(&3u64.to_le_bytes());
+        assert!(decode(&wider).is_err());
+        bytes[passes].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        assert!(decode(&bytes).is_err());
     }
 
     #[test]

@@ -1,11 +1,23 @@
 //! Generalized k-Hamming neighborhood via the combinatorial number system
 //! — the extension the paper's §V ("handling larger neighborhoods")
 //! motivates. For k ∈ {1,2,3} it is index-compatible with the specialized
-//! types and therefore also with the paper's mappings.
+//! types and therefore also with the paper's mappings, which it uses to
+//! unrank those radii in O(1) wherever they are exact.
 
 use crate::combinadic::{rank_combinadic, unrank_combinadic};
 use crate::flip::MAX_FLIPS;
+use crate::mapping2d::unrank2;
+use crate::mapping3d::unrank3;
 use crate::{binomial, FlipMove, Neighborhood};
+
+/// Largest `n` at which [`unrank2`] is exact: its `8·X + 1`, with
+/// `X < C(n, 2)`, fits `u64` up to here and overflows past it.
+const UNRANK2_MAX_N: u64 = 1 << 31;
+
+/// Largest `n` at which [`unrank3`] runs without a saturated
+/// intermediate: `6·C(n, 3) = n(n−1)(n−2)` fits `u64` up to here, so its
+/// plan search starts from an exact cube-root seed.
+const UNRANK3_MAX_N: u64 = 2_642_246;
 
 /// The neighborhood of all `k`-bit flips of an `n`-bit string
 /// (`C(n, k)` moves), `1 ≤ k ≤` [`MAX_FLIPS`].
@@ -44,12 +56,28 @@ impl Neighborhood for KHamming {
         self.size
     }
 
+    /// The closed forms of the paper's mappings for `k ≤ 3` inside their
+    /// exact range; the combinadic walk (`O(n)` per move) elsewhere.
     #[inline]
     fn unrank(&self, index: u64) -> FlipMove {
         debug_assert!(index < self.size);
-        let mut buf = [0u32; MAX_FLIPS];
-        unrank_combinadic(self.n as u64, index, &mut buf[..self.k]);
-        FlipMove::from_sorted(&buf[..self.k])
+        let n = self.n as u64;
+        match self.k {
+            1 => FlipMove::one(index as u32),
+            2 if n <= UNRANK2_MAX_N => {
+                let (i, j) = unrank2(n, index);
+                FlipMove::two(i as u32, j as u32)
+            }
+            3 if n <= UNRANK3_MAX_N => {
+                let (a, b, c) = unrank3(n, index);
+                FlipMove::three(a as u32, b as u32, c as u32)
+            }
+            k => {
+                let mut buf = [0u32; MAX_FLIPS];
+                unrank_combinadic(n, index, &mut buf[..k]);
+                FlipMove::from_sorted(&buf[..k])
+            }
+        }
     }
 
     #[inline]
@@ -93,6 +121,38 @@ mod tests {
         }
         for f in 0..g3.size() {
             assert_eq!(h3.unrank(f), g3.unrank(f));
+        }
+    }
+
+    #[test]
+    fn unrank_matches_the_combinadic_walk() {
+        let walk = |n: u64, k: usize, index: u64| {
+            let mut buf = [0u32; MAX_FLIPS];
+            unrank_combinadic(n, index, &mut buf[..k]);
+            FlipMove::from_sorted(&buf[..k])
+        };
+        for n in [4usize, 7, 12, 23] {
+            for k in 1..=4 {
+                let h = KHamming::new(n, k);
+                for index in 0..h.size() {
+                    assert_eq!(h.unrank(index), walk(n as u64, k, index), "n={n} k={k} #{index}");
+                }
+            }
+        }
+        // Each closed form's last n and the first n past it. The walk
+        // takes O(n) steps per coordinate, so it is compared on the
+        // first moves only (index 0 is unrank2's largest `X`); the last
+        // move inside the range is known.
+        for (k, max_n) in [(2, UNRANK2_MAX_N), (3, UNRANK3_MAX_N)] {
+            for n in [max_n, max_n + 1] {
+                let h = KHamming::new(n as usize, k);
+                for index in 0..4 {
+                    assert_eq!(h.unrank(index), walk(n, k, index), "n={n} k={k} #{index}");
+                }
+            }
+            let h = KHamming::new(max_n as usize, k);
+            let last: Vec<u32> = (max_n - k as u64..max_n).map(|b| b as u32).collect();
+            assert_eq!(h.unrank(h.size() - 1), FlipMove::from_sorted(&last), "n={max_n} k={k}");
         }
     }
 

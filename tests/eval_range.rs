@@ -151,8 +151,9 @@ fn onemax_row_kernel_equals_the_default_path() {
     let n = 96;
     let s = BitString::random(&mut StdRng::seed_from_u64(7), n);
     let hood = KHamming::new(n, 2);
-    let mut fast = vec![0; hood.size() as usize];
-    let mut slow = vec![0; hood.size() as usize];
+    // Different sentinels: a slot either side leaves unwritten differs.
+    let mut fast = vec![i64::MIN; hood.size() as usize];
+    let mut slow = vec![i64::MAX; hood.size() as usize];
     OneMax::new(n).eval_range(&mut OneMax::new(n).init_state(&s), &s, &hood, 0, &mut fast);
     ZeroCount(n).eval_range(&mut ZeroCount(n).init_state(&s), &s, &hood, 0, &mut slow);
     assert_eq!(fast, slow);
@@ -224,8 +225,9 @@ fn ppp_kernel_hands_a_range_that_could_overflow_i32_to_the_per_move_path() {
     let p = Ppp::new(inst);
     let s = BitString::random(&mut StdRng::seed_from_u64(6), 7);
     let hood = KHamming::new(7, 2);
-    let mut fast = vec![0; hood.size() as usize];
-    let mut slow = vec![0; hood.size() as usize];
+    // Different sentinels: a slot either side leaves unwritten differs.
+    let mut fast = vec![i64::MIN; hood.size() as usize];
+    let mut slow = vec![i64::MAX; hood.size() as usize];
     p.eval_range(&mut p.init_state(&s), &s, &hood, 0, &mut fast);
     eval_each_move(&p, &mut p.init_state(&s), &s, &hood, 0, &mut slow);
     assert_eq!(fast, slow);
