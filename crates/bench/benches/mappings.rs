@@ -7,7 +7,7 @@
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use lnls_neighborhood::mapping2d::{rank2, size2, unrank2, unrank2_f32_paper};
 use lnls_neighborhood::mapping3d::{rank3, size3, unrank3, unrank3_newton};
-use lnls_neighborhood::{LexMoves, Neighborhood, ThreeHamming, TwoHamming};
+use lnls_neighborhood::{KHamming, LexMoves, Neighborhood};
 
 fn bench_unrank2(c: &mut Criterion) {
     let mut g = c.benchmark_group("unrank2");
@@ -78,7 +78,7 @@ fn bench_enumeration(c: &mut Criterion) {
     // Full-neighborhood scan: per-index unranking vs O(1) lexicographic
     // advance — the difference a per-move neighborhood scan cares about.
     let mut g = c.benchmark_group("enumerate_n73_k3");
-    let hood = ThreeHamming::new(73);
+    let hood = KHamming::new(73, 3);
     g.bench_function("unrank_per_index", |b| {
         b.iter(|| {
             let mut acc = 0u64;
@@ -97,7 +97,7 @@ fn bench_enumeration(c: &mut Criterion) {
             black_box(acc)
         })
     });
-    let two = TwoHamming::new(1517);
+    let two = KHamming::new(1517, 2);
     g.bench_function("unrank_per_index_2h_n1517", |b| {
         b.iter(|| {
             let mut acc = 0u64;

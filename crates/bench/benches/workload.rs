@@ -306,7 +306,7 @@ fn main() {
         );
         for i in 0..live_jobs {
             let n = 24;
-            let hood = lnls_neighborhood::TwoHamming::new(n);
+            let hood = lnls_neighborhood::KHamming::new(n, 2);
             let size = lnls_neighborhood::Neighborhood::size(&hood);
             let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(i as u64);
             let init = lnls_core::BitString::random(&mut rng, n);

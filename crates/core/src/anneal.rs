@@ -328,7 +328,7 @@ impl<P: IncrementalEval, N: Neighborhood + Clone> SearchCursor for AnnealCursor<
 mod tests {
     use super::*;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{OneHamming, TwoHamming};
+    use lnls_neighborhood::KHamming;
 
     #[test]
     fn sa_solves_zerocount() {
@@ -337,7 +337,7 @@ mod tests {
         let init = BitString::random(&mut rng, 32);
         let sa = SimulatedAnnealing::new(
             SearchConfig::budget(50_000).with_seed(2),
-            OneHamming::new(32),
+            KHamming::new(32, 1),
             2.0,
         );
         let r = sa.run(&p, init);
@@ -352,7 +352,7 @@ mod tests {
         let run = |seed| {
             let sa = SimulatedAnnealing::new(
                 SearchConfig { max_iters: 500, target_fitness: None, time_limit: None, seed },
-                TwoHamming::new(24),
+                KHamming::new(24, 2),
                 1.5,
             );
             sa.run(&p, init.clone()).best_fitness
@@ -373,7 +373,7 @@ mod tests {
         };
         let sa = SimulatedAnnealing::new(
             SearchConfig::budget(5_000).with_seed(4),
-            OneHamming::new(40),
+            KHamming::new(40, 1),
             1e-9,
         );
         let r = sa.run(&p, init);
@@ -389,7 +389,7 @@ mod tests {
         let init = BitString::random(&mut rng, 28);
         let sa = SimulatedAnnealing::new(
             SearchConfig::budget(700).with_seed(11),
-            TwoHamming::new(28),
+            KHamming::new(28, 2),
             1.2,
         );
         let want = sa.run(&p, init.clone());
@@ -414,7 +414,7 @@ mod tests {
         let init = BitString::random(&mut rng, 26);
         let sa = SimulatedAnnealing::new(
             SearchConfig::budget(400).with_seed(21),
-            TwoHamming::new(26),
+            KHamming::new(26, 2),
             1.3,
         );
         let want = sa.run(&p, init.clone());
@@ -424,7 +424,7 @@ mod tests {
         cursor.step_batch(&p, 137);
         let mut bytes = Vec::new();
         cursor.persist(&mut bytes);
-        let mut revived: AnnealCursor<ZeroCount, TwoHamming> =
+        let mut revived: AnnealCursor<ZeroCount, KHamming> =
             AnnealCursor::read_persisted(&mut crate::persist::Reader::new(&bytes), &p)
                 .expect("decode");
         assert_eq!(revived.iterations(), 137);
@@ -435,12 +435,12 @@ mod tests {
 
         // The wrong problem instance is rejected, as is truncation.
         let wrong = ZeroCount { n: 24 };
-        assert!(AnnealCursor::<ZeroCount, TwoHamming>::read_persisted(
+        assert!(AnnealCursor::<ZeroCount, KHamming>::read_persisted(
             &mut crate::persist::Reader::new(&bytes),
             &wrong
         )
         .is_err());
-        assert!(AnnealCursor::<ZeroCount, TwoHamming>::read_persisted(
+        assert!(AnnealCursor::<ZeroCount, KHamming>::read_persisted(
             &mut crate::persist::Reader::new(&bytes[..bytes.len() - 3]),
             &p
         )

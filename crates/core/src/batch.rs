@@ -385,7 +385,7 @@ mod tests {
     use crate::problem::testutil::ZeroCount;
     use crate::problem::IncrementalEval;
     use lnls_gpu_sim::transfer_seconds;
-    use lnls_neighborhood::TwoHamming;
+    use lnls_neighborhood::KHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -395,7 +395,7 @@ mod tests {
 
     /// One fused iteration — a span of one — returning its makespan.
     fn explore_once<P: IncrementalEval>(
-        batch: &mut BatchedExplorer<TwoHamming>,
+        batch: &mut BatchedExplorer<KHamming>,
         lanes: &mut [BatchLane<'_, P>],
     ) -> f64 {
         batch.begin_span(LaunchMode::PerIteration);
@@ -406,7 +406,7 @@ mod tests {
     #[test]
     fn fused_results_match_sequential_per_lane() {
         let spec = DeviceSpec::gtx280();
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let p1 = ZeroCount { n: 24 };
         let p2 = ZeroCount { n: 24 };
         let mut rng = StdRng::seed_from_u64(1);
@@ -451,7 +451,7 @@ mod tests {
     #[test]
     fn fusing_beats_solo_launches() {
         let spec = DeviceSpec::gtx280();
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let m = hood.size();
         let prof = profile(&spec, m);
         let p = ZeroCount { n: 24 };
@@ -490,7 +490,7 @@ mod tests {
         spec: &DeviceSpec,
         selection: SelectionMode,
     ) -> (TimeBook, f64, f64, Vec<Vec<i64>>) {
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let prof = profile(spec, hood.size());
         let p = ZeroCount { n: 24 };
         let mut rng = StdRng::seed_from_u64(5);
@@ -530,7 +530,7 @@ mod tests {
         let (book, makespan, serialized, _) = batch_of(4, &spec, SelectionMode::HostArgmin);
         assert!((makespan - serialized).abs() < 1e-15);
         assert!((makespan - book.gpu_total_s()).abs() < 1e-12);
-        let prof = profile(&spec, TwoHamming::new(24).size());
+        let prof = profile(&spec, KHamming::new(24, 2).size());
         let coalesced = transfer_seconds(&spec, prof.h2d_bytes * 4)
             + spec.launch_overhead_s
             + prof.kernel_seconds * 4.0
@@ -572,7 +572,7 @@ mod tests {
     fn span_results_match_per_iteration_and_amortize_overhead() {
         use lnls_gpu_sim::EngineConfig;
         let spec = DeviceSpec::gtx280().with_engines(EngineConfig::fermi());
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let prof = profile(&spec, hood.size());
         let p = ZeroCount { n: 24 };
         let mut rng = StdRng::seed_from_u64(9);

@@ -170,7 +170,7 @@ mod tests {
     use crate::problem::testutil::ZeroCount;
     use crate::search::SearchConfig;
     use crate::tabu::TabuSearch;
-    use lnls_neighborhood::{Neighborhood, TwoHamming};
+    use lnls_neighborhood::{KHamming, Neighborhood};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -180,7 +180,7 @@ mod tests {
     #[test]
     fn quanta_and_snapshots_are_invisible_tabu() {
         let p = ZeroCount { n: 24 };
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let mut rng = StdRng::seed_from_u64(3);
         let init = BitString::random(&mut rng, 24);
         let search = TabuSearch::paper(SearchConfig::budget(40).with_seed(9), hood.size());
@@ -211,13 +211,13 @@ mod tests {
     #[test]
     fn quanta_and_snapshots_are_invisible_anneal() {
         let p = ZeroCount { n: 20 };
-        let hood = TwoHamming::new(20);
+        let hood = KHamming::new(20, 2);
         let mut rng = StdRng::seed_from_u64(4);
         let init = BitString::random(&mut rng, 20);
         let sa = SimulatedAnnealing::new(SearchConfig::budget(300).with_seed(7), hood, 1.5);
         let want = sa.run(&p, init.clone());
 
-        let mut cursor: AnnealCursor<ZeroCount, TwoHamming> = sa.cursor(&p, init);
+        let mut cursor: AnnealCursor<ZeroCount, KHamming> = sa.cursor(&p, init);
         while !cursor.is_done() {
             let snap = cursor.snapshot();
             cursor.step_batch(&p, 11);
@@ -236,7 +236,7 @@ mod tests {
     #[test]
     fn problem_cursor_erases_without_changing_the_walk() {
         let p = ZeroCount { n: 20 };
-        let hood = TwoHamming::new(20);
+        let hood = KHamming::new(20, 2);
         let mut rng = StdRng::seed_from_u64(8);
         let init = BitString::random(&mut rng, 20);
         let sa = SimulatedAnnealing::new(SearchConfig::budget(250).with_seed(13), hood, 1.4);

@@ -25,9 +25,50 @@
 
 use crate::bitstring::BitString;
 use crate::problem::IncrementalEval;
-use lnls_gpu_sim::TimeBook;
+use lnls_gpu_sim::{ThreadCtx, TimeBook};
+use lnls_neighborhood::combinadic::unrank_combinadic;
+use lnls_neighborhood::mapping2d::unrank2;
+use lnls_neighborhood::mapping3d::unrank3;
 use lnls_neighborhood::{FlipMove, Neighborhood};
 use std::time::{Duration, Instant};
+
+/// Decode flat move `index` of the `k`-Hamming neighborhood over `n`
+/// bits inside a simulated GPU thread (paper §III.B), charging the
+/// mapping's arithmetic to `ctx`. Every one-thread-per-move kernel
+/// (`lnls-ppp`, `lnls-problems`) decodes its thread id here. Returns
+/// the move's bit indices, padded with zeros, and `k`.
+///
+/// # Panics
+/// Panics if `k` is not in `1..=4`, or if `k = 2` and `n` exceeds
+/// [`UNRANK2_MAX_N`](lnls_neighborhood::mapping2d::UNRANK2_MAX_N).
+#[inline]
+pub fn unrank_device<C: ThreadCtx>(ctx: &mut C, k: u8, n: u32, index: u64) -> ([u32; 4], usize) {
+    match k {
+        1 => {
+            ctx.alu(1);
+            ([index as u32, 0, 0, 0], 1)
+        }
+        2 => {
+            ctx.sfu(1); // sqrtf
+            ctx.alu(10); // index arithmetic of Fig. 9
+            let (i, j) = unrank2(n as u64, index);
+            ([i as u32, j as u32, 0, 0], 2)
+        }
+        3 => {
+            ctx.sfu(2); // cbrt seed + Newton step (Fig. 10 newtonGPU)
+            ctx.alu(30); // plan arithmetic of App. C
+            let (a, b, c) = unrank3(n as u64, index);
+            ([a as u32, b as u32, c as u32, 0], 3)
+        }
+        4 => {
+            ctx.alu(60); // combinadic coordinate walk
+            let mut out = [0u32; 4];
+            unrank_combinadic(n as u64, index, &mut out);
+            (out, 4)
+        }
+        _ => unreachable!("k must be 1..=4"),
+    }
+}
 
 /// A backend able to evaluate every neighbor of the current solution.
 ///
@@ -194,7 +235,7 @@ impl<P: IncrementalEval, N: Neighborhood> Explorer<P> for ParallelCpuExplorer<N>
 mod tests {
     use super::*;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{OneHamming, ThreeHamming, TwoHamming};
+    use lnls_neighborhood::KHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -215,7 +256,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let s = BitString::random(&mut rng, 20);
         let mut out = Vec::new();
-        let hood = TwoHamming::new(20);
+        let hood = KHamming::new(20, 2);
         let mut ex = SequentialExplorer::new(hood);
         let mut st = p.init_state(&s);
         Explorer::<ZeroCount>::explore(&mut ex, &p, &s, &mut st, &mut out);
@@ -242,9 +283,9 @@ mod tests {
                 assert_eq!(out_seq, out_par);
             }};
         }
-        check!(OneHamming::new(24));
-        check!(TwoHamming::new(24));
-        check!(ThreeHamming::new(24));
+        check!(KHamming::new(24, 1));
+        check!(KHamming::new(24, 2));
+        check!(KHamming::new(24, 3));
     }
 
     #[test]
@@ -254,7 +295,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(9);
         let s = BitString::random(&mut rng, 31);
         let mut st = p.init_state(&s);
-        let hood = ThreeHamming::new(31); // C(31,3) = 4495
+        let hood = KHamming::new(31, 3); // C(31,3) = 4495
         let mut par = ParallelCpuExplorer::new(hood, 7);
         let mut out = Vec::new();
         Explorer::<ZeroCount>::explore(&mut par, &p, &s, &mut st, &mut out);
@@ -263,7 +304,7 @@ mod tests {
 
     #[test]
     fn explorer_metadata() {
-        let ex = SequentialExplorer::new(TwoHamming::new(10));
+        let ex = SequentialExplorer::new(KHamming::new(10, 2));
         assert_eq!(Explorer::<ZeroCount>::size(&ex), 45);
         assert_eq!(Explorer::<ZeroCount>::k(&ex), 2);
         assert_eq!(Explorer::<ZeroCount>::unrank(&ex, 0).bits(), &[0, 1]);

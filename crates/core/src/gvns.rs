@@ -154,15 +154,15 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{OneHamming, ThreeHamming, TwoHamming};
+    use lnls_neighborhood::KHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn ladder(n: usize) -> Vec<Box<dyn Explorer<ZeroCount>>> {
         vec![
-            Box::new(SequentialExplorer::new(OneHamming::new(n))),
-            Box::new(SequentialExplorer::new(TwoHamming::new(n))),
-            Box::new(SequentialExplorer::new(ThreeHamming::new(n))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 1))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 2))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 3))),
         ]
     }
 
@@ -236,9 +236,9 @@ mod tests {
         let n = 5;
         let p = Trap { n };
         let mut explorers: Vec<Box<dyn Explorer<Trap>>> = vec![
-            Box::new(SequentialExplorer::new(OneHamming::new(n))),
-            Box::new(SequentialExplorer::new(TwoHamming::new(n))),
-            Box::new(SequentialExplorer::new(ThreeHamming::new(n))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 1))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 2))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 3))),
         ];
         let gvns = GeneralVns::new(SearchConfig::budget(5_000).with_seed(7)).with_restarts(3);
         let r = gvns.run(&p, &mut explorers, BitString::zeros(n));

@@ -161,7 +161,7 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::OneHamming;
+    use lnls_neighborhood::KHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -170,7 +170,7 @@ mod tests {
         let p = ZeroCount { n: 48 };
         let mut rng = StdRng::seed_from_u64(3);
         let init = BitString::random(&mut rng, 48);
-        let mut ex = SequentialExplorer::new(OneHamming::new(48));
+        let mut ex = SequentialExplorer::new(KHamming::new(48, 1));
         let hc = HillClimbing::best(SearchConfig::budget(1000));
         let r = hc.run(&p, &mut ex, init);
         assert!(r.success);
@@ -186,7 +186,7 @@ mod tests {
             use crate::problem::BinaryProblem;
             p.evaluate(&init) as u64
         };
-        let mut ex = SequentialExplorer::new(OneHamming::new(48));
+        let mut ex = SequentialExplorer::new(KHamming::new(48, 1));
         let hc = HillClimbing::first(SearchConfig::budget(1000));
         let r = hc.run(&p, &mut ex, init);
         assert!(r.success);
@@ -203,7 +203,7 @@ mod tests {
         let p = ZeroCount { n: 32 };
         let mut rng = StdRng::seed_from_u64(4);
         let init = BitString::random(&mut rng, 32);
-        let mut ex = SequentialExplorer::new(OneHamming::new(32));
+        let mut ex = SequentialExplorer::new(KHamming::new(32, 1));
         let hc = HillClimbing::best(SearchConfig { max_iters: 2, ..SearchConfig::budget(2) });
         let r = hc.run(&p, &mut ex, init);
         assert_eq!(r.iterations, 2);

@@ -23,7 +23,7 @@
 //!
 //! ```
 //! use lnls_core::prelude::*;
-//! use lnls_neighborhood::{Neighborhood, TwoHamming};
+//! use lnls_neighborhood::{KHamming, Neighborhood};
 //!
 //! // A toy problem: minimize the number of zero bits.
 //! # use lnls_core::problem::{BinaryProblem, IncrementalEval};
@@ -49,7 +49,7 @@
 //! }
 //!
 //! let problem = ZeroCount(24);
-//! let hood = TwoHamming::new(24);
+//! let hood = KHamming::new(24, 2);
 //! let mut explorer = SequentialExplorer::new(hood);
 //! let search = TabuSearch::paper(SearchConfig::budget(500), hood.size());
 //! let result = search.run(&problem, &mut explorer, BitString::zeros(24));
@@ -80,7 +80,7 @@ pub use anneal::{AnnealCursor, SimulatedAnnealing};
 pub use batch::{BatchLane, BatchedExplorer, LaneProfile, SpanPricing};
 pub use bitstring::{zobrist_table, BitString};
 pub use cursor::{DynCursor, ProblemCursor, SearchCursor};
-pub use explore::{Explorer, ParallelCpuExplorer, SequentialExplorer};
+pub use explore::{unrank_device, Explorer, ParallelCpuExplorer, SequentialExplorer};
 pub use gvns::GeneralVns;
 pub use hillclimb::{descend_in_place, HillClimbing, Pivot};
 pub use ils::IteratedLocalSearch;

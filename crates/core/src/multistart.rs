@@ -78,14 +78,14 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::OneHamming;
+    use lnls_neighborhood::KHamming;
 
     #[test]
     fn runs_and_aggregates() {
         let p = ZeroCount { n: 24 };
         let ms = MultiStart::new(SearchConfig::budget(50).with_seed(3), 5);
         let row = ms
-            .run_tabu_aggregated("zerocount", &p, || SequentialExplorer::new(OneHamming::new(24)));
+            .run_tabu_aggregated("zerocount", &p, || SequentialExplorer::new(KHamming::new(24, 1)));
         assert_eq!(row.tries, 5);
         assert_eq!(row.solutions, 5, "1-flip tabu solves zerocount every time");
         assert_eq!(row.mean_fitness, 0.0);
@@ -103,7 +103,7 @@ mod tests {
         let p = ZeroCount { n: 16 };
         let run = || {
             let ms = MultiStart::new(SearchConfig::budget(8).with_seed(7), 3);
-            ms.run_tabu(&p, || SequentialExplorer::new(OneHamming::new(16)))
+            ms.run_tabu(&p, || SequentialExplorer::new(KHamming::new(16, 1)))
                 .iter()
                 .map(|r| r.best_fitness)
                 .collect::<Vec<_>>()

@@ -13,7 +13,7 @@
 //! ```
 //! use lnls_core::peo::*;
 //! use lnls_core::prelude::*;
-//! use lnls_neighborhood::{Neighborhood, TwoHamming};
+//! use lnls_neighborhood::{KHamming, Neighborhood};
 //! # use lnls_core::problem::{BinaryProblem, IncrementalEval};
 //! # use lnls_neighborhood::FlipMove;
 //! # struct ZeroCount(usize);
@@ -34,7 +34,7 @@
 //! #     }
 //! # }
 //! let problem = ZeroCount(16);
-//! let mut explorer = SequentialExplorer::new(TwoHamming::new(16));
+//! let mut explorer = SequentialExplorer::new(KHamming::new(16, 2));
 //! let mut trace = FitnessTrace::default();
 //! let result = PeoSearch::new(Acceptance::Strict)
 //!     .stop_when(MaxIterations(100))
@@ -404,10 +404,10 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{OneHamming, TwoHamming};
+    use lnls_neighborhood::KHamming;
 
-    fn problem_and_explorer(n: usize) -> (ZeroCount, SequentialExplorer<OneHamming>) {
-        (ZeroCount { n }, SequentialExplorer::new(OneHamming::new(n)))
+    fn problem_and_explorer(n: usize) -> (ZeroCount, SequentialExplorer<KHamming>) {
+        (ZeroCount { n }, SequentialExplorer::new(KHamming::new(n, 1)))
     }
 
     #[test]
@@ -466,7 +466,7 @@ mod tests {
     fn eval_budget_counts_neighborhood_size() {
         let n = 10; // 1-Hamming: 10 evals per iteration
         let p = ZeroCount { n };
-        let mut ex = SequentialExplorer::new(OneHamming::new(n));
+        let mut ex = SequentialExplorer::new(KHamming::new(n, 1));
         let r = PeoSearch::new(Acceptance::Always).stop_when(EvalBudget(35)).run(
             &p,
             &mut ex,
@@ -549,14 +549,14 @@ mod tests {
         let p = ZeroCount { n };
         let init = BitString::zeros(n);
 
-        let mut ex1 = SequentialExplorer::new(TwoHamming::new(n));
+        let mut ex1 = SequentialExplorer::new(KHamming::new(n, 2));
         let peo = PeoSearch::new(Acceptance::Strict).stop_when(MaxIterations(10_000)).run(
             &p,
             &mut ex1,
             init.clone(),
         );
 
-        let mut ex2 = SequentialExplorer::new(TwoHamming::new(n));
+        let mut ex2 = SequentialExplorer::new(KHamming::new(n, 2));
         let hc = HillClimbing::best(SearchConfig::budget(10_000));
         let r = hc.run(&p, &mut ex2, init);
 

@@ -25,7 +25,7 @@ use crate::bitstring::BitString;
 use crate::search::{SearchConfig, SearchResult};
 use crate::tabu::{TabuSearch, TabuStrategy};
 use lnls_gpu_sim::{DeviceSpec, EngineConfig, HostSpec, LaunchMode, SelectionMode, TimeBook};
-use lnls_neighborhood::{FlipMove, KHamming, Neighborhood, OneHamming, ThreeHamming, TwoHamming};
+use lnls_neighborhood::{FlipMove, KHamming, Neighborhood};
 use rand::rngs::StdRng;
 use std::fmt;
 use std::io;
@@ -608,74 +608,24 @@ impl Persist for SearchResult {
 
 // -- neighborhoods ----------------------------------------------------
 
-/// Constructors assert their invariants; decoding must not panic on
-/// corrupt input, so re-check them here and surface a [`PersistError`].
-/// The size `C(n, k)` must fit `u64`: `KHamming::new` panics otherwise,
-/// and the fixed-`k` types would report a wrapped or truncated size.
-fn check_hood_dims(n: usize, k: usize) -> Result<(), PersistError> {
-    if k == 0 || k > 4 || k > n {
-        return Err(PersistError::new(format!("invalid neighborhood shape n={n}, k={k}")));
-    }
-    if lnls_neighborhood::checked_binomial(n as u64, k as u64).is_none() {
-        return Err(PersistError::new(format!("neighborhood size C({n}, {k}) overflows u64")));
-    }
-    Ok(())
-}
-
-impl Persist for OneHamming {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.dim().write(out);
-    }
-    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = usize::read(r)?;
-        check_hood_dims(n, 1)?;
-        Ok(OneHamming::new(n))
-    }
-}
-
-impl PersistTag for OneHamming {
-    const TAG: &'static str = "one-hamming";
-}
-
-impl Persist for TwoHamming {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.dim().write(out);
-    }
-    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = usize::read(r)?;
-        check_hood_dims(n, 2)?;
-        Ok(TwoHamming::new(n))
-    }
-}
-
-impl PersistTag for TwoHamming {
-    const TAG: &'static str = "two-hamming";
-}
-
-impl Persist for ThreeHamming {
-    fn write(&self, out: &mut Vec<u8>) {
-        self.dim().write(out);
-    }
-    fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
-        let n = usize::read(r)?;
-        check_hood_dims(n, 3)?;
-        Ok(ThreeHamming::new(n))
-    }
-}
-
-impl PersistTag for ThreeHamming {
-    const TAG: &'static str = "three-hamming";
-}
-
 impl Persist for KHamming {
     fn write(&self, out: &mut Vec<u8>) {
         self.dim().write(out);
         self.k().write(out);
     }
+    /// `KHamming::new` asserts its shape; decoding must not panic on
+    /// corrupt input, so the shape is re-checked here as a
+    /// [`PersistError`], and so is the size `C(n, k)`, which must fit
+    /// `u64`.
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let n = usize::read(r)?;
         let k = usize::read(r)?;
-        check_hood_dims(n, k)?;
+        if k == 0 || k > 4 || k > n {
+            return Err(PersistError::new(format!("invalid neighborhood shape n={n}, k={k}")));
+        }
+        if lnls_neighborhood::checked_binomial(n as u64, k as u64).is_none() {
+            return Err(PersistError::new(format!("neighborhood size C({n}, {k}) overflows u64")));
+        }
         Ok(KHamming::new(n, k))
     }
 }
@@ -783,14 +733,13 @@ mod tests {
 
     #[test]
     fn hoods_roundtrip() {
-        roundtrip_hood(OneHamming::new(12));
-        roundtrip_hood(TwoHamming::new(12));
-        roundtrip_hood(ThreeHamming::new(12));
-        roundtrip_hood(KHamming::new(12, 2));
+        for k in 1..=4 {
+            roundtrip(&KHamming::new(12, k));
+        }
     }
 
     /// Decode a neighborhood from its encoded shape, reporting the error.
-    fn decode_hood<N: Persist>(shape: &[usize]) -> Result<N, String> {
+    fn decode_hood(shape: [usize; 2]) -> Result<KHamming, String> {
         let mut bytes = Vec::new();
         for v in shape {
             v.write(&mut bytes);
@@ -799,46 +748,22 @@ mod tests {
     }
 
     #[test]
-    fn one_hamming_decode_keeps_any_size() {
-        // C(n, 1) = n always fits u64, so no dimension overflows it.
-        let hood: OneHamming = decode_hood(&[1 << 40]).unwrap();
-        assert_eq!(hood.size(), 1 << 40);
-    }
-
-    #[test]
-    fn two_hamming_decode_rejects_an_overflowing_size() {
-        let err = decode_hood::<TwoHamming>(&[1 << 40]).unwrap_err();
-        assert!(err.contains("overflows u64"), "{err}");
-        assert!(decode_hood::<TwoHamming>(&[6_074_001_001]).is_err());
-        // The largest n whose C(n, 2) fits decodes with its exact size.
-        let hood: TwoHamming = decode_hood(&[6_074_001_000]).unwrap();
-        assert_eq!(hood.size(), 18_446_744_070_963_499_500);
-    }
-
-    #[test]
-    fn three_hamming_decode_rejects_an_overflowing_size() {
-        let err = decode_hood::<ThreeHamming>(&[1 << 40]).unwrap_err();
-        assert!(err.contains("overflows u64"), "{err}");
-        assert!(decode_hood::<ThreeHamming>(&[4_801_281]).is_err());
-        let hood: ThreeHamming = decode_hood(&[4_801_280]).unwrap();
-        assert_eq!(hood.size(), 18_446_738_006_366_306_560);
-    }
-
-    #[test]
     fn k_hamming_decode_rejects_an_overflowing_size() {
         for shape in [[1 << 40, 2], [1 << 40, 3], [1 << 20, 4]] {
-            let err = decode_hood::<KHamming>(&shape).unwrap_err();
+            let err = decode_hood(shape).unwrap_err();
             assert!(err.contains("overflows u64"), "{shape:?}: {err}");
         }
-        let hood: KHamming = decode_hood(&[6_074_001_000, 2]).unwrap();
-        assert_eq!(hood.size(), 18_446_744_070_963_499_500);
-    }
-
-    fn roundtrip_hood<N: Persist + Neighborhood>(hood: N) {
-        let bytes = hood.to_bytes();
-        let back: N = Reader::new(&bytes).read().unwrap();
-        assert_eq!(back.dim(), hood.dim());
-        assert_eq!(back.k(), hood.k());
-        assert_eq!(back.size(), hood.size());
+        // C(n, 1) = n always fits u64, so no dimension overflows it.
+        assert_eq!(decode_hood([1 << 40, 1]).unwrap().size(), 1 << 40);
+        // The largest n whose C(n, k) fits decodes with its exact size;
+        // the next one is refused.
+        for (k, max_n, size) in [
+            (2, 6_074_001_000, 18_446_744_070_963_499_500),
+            (3, 4_801_280, 18_446_738_006_366_306_560),
+        ] {
+            assert_eq!(decode_hood([max_n, k]).unwrap().size(), size, "k={k}");
+            let err = decode_hood([max_n + 1, k]).unwrap_err();
+            assert!(err.contains("overflows u64"), "k={k}: {err}");
+        }
     }
 }

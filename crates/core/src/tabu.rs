@@ -690,7 +690,7 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{KHamming, Neighborhood, OneHamming, TwoHamming, UnionHamming};
+    use lnls_neighborhood::{KHamming, Neighborhood, UnionHamming};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -698,7 +698,7 @@ mod tests {
         let p = ZeroCount { n };
         let mut rng = StdRng::seed_from_u64(11);
         let init = BitString::random(&mut rng, n);
-        let mut ex = SequentialExplorer::new(OneHamming::new(n));
+        let mut ex = SequentialExplorer::new(KHamming::new(n, 1));
         let search = TabuSearch {
             config: SearchConfig::budget(iters).with_seed(1),
             strategy,
@@ -768,7 +768,7 @@ mod tests {
 
     fn oscillation_trajectory(strategy: TabuStrategy) -> Vec<i64> {
         let p = CountOnes { n: 8 };
-        let mut ex = SequentialExplorer::new(OneHamming::new(8));
+        let mut ex = SequentialExplorer::new(KHamming::new(8, 1));
         let search = TabuSearch {
             config: SearchConfig { max_iters: 6, target_fitness: None, time_limit: None, seed: 0 },
             strategy,
@@ -822,7 +822,7 @@ mod tests {
         let p = ZeroCount { n: 16 };
         let mut rng = StdRng::seed_from_u64(2);
         let init = BitString::random(&mut rng, 16);
-        let hood = TwoHamming::new(16);
+        let hood = KHamming::new(16, 2);
         let mut ex = SequentialExplorer::new(hood);
         let search = TabuSearch::paper(SearchConfig::budget(100), hood.size());
         let r = search.run(&p, &mut ex, init.clone());
@@ -837,7 +837,7 @@ mod tests {
     #[test]
     fn persisted_cursor_resumes_identically() {
         let p = ZeroCount { n: 24 };
-        let hood = TwoHamming::new(24);
+        let hood = KHamming::new(24, 2);
         let mut rng = StdRng::seed_from_u64(13);
         let init = BitString::random(&mut rng, 24);
         let search = TabuSearch {
@@ -1020,8 +1020,8 @@ mod tests {
             let (hood, n) = (hood_and_n % 4, [9, 14, 20][hood_and_n / 4]);
             let case = (seed, strategy, aspiration, tabu_pct, shape);
             match hood {
-                0 => check_selection(&OneHamming::new(n), case)?,
-                1 => check_selection(&TwoHamming::new(n), case)?,
+                0 => check_selection(&KHamming::new(n, 1), case)?,
+                1 => check_selection(&KHamming::new(n, 2), case)?,
                 2 => check_selection(&KHamming::new(n, 3), case)?,
                 _ => check_selection(&UnionHamming::new(n, &[1, 2]), case)?,
             }
@@ -1031,7 +1031,7 @@ mod tests {
     #[test]
     fn time_limit_stops_early() {
         let p = ZeroCount { n: 64 };
-        let mut ex = SequentialExplorer::new(TwoHamming::new(64));
+        let mut ex = SequentialExplorer::new(KHamming::new(64, 2));
         let search = TabuSearch {
             config: SearchConfig {
                 max_iters: u64::MAX,
@@ -1039,7 +1039,7 @@ mod tests {
                 time_limit: Some(std::time::Duration::from_millis(50)),
                 seed: 0,
             },
-            strategy: TabuStrategy::paper_default(TwoHamming::new(64).size()),
+            strategy: TabuStrategy::paper_default(KHamming::new(64, 2).size()),
             aspiration: true,
             keep_history: false,
         };

@@ -92,15 +92,15 @@ mod tests {
     use super::*;
     use crate::explore::SequentialExplorer;
     use crate::problem::testutil::ZeroCount;
-    use lnls_neighborhood::{OneHamming, ThreeHamming, TwoHamming};
+    use lnls_neighborhood::KHamming;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
     fn ladder(n: usize) -> Vec<Box<dyn Explorer<ZeroCount>>> {
         vec![
-            Box::new(SequentialExplorer::new(OneHamming::new(n))),
-            Box::new(SequentialExplorer::new(TwoHamming::new(n))),
-            Box::new(SequentialExplorer::new(ThreeHamming::new(n))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 1))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 2))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 3))),
         ]
     }
 
@@ -184,9 +184,9 @@ mod tests {
             init.flip(i);
         }
         let mut explorers: Vec<Box<dyn Explorer<Trap>>> = vec![
-            Box::new(SequentialExplorer::new(OneHamming::new(n))),
-            Box::new(SequentialExplorer::new(TwoHamming::new(n))),
-            Box::new(SequentialExplorer::new(ThreeHamming::new(n))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 1))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 2))),
+            Box::new(SequentialExplorer::new(KHamming::new(n, 3))),
         ];
         let vns = VariableNeighborhoodSearch::new(SearchConfig::budget(100));
         let r = vns.run(&p, &mut explorers, init);

@@ -125,11 +125,11 @@ impl ExactSizeIterator for LexMoves {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ThreeHamming, TwoHamming};
+    use crate::KHamming;
 
     #[test]
     fn full_iteration_covers_everything_once() {
-        let h = TwoHamming::new(9);
+        let h = KHamming::new(9, 2);
         let collected: Vec<_> = h.moves().collect();
         assert_eq!(collected.len() as u64, h.size());
         for (t, (idx, mv)) in collected.iter().enumerate() {
@@ -140,7 +140,7 @@ mod tests {
 
     #[test]
     fn range_iteration() {
-        let h = ThreeHamming::new(10);
+        let h = KHamming::new(10, 3);
         let all: Vec<_> = h.moves().collect();
         let mid: Vec<_> = MoveIter::range(&h, 20, 40).collect();
         assert_eq!(mid.len(), 20);
@@ -152,7 +152,7 @@ mod tests {
 
     #[test]
     fn size_hint_is_exact() {
-        let h = TwoHamming::new(12);
+        let h = KHamming::new(12, 2);
         let mut it = h.moves();
         assert_eq!(it.size_hint(), (66, Some(66)));
         it.next();
@@ -162,7 +162,7 @@ mod tests {
     #[test]
     fn lex_moves_matches_unranking_for_all_k() {
         for (n, k) in [(9usize, 1usize), (9, 2), (9, 3), (9, 4), (21, 3)] {
-            let hood = crate::KHamming::new(n, k);
+            let hood = KHamming::new(n, k);
             let by_unrank: Vec<_> = hood.moves().collect();
             let by_lex: Vec<_> = LexMoves::new(n, k).collect();
             assert_eq!(by_unrank, by_lex, "n={n} k={k}");

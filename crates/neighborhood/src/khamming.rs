@@ -1,18 +1,16 @@
-//! Generalized k-Hamming neighborhood via the combinatorial number system
-//! — the extension the paper's §V ("handling larger neighborhoods")
-//! motivates. For k ∈ {1,2,3} it is index-compatible with the specialized
-//! types and therefore also with the paper's mappings, which it uses to
-//! unrank those radii in O(1) wherever they are exact.
+//! The k-Hamming neighborhood (paper §II, Figs. 3–5): every radius
+//! `1 ≤ k ≤ 4` through one index ↔ move bijection, the combinatorial
+//! number system — the generalization the paper's §V ("handling larger
+//! neighborhoods") motivates. Its lexicographic layout is the paper's, so
+//! `unrank` uses the closed forms of §III for `k ≤ 3` (the identity of
+//! Fig. 7, [`unrank2`] of App. B, [`unrank3`] of App. C) wherever they are
+//! exact, and the combinadic walk everywhere else.
 
 use crate::combinadic::{rank_combinadic, unrank_combinadic};
 use crate::flip::MAX_FLIPS;
-use crate::mapping2d::unrank2;
+use crate::mapping2d::{unrank2, UNRANK2_MAX_N};
 use crate::mapping3d::unrank3;
 use crate::{binomial, FlipMove, Neighborhood};
-
-/// Largest `n` at which [`unrank2`] is exact: its `8·X + 1`, with
-/// `X < C(n, 2)`, fits `u64` up to here and overflows past it.
-const UNRANK2_MAX_N: u64 = 1 << 31;
 
 /// Largest `n` at which [`unrank3`] runs without a saturated
 /// intermediate: `6·C(n, 3) = n(n−1)(n−2)` fits `u64` up to here, so its
@@ -99,30 +97,6 @@ impl Neighborhood for KHamming {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{OneHamming, ThreeHamming, TwoHamming};
-
-    #[test]
-    fn agrees_with_specialized_neighborhoods() {
-        let n = 21;
-        let h1 = OneHamming::new(n);
-        let h2 = TwoHamming::new(n);
-        let h3 = ThreeHamming::new(n);
-        let g1 = KHamming::new(n, 1);
-        let g2 = KHamming::new(n, 2);
-        let g3 = KHamming::new(n, 3);
-        assert_eq!(h1.size(), g1.size());
-        assert_eq!(h2.size(), g2.size());
-        assert_eq!(h3.size(), g3.size());
-        for f in 0..g1.size() {
-            assert_eq!(h1.unrank(f), g1.unrank(f));
-        }
-        for f in 0..g2.size() {
-            assert_eq!(h2.unrank(f), g2.unrank(f));
-        }
-        for f in 0..g3.size() {
-            assert_eq!(h3.unrank(f), g3.unrank(f));
-        }
-    }
 
     #[test]
     fn unrank_matches_the_combinadic_walk() {
@@ -157,11 +131,47 @@ mod tests {
     }
 
     #[test]
-    fn k4_roundtrip() {
-        let h = KHamming::new(15, 4);
-        assert_eq!(h.size(), 1365);
+    fn rank_inverts_unrank() {
+        // n = k is the size-one neighborhood: its one move flips every bit.
+        for (k, ns) in [(1, [1, 2, 73]), (2, [2, 3, 73]), (3, [3, 5, 30]), (4, [4, 5, 15])] {
+            for n in ns {
+                let h = KHamming::new(n, k);
+                assert_eq!(h.size(), binomial(n as u64, k as u64), "n={n} k={k}");
+                for f in 0..h.size() {
+                    let mv = h.unrank(f);
+                    assert_eq!(mv.k(), k);
+                    assert_eq!(h.rank(&mv), f, "n={n} k={k} #{f}");
+                }
+            }
+            let all: Vec<u32> = (0..k as u32).collect();
+            assert_eq!(KHamming::new(k, k).unrank(0), FlipMove::from_sorted(&all));
+        }
+        // Radius 1 is the identity mapping of the paper's Fig. 7.
+        let h = KHamming::new(73, 1);
         for f in 0..h.size() {
-            assert_eq!(h.rank(&h.unrank(f)), f);
+            assert_eq!(h.unrank(f), FlipMove::one(f as u32));
+        }
+    }
+
+    #[test]
+    fn checked_accessors() {
+        let h = KHamming::new(8, 1);
+        assert!(h.try_unrank(7).is_some());
+        assert!(h.try_unrank(8).is_none());
+        assert!(h.try_rank(&FlipMove::one(7)).is_some());
+        assert!(h.try_rank(&FlipMove::one(8)).is_none());
+        assert!(h.try_rank(&FlipMove::two(1, 2)).is_none());
+    }
+
+    #[test]
+    fn paper_instance_sizes() {
+        // Table III: the 2- and 3-Hamming sizes of the paper's instances
+        // (the 3-Hamming size is each run's iteration bound).
+        for (n, two, three) in
+            [(73, 2_628, 62_196), (81, 3_240, 85_320), (101, 5_050, 166_650), (117, 6_786, 260_130)]
+        {
+            assert_eq!(KHamming::new(n, 2).size(), two, "n={n}");
+            assert_eq!(KHamming::new(n, 3).size(), three, "n={n}");
         }
     }
 

@@ -11,14 +11,18 @@
 //! * [`Neighborhood::unrank`]: flat index → move (ℕ → ℕᵏ, paper App. B/C),
 //! * [`Neighborhood::rank`]: move → flat index (ℕᵏ → ℕ, paper App. A/D).
 //!
-//! The layout is lexicographic over sorted index tuples for every `k`, so
-//! [`OneHamming`], [`TwoHamming`], [`ThreeHamming`] and the generalized
-//! [`KHamming`] all agree wherever they overlap (property-tested).
+//! [`KHamming`] is that pair for every radius `1 ≤ k ≤ 4`. Its layout is
+//! lexicographic over sorted index tuples, the paper's own, so it unranks
+//! `k ≤ 3` with the paper's closed forms ([`mapping2d`], [`mapping3d`])
+//! and agrees with them index for index (property-tested).
 //!
 //! Two families of implementations are provided:
 //!
 //! * **Exact** integer arithmetic (`u64::isqrt`, integer cube-root fix-up) —
-//!   the default, correct for any `n` where the neighborhood size fits `u64`.
+//!   the default. Each closed form is exact up to its own bound (e.g.
+//!   [`mapping2d::UNRANK2_MAX_N`]); past it [`KHamming`] walks the
+//!   combinadic instead, so it is exact for any `n` where the neighborhood
+//!   size fits `u64`.
 //! * **Paper-faithful floating point** ([`mapping2d::unrank2_f32_paper`],
 //!   [`mapping3d::unrank3_newton`]) reproducing the `f32`/Newton–Raphson
 //!   code of the paper's Figs. 9–10 — kept so the precision ablation (A1 in
@@ -27,9 +31,9 @@
 //! # Example
 //!
 //! ```
-//! use lnls_neighborhood::{Neighborhood, ThreeHamming};
+//! use lnls_neighborhood::{KHamming, Neighborhood};
 //!
-//! let hood = ThreeHamming::new(101);
+//! let hood = KHamming::new(101, 3);
 //! assert_eq!(hood.size(), 101 * 100 * 99 / 6);
 //! let mv = hood.unrank(12345);
 //! assert_eq!(hood.rank(&mv), 12345);
@@ -48,17 +52,11 @@ pub mod partition;
 pub mod union;
 
 mod khamming;
-mod one;
-mod three;
-mod two;
 
 pub use flip::FlipMove;
 pub use iter::{lex_advance, LexMoves, MoveIter};
 pub use khamming::KHamming;
-pub use one::OneHamming;
 pub use partition::{partition_ranges, IndexRange};
-pub use three::ThreeHamming;
-pub use two::TwoHamming;
 pub use union::UnionHamming;
 
 /// A neighborhood of a binary string of dimension `n`: the set of all moves
@@ -119,8 +117,8 @@ pub trait Neighborhood: Send + Sync {
     /// callback returns `false`.
     ///
     /// The default implementation assumes the neighborhood enumerates a
-    /// *fixed* `k` in lexicographic order (true for every fixed-k type
-    /// here): it unranks once at `lo` and advances with
+    /// *fixed* `k` in lexicographic order (true for [`KHamming`]): it
+    /// unranks once at `lo` and advances with
     /// [`lex_advance`] — O(1) amortized per move, no per-index Newton
     /// steps. Mixed-k neighborhoods ([`UnionHamming`]) override this
     /// with per-segment dispatch.

@@ -11,7 +11,8 @@
 //!   `j = f − i(n−1) + i(i+1)/2 + 1`.
 //!
 //! [`rank2`]/[`unrank2`] implement these with exact integer arithmetic
-//! (`u64::isqrt`), valid for every `n` whose neighborhood size fits `u64`.
+//! (`u64::isqrt`): `rank2` for every `n` whose neighborhood size fits
+//! `u64`, `unrank2` for `n ≤` [`UNRANK2_MAX_N`].
 //! [`unrank2_f32_paper`] reproduces the single-precision GPU code of the
 //! paper's Fig. 9 — including its `+0.1f` rounding guard — so the precision
 //! ablation can locate the instance sizes where `f32` first mis-maps.
@@ -30,10 +31,19 @@ pub fn rank2(n: u64, i: u64, j: u64) -> u64 {
     i * (n - 1) + (j - 1) - i * (i + 1) / 2
 }
 
+/// Largest `n` at which [`unrank2`] is exact: its `8·X + 1`, with
+/// `X < C(n, 2)`, fits `u64` up to here and overflows past it.
+pub const UNRANK2_MAX_N: u64 = 1 << 31;
+
 /// ℕ→ℕ²: Proposition 2 / Appendix B, exact integer version.
 /// Requires `index < size2(n)`; returns `(i, j)` with `i < j`.
+///
+/// # Panics
+/// Panics if `n >` [`UNRANK2_MAX_N`], where `8·X + 1` would wrap into a
+/// wrong pair; [`KHamming`](crate::KHamming) walks the combinadic there.
 #[inline]
 pub fn unrank2(n: u64, index: u64) -> (u64, u64) {
+    assert!(n <= UNRANK2_MAX_N, "unrank2 is exact only for n <= 2^31 (UNRANK2_MAX_N), got n={n}");
     let m = size2(n);
     debug_assert!(index < m, "unrank2 index {index} out of range (m={m})");
     // X = number of elements strictly after `index`; the largest k with
@@ -159,6 +169,12 @@ mod tests {
             let (i, j) = unrank2(n, f);
             assert_eq!(rank2(n, i, j), f);
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "unrank2 is exact only for n <= 2^31 (UNRANK2_MAX_N)")]
+    fn unrank_past_its_bound_panics() {
+        let _ = unrank2((1 << 31) + 1, 0);
     }
 
     #[test]

@@ -4,9 +4,7 @@
 use lnls_neighborhood::combinadic::{rank_combinadic, unrank_combinadic};
 use lnls_neighborhood::mapping2d::{rank2, size2, unrank2};
 use lnls_neighborhood::mapping3d::{rank3, size3, unrank3, unrank3_newton};
-use lnls_neighborhood::{
-    binomial, lex_advance, FlipMove, KHamming, Neighborhood, OneHamming, ThreeHamming, TwoHamming,
-};
+use lnls_neighborhood::{binomial, lex_advance, FlipMove, KHamming, Neighborhood};
 use proptest::prelude::*;
 
 proptest! {
@@ -80,27 +78,30 @@ proptest! {
         prop_assert_eq!(&c[..k], &b[..k]);
     }
 
-    /// The Neighborhood trait objects agree with the raw mappings.
+    /// KHamming agrees with the paper's closed forms at k = 1..3.
     #[test]
     fn neighborhood_trait_consistency(n in 4usize..500, x in any::<u64>()) {
-        let h1 = OneHamming::new(n);
-        let h2 = TwoHamming::new(n);
-        let h3 = ThreeHamming::new(n);
+        let (h1, h2, h3) = (KHamming::new(n, 1), KHamming::new(n, 2), KHamming::new(n, 3));
+        let nn = n as u64;
+        prop_assert_eq!(h2.size(), size2(nn));
+        prop_assert_eq!(h3.size(), size3(nn));
         let f1 = x % h1.size();
         let f2 = x % h2.size();
         let f3 = x % h3.size();
-        prop_assert_eq!(h1.rank(&h1.unrank(f1)), f1);
-        prop_assert_eq!(h2.rank(&h2.unrank(f2)), f2);
-        prop_assert_eq!(h3.rank(&h3.unrank(f3)), f3);
-        // KHamming agrees with the specialized types.
-        prop_assert_eq!(KHamming::new(n, 2).unrank(f2), h2.unrank(f2));
-        prop_assert_eq!(KHamming::new(n, 3).unrank(f3), h3.unrank(f3));
+        prop_assert_eq!(h1.unrank(f1), FlipMove::one(f1 as u32));
+        prop_assert_eq!(h1.rank(&FlipMove::one(f1 as u32)), f1);
+        let (i, j) = unrank2(nn, f2);
+        prop_assert_eq!(h2.unrank(f2), FlipMove::two(i as u32, j as u32));
+        prop_assert_eq!(h2.rank(&h2.unrank(f2)), rank2(nn, i, j));
+        let (a, b, c) = unrank3(nn, f3);
+        prop_assert_eq!(h3.unrank(f3), FlipMove::three(a as u32, b as u32, c as u32));
+        prop_assert_eq!(h3.rank(&h3.unrank(f3)), rank3(nn, a, b, c));
     }
 
     /// try_rank rejects exactly the malformed moves.
     #[test]
     fn try_rank_validates(n in 3usize..200, a in any::<u32>(), b in any::<u32>()) {
-        let h = TwoHamming::new(n);
+        let h = KHamming::new(n, 2);
         let (a, b) = (a % (n as u32 * 2), b % (n as u32 * 2));
         if a < b {
             let mv = FlipMove::two(a, b);

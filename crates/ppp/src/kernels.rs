@@ -14,10 +14,8 @@
 //! * per-thread delta histogram: **local** memory (physically DRAM on
 //!   GT200 — a real cost the timing model charges).
 
+use lnls_core::unrank_device;
 use lnls_gpu_sim::{DeviceBuffer, Kernel, ThreadCtx};
-use lnls_neighborhood::combinadic::unrank_combinadic;
-use lnls_neighborhood::mapping2d::unrank2;
-use lnls_neighborhood::mapping3d::unrank3;
 
 /// Neighbor-evaluation kernel for the `k`-Hamming neighborhood.
 /// `k ∈ {1, 2, 3}` are the paper's kernels (Figs. 7/9/10); `k = 4` is the
@@ -57,40 +55,6 @@ pub struct PppEvalKernel {
     pub hist_base: i64,
 }
 
-impl PppEvalKernel {
-    /// Decode this thread's move (paper §III.B). Costs are charged to the
-    /// context: the 2-Hamming unranking uses one square root (SFU), the
-    /// 3-Hamming one adds the cube-root plan search of Algorithm 1.
-    #[inline]
-    pub(crate) fn unrank<C: ThreadCtx>(&self, ctx: &mut C, index: u64) -> ([u32; 4], usize) {
-        match self.k {
-            1 => {
-                ctx.alu(1);
-                ([index as u32, 0, 0, 0], 1)
-            }
-            2 => {
-                ctx.sfu(1); // sqrtf
-                ctx.alu(10); // index arithmetic of Fig. 9
-                let (i, j) = unrank2(self.n as u64, index);
-                ([i as u32, j as u32, 0, 0], 2)
-            }
-            3 => {
-                ctx.sfu(2); // cbrt seed + Newton step (Fig. 10 newtonGPU)
-                ctx.alu(30); // plan arithmetic of App. C
-                let (a, b, c) = unrank3(self.n as u64, index);
-                ([a as u32, b as u32, c as u32, 0], 3)
-            }
-            4 => {
-                ctx.alu(60); // combinadic coordinate walk
-                let mut out = [0u32; 4];
-                unrank_combinadic(self.n as u64, index, &mut out);
-                (out, 4)
-            }
-            _ => unreachable!("k must be 1..=4"),
-        }
-    }
-}
-
 impl Kernel for PppEvalKernel {
     fn name(&self) -> &'static str {
         match self.k {
@@ -110,7 +74,7 @@ impl Kernel for PppEvalKernel {
         if !ctx.branch(tid < self.msize) {
             return;
         }
-        let (cols, k) = self.unrank(ctx, self.base_index + tid);
+        let (cols, k) = unrank_device(ctx, self.k, self.n, self.base_index + tid);
 
         let n = self.n as usize;
         let m = self.m as usize;

@@ -14,6 +14,7 @@
 //! counts, shrinking (or reversing) when occupancy collapses.
 
 use crate::kernels::PppEvalKernel;
+use lnls_core::unrank_device;
 use lnls_gpu_sim::{Kernel, ThreadCtx};
 
 /// [`PppEvalKernel`] with `Y` staged in shared memory.
@@ -67,7 +68,7 @@ impl Kernel for PppEvalKernelShared {
         if !ctx.branch(tid < k.msize) {
             return;
         }
-        let (cols, kk) = k.unrank(ctx, k.base_index + tid);
+        let (cols, kk) = unrank_device(ctx, k.k, k.n, k.base_index + tid);
         let n = k.n as usize;
 
         let bins = ctx.local_alloc(n + 1);

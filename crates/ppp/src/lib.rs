@@ -21,12 +21,12 @@
 //!
 //! ```
 //! use lnls_core::prelude::*;
-//! use lnls_neighborhood::{Neighborhood, TwoHamming};
+//! use lnls_neighborhood::{KHamming, Neighborhood};
 //! use lnls_ppp::{Ppp, PppInstance};
 //!
 //! let inst = PppInstance::generate(25, 25, 42);
 //! let problem = Ppp::new(inst);
-//! let hood = TwoHamming::new(25);
+//! let hood = KHamming::new(25, 2);
 //! let mut explorer = SequentialExplorer::new(hood);
 //! let search = TabuSearch::paper(SearchConfig::budget(200).with_seed(1), hood.size());
 //! let init = BitString::zeros(25);

@@ -418,7 +418,7 @@ impl HistTarget {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lnls_neighborhood::{LexMoves, Neighborhood, ThreeHamming};
+    use lnls_neighborhood::{KHamming, LexMoves, Neighborhood};
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
 
@@ -465,7 +465,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(10);
         let mut s = BitString::random(&mut rng, 31);
         let mut st = p.init_state(&s);
-        let hood = ThreeHamming::new(31);
+        let hood = KHamming::new(31, 3);
         for step in 0..200 {
             let mv = hood.unrank(rng.gen_range(0..hood.size()));
             let predicted = p.neighbor_fitness(&mut st, &s, &mv);

@@ -15,47 +15,12 @@
 //! tests check bit-exact agreement with the sequential explorer.
 
 use crate::qubo::Qubo;
-use lnls_core::{BitString, Explorer, IncrementalEval};
+use lnls_core::{unrank_device, BitString, Explorer, IncrementalEval};
 use lnls_gpu_sim::{
     Device, DeviceBuffer, DeviceSpec, ExecMode, Kernel, LaunchConfig, MemSpace, ThreadCtx, TimeBook,
 };
-use lnls_neighborhood::combinadic::unrank_combinadic;
-use lnls_neighborhood::mapping2d::unrank2;
-use lnls_neighborhood::mapping3d::unrank3;
 use lnls_neighborhood::{FlipMove, KHamming, Neighborhood};
 use std::time::{Duration, Instant};
-
-/// Decode a flat move index on the device, charging the mapping's
-/// arithmetic to the thread context (shared by every kernel here; the
-/// costs mirror `PppEvalKernel::unrank` in `lnls-ppp`).
-#[inline]
-pub fn unrank_device<C: ThreadCtx>(ctx: &mut C, k: u8, n: u32, index: u64) -> ([u32; 4], usize) {
-    match k {
-        1 => {
-            ctx.alu(1);
-            ([index as u32, 0, 0, 0], 1)
-        }
-        2 => {
-            ctx.sfu(1);
-            ctx.alu(10);
-            let (i, j) = unrank2(n as u64, index);
-            ([i as u32, j as u32, 0, 0], 2)
-        }
-        3 => {
-            ctx.sfu(2);
-            ctx.alu(30);
-            let (a, b, c) = unrank3(n as u64, index);
-            ([a as u32, b as u32, c as u32, 0], 3)
-        }
-        4 => {
-            ctx.alu(60);
-            let mut out = [0u32; 4];
-            unrank_combinadic(n as u64, index, &mut out);
-            (out, 4)
-        }
-        _ => unreachable!("k must be 1..=4"),
-    }
-}
 
 /// Pack a [`BitString`] into the u32 words the kernels read.
 pub fn pack_bits(s: &BitString) -> Vec<u32> {

@@ -149,7 +149,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let p = NkLandscape::random(&mut rng, 24, 0, 100);
         let optimum: i64 = p.tables.iter().map(|t| t.iter().copied().min().unwrap() as i64).sum();
-        let mut ex = SequentialExplorer::new(lnls_neighborhood::OneHamming::new(24));
+        let mut ex = SequentialExplorer::new(lnls_neighborhood::KHamming::new(24, 1));
         let hc = HillClimbing::best(SearchConfig::budget(1000).with_target(None));
         let r = hc.run(&p, &mut ex, BitString::zeros(24));
         assert_eq!(r.best_fitness, optimum);

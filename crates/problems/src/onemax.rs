@@ -121,7 +121,7 @@ impl lnls_core::PersistTag for OneMax {
 mod tests {
     use super::*;
     use lnls_core::{SearchConfig, SequentialExplorer, TabuSearch};
-    use lnls_neighborhood::{Neighborhood, OneHamming};
+    use lnls_neighborhood::{KHamming, Neighborhood};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -151,7 +151,7 @@ mod tests {
     #[test]
     fn tabu_solves_onemax() {
         let p = OneMax::new(64);
-        let hood = OneHamming::new(64);
+        let hood = KHamming::new(64, 1);
         let mut ex = SequentialExplorer::new(hood);
         let search = TabuSearch::paper(SearchConfig::budget(100), hood.size());
         let r = search.run(&p, &mut ex, BitString::zeros(64));

@@ -201,12 +201,12 @@ struct QueuedRow {
 /// use lnls_runtime::{AdmissionPolicy, BinaryJob, FleetClient, Scheduler, SchedulerConfig};
 /// use lnls_core::{BitString, SearchConfig, TabuSearch};
 /// use lnls_gpu_sim::DeviceSpec;
-/// use lnls_neighborhood::{Neighborhood, TwoHamming};
+/// use lnls_neighborhood::{KHamming, Neighborhood};
 /// use lnls_problems::OneMax;
 ///
 /// let fleet = Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), SchedulerConfig::default());
 /// let mut client = FleetClient::new(fleet, AdmissionPolicy::queue_cap(2));
-/// let hood = TwoHamming::new(16);
+/// let hood = KHamming::new(16, 2);
 /// let job = |i: u64| {
 ///     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(i);
 ///     let init = BitString::random(&mut rng, 16);

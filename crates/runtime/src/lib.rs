@@ -115,7 +115,7 @@
 //! use lnls_runtime::{AnnealJob, BinaryJob, Scheduler, SchedulerConfig};
 //! use lnls_core::{BitString, SearchConfig, SimulatedAnnealing, TabuSearch};
 //! use lnls_gpu_sim::DeviceSpec;
-//! use lnls_neighborhood::{Neighborhood, TwoHamming};
+//! use lnls_neighborhood::{KHamming, Neighborhood};
 //! use lnls_problems::OneMax;
 //!
 //! let mut fleet = Scheduler::with_uniform_fleet(
@@ -123,7 +123,7 @@
 //!     DeviceSpec::gtx280(),
 //!     SchedulerConfig::default(),
 //! );
-//! let hood = TwoHamming::new(32);
+//! let hood = KHamming::new(32, 2);
 //! let mut handles = Vec::new();
 //! for i in 0..4u64 {
 //!     let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(i);
@@ -205,13 +205,13 @@ mod tests {
     use super::*;
     use lnls_core::{BitString, SearchConfig, SequentialExplorer, TabuSearch};
     use lnls_gpu_sim::{DeviceSpec, MultiDevice};
-    use lnls_neighborhood::{Neighborhood, TwoHamming};
+    use lnls_neighborhood::{KHamming, Neighborhood};
     use lnls_problems::OneMax;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn onemax_job(i: u64, n: usize, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
-        let hood = TwoHamming::new(n);
+    fn onemax_job(i: u64, n: usize, iters: u64) -> BinaryJob<OneMax, KHamming> {
+        let hood = KHamming::new(n, 2);
         let mut rng = StdRng::seed_from_u64(i);
         let init = BitString::random(&mut rng, n);
         let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(i), hood.size());
@@ -219,7 +219,7 @@ mod tests {
     }
 
     fn solo_result(i: u64, n: usize, iters: u64) -> lnls_core::SearchResult {
-        let hood = TwoHamming::new(n);
+        let hood = KHamming::new(n, 2);
         let mut rng = StdRng::seed_from_u64(i);
         let init = BitString::random(&mut rng, n);
         let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(i), hood.size());

@@ -32,7 +32,7 @@
 //!
 //! [`JobRegistry::with_builtin`] pre-registers every combination the
 //! workspace ships (QAP robust tabu; tabu *and* annealing jobs for
-//! OneMax, PPP and Max-Cut over the bundled neighborhoods; LNS
+//! OneMax, PPP and Max-Cut over `KHamming`; LNS
 //! destroy-and-repair and portfolio races over Knapsack, Max-3-Sat and
 //! QUBO); custom workloads add
 //! themselves with [`JobRegistry::register`], keyed by their
@@ -48,7 +48,7 @@ use crate::submit::JobCodec;
 use crate::{PlacePolicy, SchedulerConfig};
 use lnls_core::persist::{write_atomic, Persist, PersistError, Reader};
 use lnls_gpu_sim::DeviceSpec;
-use lnls_neighborhood::{KHamming, OneHamming, ThreeHamming, TwoHamming};
+use lnls_neighborhood::KHamming;
 use lnls_ppp::Ppp;
 use lnls_problems::{Knapsack, MaxCut, MaxSat, OneMax, Qubo};
 use std::collections::BTreeMap;
@@ -77,18 +77,10 @@ impl JobRegistry {
     /// A registry pre-loaded with every job type the workspace bundles.
     pub fn with_builtin() -> Self {
         let mut reg = Self::new();
-        reg.register::<BinaryJob<OneMax, OneHamming>>();
-        reg.register::<BinaryJob<OneMax, TwoHamming>>();
-        reg.register::<BinaryJob<OneMax, ThreeHamming>>();
         reg.register::<BinaryJob<OneMax, KHamming>>();
-        reg.register::<BinaryJob<Ppp, TwoHamming>>();
         reg.register::<BinaryJob<Ppp, KHamming>>();
-        reg.register::<BinaryJob<MaxCut, TwoHamming>>();
         reg.register::<BinaryJob<MaxCut, KHamming>>();
-        reg.register::<AnnealJob<OneMax, OneHamming>>();
-        reg.register::<AnnealJob<OneMax, TwoHamming>>();
         reg.register::<AnnealJob<OneMax, KHamming>>();
-        reg.register::<AnnealJob<Ppp, TwoHamming>>();
         reg.register::<AnnealJob<Ppp, KHamming>>();
         reg.register::<AnnealJob<MaxCut, KHamming>>();
         reg.register::<LnsJob<Knapsack>>();
@@ -358,6 +350,101 @@ impl FleetCheckpoint {
 mod tests {
     use super::*;
     use crate::Scheduler;
+    use lnls_core::{BinaryProblem, BitString, SearchConfig, SimulatedAnnealing, TabuSearch};
+    use lnls_gpu_sim::MultiDevice;
+    use lnls_lns::{LnsSearch, PortfolioSearch};
+    use lnls_neighborhood::Neighborhood;
+    use lnls_ppp::PppInstance;
+    use lnls_qap::{Permutation, QapInstance, RtsConfig};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+    use std::collections::BTreeSet;
+
+    /// One small job of every tag [`JobRegistry::with_builtin`] decodes
+    /// on a one-device, one-CPU-worker fleet: checkpointed after 1, 3
+    /// and 7 ticks, decoded with the builtin registry, restored and run
+    /// to idle, each lands on the uninterrupted run's report.
+    #[test]
+    fn every_builtin_tag_resumes_onto_the_uninterrupted_run() {
+        fn put<J: JobCodec>(fleet: &mut Scheduler, tags: &mut BTreeSet<String>, job: J) {
+            assert_eq!(job.persist_tag(), J::registry_tag());
+            tags.insert(J::registry_tag());
+            fleet.submit(job);
+        }
+        fn tabu<P>(fleet: &mut Scheduler, tags: &mut BTreeSet<String>, seed: u64, p: P)
+        where
+            BinaryJob<P, KHamming>: JobCodec,
+            P: BinaryProblem,
+        {
+            let n = p.dim();
+            let hood = KHamming::new(n, 2);
+            let cfg = SearchConfig::budget(30).with_seed(seed).with_target(None);
+            let init = BitString::random(&mut StdRng::seed_from_u64(seed), n);
+            let search = TabuSearch::paper(cfg, hood.size());
+            put(fleet, tags, BinaryJob::new(format!("tabu-{seed}"), p, hood, search, init));
+        }
+        fn anneal<P>(fleet: &mut Scheduler, tags: &mut BTreeSet<String>, seed: u64, p: P)
+        where
+            AnnealJob<P, KHamming>: JobCodec,
+            P: BinaryProblem,
+        {
+            let n = p.dim();
+            let cfg = SearchConfig::budget(60).with_seed(seed).with_target(None);
+            let sa = SimulatedAnnealing::new(cfg, KHamming::new(n, 2), 1.5);
+            let init = BitString::random(&mut StdRng::seed_from_u64(seed), n);
+            put(fleet, tags, AnnealJob::new(format!("sa-{seed}"), p, sa, init));
+        }
+        let build = |tags: &mut BTreeSet<String>| {
+            let mut fleet = Scheduler::new(
+                MultiDevice::new_uniform(1, DeviceSpec::gtx280()),
+                SchedulerConfig { cpu_workers: 1, quantum_iters: Some(4), ..Default::default() },
+            );
+            let rng = &mut StdRng::seed_from_u64(11);
+            let n = 12;
+            tabu(&mut fleet, tags, 1, OneMax::new(n));
+            tabu(&mut fleet, tags, 2, Ppp::new(PppInstance::generate(n, n, 2)));
+            tabu(&mut fleet, tags, 3, MaxCut::random(rng, n, 0.35, 5));
+            anneal(&mut fleet, tags, 4, OneMax::new(n));
+            anneal(&mut fleet, tags, 5, Ppp::new(PppInstance::generate(n, n, 5)));
+            anneal(&mut fleet, tags, 6, MaxCut::random(rng, n, 0.35, 5));
+            let cfg = |seed| SearchConfig::budget(6).with_seed(seed).with_target(None);
+            let init = BitString::random(rng, n);
+            let knapsack = Knapsack::random(rng, n, 10, 6);
+            let maxsat = MaxSat::random(rng, n, 4 * n);
+            let qubo = Qubo::random(rng, n, 7, 0.5);
+            let lns = |seed| LnsSearch::paper(cfg(seed));
+            put(&mut fleet, tags, LnsJob::new("lns-7", knapsack.clone(), lns(7), init.clone()));
+            put(&mut fleet, tags, LnsJob::new("lns-8", maxsat.clone(), lns(8), init.clone()));
+            put(&mut fleet, tags, LnsJob::new("lns-9", qubo.clone(), lns(9), init.clone()));
+            let race = |seed| PortfolioSearch::paper(cfg(seed));
+            put(&mut fleet, tags, PortfolioJob::new("race-10", knapsack, race(10), init.clone()));
+            put(&mut fleet, tags, PortfolioJob::new("race-11", maxsat, race(11), init.clone()));
+            put(&mut fleet, tags, PortfolioJob::new("race-12", qubo, race(12), init));
+            let (inst, perm) = (QapInstance::random_uniform(rng, 8), Permutation::random(rng, 8));
+            let rts = RtsConfig::budget(40).with_seed(13);
+            put(&mut fleet, tags, QapJobSpec::new("qap-13", inst, rts, perm));
+            fleet
+        };
+        let mut tags = BTreeSet::new();
+        let mut straight = build(&mut tags);
+        let registry = JobRegistry::with_builtin();
+        assert_eq!(tags, registry.loaders.keys().cloned().collect(), "one job per builtin tag");
+        straight.run_until_idle();
+        let want = format!("{:?}", straight.fleet_report());
+        for ticks in [1, 3, 7] {
+            let mut fleet = build(&mut BTreeSet::new());
+            for _ in 0..ticks {
+                fleet.tick();
+            }
+            let checkpoint = fleet.checkpoint();
+            assert!(checkpoint.pending_jobs() > 0, "captured mid-run at tick {ticks}");
+            let revived = FleetCheckpoint::from_bytes(&checkpoint.to_bytes(), &registry)
+                .unwrap_or_else(|e| panic!("tick {ticks}: {e}"));
+            let mut resumed = Scheduler::restore(revived);
+            resumed.run_until_idle();
+            assert_eq!(format!("{:?}", resumed.fleet_report()), want, "restored at tick {ticks}");
+        }
+    }
 
     /// Corrupted configs and backend shapes decode to a typed error
     /// naming the bad value, never to a panic (`cpu_workers` near the

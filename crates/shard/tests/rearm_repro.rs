@@ -3,7 +3,7 @@
 
 use lnls_core::{BitString, SearchConfig, TabuSearch};
 use lnls_gpu_sim::{DeviceSpec, MultiDevice};
-use lnls_neighborhood::{Neighborhood, TwoHamming};
+use lnls_neighborhood::{KHamming, Neighborhood};
 use lnls_problems::OneMax;
 use lnls_runtime::{
     BinaryJob, CheckpointStore, DeltaCheckpointer, JobRegistry, Scheduler, SchedulerConfig,
@@ -11,9 +11,9 @@ use lnls_runtime::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn job(i: u64, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
+fn job(i: u64, iters: u64) -> BinaryJob<OneMax, KHamming> {
     let n = 24;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(i);
     let init = BitString::random(&mut rng, n);
     let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(i), hood.size());

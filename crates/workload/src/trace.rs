@@ -205,10 +205,13 @@ impl Persist for JobRecipe {
             }
         }
     }
+    /// Decoding refuses a size below 2, which no recipe can build a job
+    /// of (a 2-flip neighborhood, a QAP, a Max-Cut graph all need two
+    /// elements): replay would panic building it.
     fn read(r: &mut Reader<'_>) -> Result<Self, PersistError> {
         let tag = u8::read(r)?;
         let (dim, iters, seed): (usize, u64, u64) = r.read()?;
-        Ok(match tag {
+        let recipe = match tag {
             0 => JobRecipe::TabuOneMax { dim, iters, seed },
             1 => JobRecipe::TabuPpp { dim, iters, seed },
             2 => JobRecipe::TabuMaxCut { dim, iters, seed },
@@ -217,7 +220,11 @@ impl Persist for JobRecipe {
             5 => JobRecipe::LnsRepair { dim, iters, seed },
             6 => JobRecipe::PortfolioRace { dim, iters, seed },
             b => return Err(PersistError::new(format!("bad job-recipe tag {b}"))),
-        })
+        };
+        if dim < 2 {
+            return Err(PersistError::new(format!("job recipe {recipe:?} has size {dim} < 2")));
+        }
+        Ok(recipe)
     }
 }
 
@@ -280,6 +287,40 @@ mod tests {
                 assert_eq!(back.to_bytes(), bytes, "{name}: v{version} must round-trip");
             }
         }
+    }
+
+    /// A recipe of size 0 or 1 is refused at decode, naming the recipe,
+    /// for every recipe kind the catalog lowers; replay used to panic
+    /// building its job.
+    #[test]
+    fn a_recipe_below_size_two_is_refused_at_decode() {
+        let mut kinds = std::collections::BTreeSet::new();
+        for scenario in Scenario::catalog() {
+            let trace = TrafficGen::lower(&scenario, 5);
+            for (at, arrival) in trace.arrivals.iter().enumerate() {
+                if !kinds.insert(arrival.recipe.family().label()) {
+                    continue;
+                }
+                for size in [0, 1] {
+                    let mut edited = trace.clone();
+                    match &mut edited.arrivals[at].recipe {
+                        JobRecipe::TabuOneMax { dim, .. }
+                        | JobRecipe::TabuPpp { dim, .. }
+                        | JobRecipe::TabuMaxCut { dim, .. }
+                        | JobRecipe::AnnealOneMax { dim, .. }
+                        | JobRecipe::Qap { n: dim, .. }
+                        | JobRecipe::LnsRepair { dim, .. }
+                        | JobRecipe::PortfolioRace { dim, .. } => *dim = size,
+                    }
+                    let err = Trace::from_bytes(&edited.to_bytes())
+                        .expect_err("a recipe below size 2 must be refused");
+                    let want = format!("{:?}", edited.arrivals[at].recipe);
+                    assert!(err.to_string().contains(&want), "{}: {err}", scenario.name);
+                    assert!(err.to_string().contains(&format!("size {size} < 2")), "{err}");
+                }
+            }
+        }
+        assert_eq!(kinds.len(), 7, "every recipe kind is lowered by some scenario: {kinds:?}");
     }
 
     #[test]

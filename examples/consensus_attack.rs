@@ -21,7 +21,7 @@ fn main() {
 
     // One long tabu run: 6 rounds × 4 searches × 300 iterations worth.
     let total_budget = 6 * 4 * 300u64;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, n);
     let search = TabuSearch::paper(

@@ -18,7 +18,7 @@ fn run_all_drivers<P: IncrementalEval>(name: &str, problem: &P, seed: u64) {
     let init = BitString::random(&mut rng, n);
 
     // Hill climbing, best improvement, 2-Hamming.
-    let mut hc_ex = SequentialExplorer::new(TwoHamming::new(n));
+    let mut hc_ex = SequentialExplorer::new(KHamming::new(n, 2));
     let hc = HillClimbing::best(SearchConfig::budget(2_000).with_seed(seed));
     let r_hc = hc.run(problem, &mut hc_ex, init.clone());
 
@@ -26,7 +26,7 @@ fn run_all_drivers<P: IncrementalEval>(name: &str, problem: &P, seed: u64) {
     // unranking uniform indices — the paper's mappings as samplers.
     let sa = SimulatedAnnealing::new(
         SearchConfig::budget(60_000).with_seed(seed),
-        TwoHamming::new(n),
+        KHamming::new(n, 2),
         8.0,
     );
     let r_sa = sa.run(problem, init.clone());
@@ -37,9 +37,9 @@ fn run_all_drivers<P: IncrementalEval>(name: &str, problem: &P, seed: u64) {
 
     // VNS over the 1 → 2 → 3-Hamming ladder.
     let mut ladder: Vec<Box<dyn Explorer<P>>> = vec![
-        Box::new(SequentialExplorer::new(OneHamming::new(n))),
-        Box::new(SequentialExplorer::new(TwoHamming::new(n))),
-        Box::new(SequentialExplorer::new(ThreeHamming::new(n))),
+        Box::new(SequentialExplorer::new(KHamming::new(n, 1))),
+        Box::new(SequentialExplorer::new(KHamming::new(n, 2))),
+        Box::new(SequentialExplorer::new(KHamming::new(n, 3))),
     ];
     let vns = VariableNeighborhoodSearch::new(SearchConfig::budget(500).with_seed(seed));
     let r_vns = vns.run(problem, &mut ladder, init);

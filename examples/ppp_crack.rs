@@ -30,7 +30,7 @@ fn main() {
     let mut recovered: Option<BitString> = None;
     for k in 1..=3usize {
         let hood = KHamming::new(n, k);
-        let budget = (Neighborhood::size(&ThreeHamming::new(n)) / 8).max(2_000);
+        let budget = (Neighborhood::size(&KHamming::new(n, 3)) / 8).max(2_000);
         let search = TabuSearch::paper(
             SearchConfig::budget(budget).with_seed(seed + k as u64),
             Neighborhood::size(&hood),

@@ -59,7 +59,7 @@ fn main() {
     // --- white-box composition: observers + continuators -----------------
     println!("peo-style run on Max-Cut with a fitness trace:");
     let mut trace = FitnessTrace::default();
-    let mut explorer = SequentialExplorer::new(TwoHamming::new(n));
+    let mut explorer = SequentialExplorer::new(KHamming::new(n, 2));
     let result = PeoSearch::new(Acceptance::Always)
         .stop_when(MaxIterations(60))
         .stop_when(TargetFitness(i64::MIN + 1)) // unreachable: run the full budget
@@ -78,9 +78,9 @@ fn main() {
     // --- GVNS across the ladder ------------------------------------------
     println!("\ngvns (shake + descend over the 1/2/3-Hamming ladder) on the spin glass:");
     let mut ladder: Vec<Box<dyn Explorer<IsingLattice>>> = vec![
-        Box::new(SequentialExplorer::new(OneHamming::new(49))),
-        Box::new(SequentialExplorer::new(TwoHamming::new(49))),
-        Box::new(SequentialExplorer::new(ThreeHamming::new(49))),
+        Box::new(SequentialExplorer::new(KHamming::new(49, 1))),
+        Box::new(SequentialExplorer::new(KHamming::new(49, 2))),
+        Box::new(SequentialExplorer::new(KHamming::new(49, 3))),
     ];
     let gvns = GeneralVns::new(SearchConfig::budget(40).with_seed(3).with_target(None))
         .with_descent_budget(200)

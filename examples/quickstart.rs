@@ -18,7 +18,7 @@ fn main() {
     let problem = Ppp::new(instance);
     println!("instance: PPP {m}×{n} (seed {seed})");
 
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let budget = 4_000;
     println!(
         "neighborhood: {} ({} moves); tabu budget {budget} iterations\n",

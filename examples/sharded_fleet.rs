@@ -34,9 +34,9 @@ use rand::SeedableRng;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-fn onemax_job(name: &str, seed: u64) -> BinaryJob<OneMax, TwoHamming> {
+fn onemax_job(name: &str, seed: u64) -> BinaryJob<OneMax, KHamming> {
     let n = 24;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, n);
     let search =

@@ -8,7 +8,7 @@
 //!
 //! | crate | contents |
 //! |---|---|
-//! | [`neighborhood`] | 1/2/3/k-Hamming neighborhoods and the thread-id ↔ move mappings (paper §II–III, appendices A–D) |
+//! | [`neighborhood`] | `KHamming`, the one k-Hamming neighborhood for every radius, and the thread-id ↔ move mappings it unranks with (paper §II–III, appendices A–D) |
 //! | [`gpu`] | cycle-approximate functional GPU simulator with a GTX 280 timing model (the hardware substitution) |
 //! | [`core`] | the local-search framework: tabu search, hill climbing, SA, ILS, VNS over pluggable exploration backends |
 //! | [`ppp`] | the Permuted Perceptron Problem: instances, objective, incremental evaluation, GPU kernels (paper §IV) |
@@ -32,7 +32,7 @@
 //! let mut explorer = PppGpuExplorer::new(&problem, 2, GpuExplorerConfig::default());
 //!
 //! // … driven by the paper's tabu search.
-//! let hood_size = Neighborhood::size(&TwoHamming::new(25));
+//! let hood_size = Neighborhood::size(&KHamming::new(25, 2));
 //! let search = TabuSearch::paper(SearchConfig::budget(150).with_seed(1), hood_size);
 //! let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(1);
 //! let init = BitString::random(&mut rng, 25);
@@ -69,9 +69,7 @@ pub mod prelude {
         MultiDevice, SelectionMode,
     };
     pub use lnls_lns::{AdaptiveRadius, DestroyOp, LnsSearch, PortfolioOutcome, PortfolioSearch};
-    pub use lnls_neighborhood::{
-        FlipMove, KHamming, Neighborhood, OneHamming, ThreeHamming, TwoHamming, UnionHamming,
-    };
+    pub use lnls_neighborhood::{FlipMove, KHamming, Neighborhood, UnionHamming};
     pub use lnls_ppp::{GpuExplorerConfig, Ppp, PppGpuExplorer, PppInstance};
     pub use lnls_problems::{IsingLattice, Knapsack, MaxCut, MaxSat, NkLandscape, OneMax, Qubo};
     pub use lnls_qap::{QapInstance, RobustTabu, RtsConfig, TableEvaluator};

@@ -19,7 +19,7 @@
 //! section is a typed error, never a silent decode.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{
     AdmissionPolicy, BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec,
     FleetCheckpoint, FleetClient, JobRegistry, JobSpec, JobStatus, MultiDevice, OneMax, Ppp,
@@ -164,8 +164,8 @@ fn segment_bytes_match_the_pinned_layout() {
     assert!(mismatches.is_empty(), "persisted bytes moved:\n{}", mismatches.join("\n"));
 }
 
-fn onemax_job(seed: u64, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
-    let hood = TwoHamming::new(16);
+fn onemax_job(seed: u64, iters: u64) -> BinaryJob<OneMax, KHamming> {
+    let hood = KHamming::new(16, 2);
     let init = BitString::random(&mut StdRng::seed_from_u64(seed), 16);
     let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(seed), hood.size());
     BinaryJob::new(format!("onemax-{seed}"), OneMax::new(16), hood, search, init)
@@ -340,7 +340,7 @@ fn a_delta_from_another_backend_shape_is_a_corrupt_segment() {
 fn a_ppp_instance_with_a_wrong_row_count_is_refused() {
     let mut fleet = Scheduler::with_uniform_fleet(1, DeviceSpec::gtx280(), Default::default());
     for seed in 0..2 {
-        let hood = TwoHamming::new(20);
+        let hood = KHamming::new(20, 2);
         let init = BitString::random(&mut StdRng::seed_from_u64(seed), 20);
         let search = TabuSearch::paper(SearchConfig::budget(20).with_seed(seed), hood.size());
         let problem = Ppp::new(PppInstance::generate(20, 20, seed));

@@ -40,7 +40,7 @@ fn recovered_key_passes_identification() {
     let p = Ppp::new(pk.inst.clone());
     let mut rng = StdRng::seed_from_u64(7);
     let init = BitString::random(&mut rng, 21);
-    let hood = ThreeHamming::new(21);
+    let hood = KHamming::new(21, 3);
     let mut ex = SequentialExplorer::new(hood);
     let search =
         TabuSearch::paper(SearchConfig::budget(3_000).with_seed(3), Neighborhood::size(&hood));
@@ -129,14 +129,14 @@ fn all_drivers_run_on_ppp() {
     let mut rng = StdRng::seed_from_u64(4);
     let init = BitString::random(&mut rng, 19);
 
-    let mut hc_ex = SequentialExplorer::new(TwoHamming::new(19));
+    let mut hc_ex = SequentialExplorer::new(KHamming::new(19, 2));
     let hc = HillClimbing::best(SearchConfig::budget(200));
     let r = hc.run(&p, &mut hc_ex, init.clone());
     assert!(r.best_fitness >= 0);
 
     let sa = SimulatedAnnealing::new(
         SearchConfig::budget(5_000).with_seed(1),
-        TwoHamming::new(19),
+        KHamming::new(19, 2),
         10.0,
     );
     assert!(sa.run(&p, init.clone()).best_fitness >= 0);
@@ -145,9 +145,9 @@ fn all_drivers_run_on_ppp() {
     assert!(ils.run(&p, init.clone()).best_fitness >= 0);
 
     let mut ladder: Vec<Box<dyn Explorer<Ppp>>> = vec![
-        Box::new(SequentialExplorer::new(OneHamming::new(19))),
-        Box::new(SequentialExplorer::new(TwoHamming::new(19))),
-        Box::new(SequentialExplorer::new(ThreeHamming::new(19))),
+        Box::new(SequentialExplorer::new(KHamming::new(19, 1))),
+        Box::new(SequentialExplorer::new(KHamming::new(19, 2))),
+        Box::new(SequentialExplorer::new(KHamming::new(19, 3))),
     ];
     let vns = VariableNeighborhoodSearch::new(SearchConfig::budget(100));
     assert!(vns.run(&p, &mut ladder, init).best_fitness >= 0);

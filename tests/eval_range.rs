@@ -13,9 +13,7 @@
 
 use lnls::core::eval_each_move;
 use lnls::core::problem::{BinaryProblem, IncrementalEval};
-use lnls::neighborhood::{
-    FlipMove, KHamming, Neighborhood, OneHamming, ThreeHamming, TwoHamming, UnionHamming,
-};
+use lnls::neighborhood::{FlipMove, KHamming, Neighborhood, UnionHamming};
 use lnls::prelude::*;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -83,9 +81,6 @@ fn check_problem<P: IncrementalEval>(p: &P, seed: u64, range: (u64, u64)) -> Tes
         for k in 1..=4 {
             check_range(p, &s, &KHamming::new(n, k), range, full)?;
         }
-        check_range(p, &s, &OneHamming::new(n), range, full)?;
-        check_range(p, &s, &TwoHamming::new(n), range, full)?;
-        check_range(p, &s, &ThreeHamming::new(n), range, full)?;
         check_range(p, &s, &UnionHamming::new(n, &[1, 2]), range, full)?;
     }
     Ok(())
@@ -179,7 +174,7 @@ fn ppp_kernel_matches_per_move_across_prefix_boundaries_at_paper_size() {
     // move with first bit 0, so it crosses dozens of (i, j) boundaries
     // and one i boundary.
     let p = Ppp::new(PppInstance::generate(73, 73, 11));
-    let hood = ThreeHamming::new(73);
+    let hood = KHamming::new(73, 3);
     let mut s = BitString::random(&mut StdRng::seed_from_u64(12), 73);
     let mut st = p.init_state(&s);
     for bits in [[3, 17, 60], [0, 1, 2], [20, 40, 72]] {

@@ -6,7 +6,7 @@
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::gpu::DeviceSpec;
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{
     AdmissionPolicy, BinaryJob, FleetClient, JobSpec, JobStatus, OneMax, Scheduler,
     SchedulerConfig, SubmitError,
@@ -17,8 +17,8 @@ use rand::SeedableRng;
 
 const N: usize = 22;
 
-fn onemax_job(seed: u64, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
-    let hood = TwoHamming::new(N);
+fn onemax_job(seed: u64, iters: u64) -> BinaryJob<OneMax, KHamming> {
+    let hood = KHamming::new(N, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, N);
     let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(seed), hood.size());

@@ -7,7 +7,7 @@
 
 use lnls::core::{BitString, SearchConfig, SimulatedAnnealing, TabuSearch};
 use lnls::gpu::{DeviceSpec, MultiDevice};
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{
     AnnealJob, BinaryJob, DeltaCheckpointer, FleetCheckpoint, JobRegistry, JobSpec, JobStatus,
     OneMax, QapInstance, QapJobSpec, RobustTabu, RtsConfig, Scheduler, SchedulerConfig,
@@ -20,21 +20,21 @@ use rand::SeedableRng;
 
 const SA_N: usize = 26;
 
-fn sa_parts(seed: u64, iters: u64) -> (OneMax, SimulatedAnnealing<TwoHamming>, BitString) {
-    let hood = TwoHamming::new(SA_N);
+fn sa_parts(seed: u64, iters: u64) -> (OneMax, SimulatedAnnealing<KHamming>, BitString) {
+    let hood = KHamming::new(SA_N, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, SA_N);
     let sa = SimulatedAnnealing::new(SearchConfig::budget(iters).with_seed(seed), hood, 1.5);
     (OneMax::new(SA_N), sa, init)
 }
 
-fn anneal_job(seed: u64, iters: u64) -> AnnealJob<OneMax, TwoHamming> {
+fn anneal_job(seed: u64, iters: u64) -> AnnealJob<OneMax, KHamming> {
     let (problem, sa, init) = sa_parts(seed, iters);
     AnnealJob::new(format!("sa-{seed}"), problem, sa, init)
 }
 
-fn tabu_job(seed: u64, iters: u64) -> BinaryJob<OneMax, TwoHamming> {
-    let hood = TwoHamming::new(SA_N);
+fn tabu_job(seed: u64, iters: u64) -> BinaryJob<OneMax, KHamming> {
+    let hood = KHamming::new(SA_N, 2);
     let mut rng = StdRng::seed_from_u64(100 + seed);
     let init = BitString::random(&mut rng, SA_N);
     // No fitness target: the walk runs its full budget unless the

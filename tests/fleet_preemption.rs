@@ -7,7 +7,7 @@
 
 use lnls::core::{BitString, SearchConfig, SimulatedAnnealing, TabuSearch};
 use lnls::gpu::{DeviceSpec, MultiDevice};
-use lnls::neighborhood::{KHamming, Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::ppp::{Ppp, PppInstance};
 use lnls::prelude::{
     AnnealJob, BinaryJob, FleetReport, OneMax, QapInstance, QapJobSpec, RobustTabu, RtsConfig,
@@ -32,7 +32,7 @@ fn submit_mixed(fleet: &mut Scheduler, iters: u64) {
         fleet.submit(BinaryJob::new(format!("ppp-{seed}"), problem, hood, search, init));
     }
     for seed in 0..2u64 {
-        let hood = TwoHamming::new(ONEMAX_N);
+        let hood = KHamming::new(ONEMAX_N, 2);
         let mut rng = StdRng::seed_from_u64(10 + seed);
         let init = BitString::random(&mut rng, ONEMAX_N);
         let search = TabuSearch::paper(SearchConfig::budget(iters).with_seed(seed), hood.size());
@@ -52,7 +52,7 @@ fn submit_mixed(fleet: &mut Scheduler, iters: u64) {
 /// [`submit_mixed`] — the wait-fairness property below is a claim about
 /// that specific tenant mix.)
 fn submit_sa(fleet: &mut Scheduler, iters: u64) {
-    let hood = TwoHamming::new(ONEMAX_N);
+    let hood = KHamming::new(ONEMAX_N, 2);
     let mut rng = StdRng::seed_from_u64(33);
     let init = BitString::random(&mut rng, ONEMAX_N);
     let sa = SimulatedAnnealing::new(SearchConfig::budget(iters).with_seed(3), hood, 1.4);
@@ -145,7 +145,7 @@ fn preempted_fleet_matches_solo_runs_exactly() {
     assert_eq!(got.best_cost, want.best_cost);
     assert_eq!(got.iterations, want.iterations);
     // Annealing job (id 5).
-    let hood = TwoHamming::new(ONEMAX_N);
+    let hood = KHamming::new(ONEMAX_N, 2);
     let mut rng = StdRng::seed_from_u64(33);
     let init = BitString::random(&mut rng, ONEMAX_N);
     let sa = SimulatedAnnealing::new(SearchConfig::budget(80).with_seed(3), hood, 1.4);

@@ -5,7 +5,7 @@
 
 use lnls::core::{BitString, SearchConfig, SequentialExplorer, TabuSearch};
 use lnls::gpu::{DeviceSpec, MultiDevice};
-use lnls::neighborhood::{KHamming, Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::ppp::{Ppp, PppInstance};
 use lnls::prelude::{
     BinaryJob, JobStatus, OneMax, QapInstance, QapJobSpec, RobustTabu, RtsConfig, Scheduler,
@@ -30,8 +30,8 @@ fn ppp_job(seed: u64) -> BinaryJob<Ppp, KHamming> {
     BinaryJob::new(format!("ppp-{seed}"), problem, hood, search, init)
 }
 
-fn onemax_job(seed: u64) -> BinaryJob<OneMax, TwoHamming> {
-    let hood = TwoHamming::new(ONEMAX_N);
+fn onemax_job(seed: u64) -> BinaryJob<OneMax, KHamming> {
+    let hood = KHamming::new(ONEMAX_N, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, ONEMAX_N);
     let search = TabuSearch::paper(SearchConfig::budget(ITERS).with_seed(seed), hood.size());

@@ -30,7 +30,7 @@
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::gpu::{Device, HostSpec, LaunchMode};
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{
     AdmissionPolicy, BinaryJob, CheckpointError, DeviceSpec, Driver, JobHandle, JobRegistry,
     JobReport, JobSpec, JobStatus, MultiDevice, OneMax, ParallelFleet, Scenario, SchedulerConfig,
@@ -137,9 +137,9 @@ fn tmp_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn onemax_job(name: String, i: u64) -> BinaryJob<OneMax, TwoHamming> {
+fn onemax_job(name: String, i: u64) -> BinaryJob<OneMax, KHamming> {
     let n = 24;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(i);
     let init = BitString::random(&mut rng, n);
     let search =
@@ -147,7 +147,7 @@ fn onemax_job(name: String, i: u64) -> BinaryJob<OneMax, TwoHamming> {
     BinaryJob::new(name, OneMax::new(n), hood, search, init)
 }
 
-fn onemax_spec(i: u64) -> JobSpec<BinaryJob<OneMax, TwoHamming>> {
+fn onemax_spec(i: u64) -> JobSpec<BinaryJob<OneMax, KHamming>> {
     JobSpec::new(onemax_job(format!("loop-{i}"), i)).for_tenant(format!("tenant-{}", i % 5))
 }
 

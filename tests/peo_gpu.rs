@@ -17,7 +17,7 @@ fn peo_walk_identical_on_gpu_and_cpu_backends() {
     let init = BitString::random(&mut rng, n);
 
     let mut cpu_trace = FitnessTrace::default();
-    let mut cpu_ex = SequentialExplorer::new(TwoHamming::new(n));
+    let mut cpu_ex = SequentialExplorer::new(KHamming::new(n, 2));
     let r_cpu = PeoSearch::new(Acceptance::Always)
         .stop_when(MaxIterations(25))
         .observe(&mut cpu_trace)

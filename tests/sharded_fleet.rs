@@ -16,7 +16,7 @@
 //!   a fresh base.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{
     BinaryJob, CheckpointError, CheckpointStore, DeltaCheckpointer, DeviceSpec, Driver,
     FleetClient, FleetReport, HashRing, JobRegistry, MultiDevice, OneMax, Scenario, Scheduler,
@@ -131,9 +131,9 @@ fn traces_recorded_under_v1_replay_with_v1_semantics() {
     assert!(moved, "v1 and v2 rings must place this tenant set differently");
 }
 
-fn onemax_job(name: &str, seed: u64) -> BinaryJob<OneMax, TwoHamming> {
+fn onemax_job(name: &str, seed: u64) -> BinaryJob<OneMax, KHamming> {
     let n = 24;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(seed);
     let init = BitString::random(&mut rng, n);
     let search =

@@ -10,7 +10,7 @@
 //! the *same* quantum.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
-use lnls::neighborhood::{Neighborhood, TwoHamming};
+use lnls::neighborhood::{KHamming, Neighborhood};
 use lnls::prelude::{BinaryJob, DeviceSpec, EngineConfig, LaunchMode, SelectionMode};
 use lnls::prelude::{
     Driver, JobSpec, OneMax, Scenario, Scheduler, SchedulerConfig, Trace, TrafficGen,
@@ -86,7 +86,7 @@ proptest! {
 #[test]
 fn iter_budget_and_deadline_expiring_in_the_same_quantum_cancels() {
     let n = 24;
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(1);
     let init = BitString::random(&mut rng, n);
     let search =
@@ -117,7 +117,7 @@ fn iter_budget_and_deadline_expiring_in_the_same_quantum_cancels() {
     assert_eq!(fr.jobs_completed, 0);
 
     // Control: without the deadline, the same budgeted job completes.
-    let hood = TwoHamming::new(n);
+    let hood = KHamming::new(n, 2);
     let mut rng = StdRng::seed_from_u64(1);
     let init = BitString::random(&mut rng, n);
     let search =

@@ -79,9 +79,9 @@ fn gvns_solves_the_knapsack_plateau() {
     let k = Knapsack::random(&mut rng, 16, 10, 8);
     let opt = k.optimum_value();
     let mut ladder: Vec<Box<dyn Explorer<Knapsack>>> = vec![
-        Box::new(SequentialExplorer::new(OneHamming::new(16))),
-        Box::new(SequentialExplorer::new(TwoHamming::new(16))),
-        Box::new(SequentialExplorer::new(ThreeHamming::new(16))),
+        Box::new(SequentialExplorer::new(KHamming::new(16, 1))),
+        Box::new(SequentialExplorer::new(KHamming::new(16, 2))),
+        Box::new(SequentialExplorer::new(KHamming::new(16, 3))),
     ];
     let gvns = GeneralVns::new(SearchConfig::budget(200).with_seed(1).with_target(Some(-opt)));
     let r = gvns.run(&k, &mut ladder, BitString::zeros(16));
@@ -176,7 +176,7 @@ fn peo_trace_is_consistent_with_result() {
     let mut rng = StdRng::seed_from_u64(77);
     let cut = MaxCut::random(&mut rng, 24, 0.4, 5);
     let mut trace = FitnessTrace::default();
-    let mut ex = SequentialExplorer::new(TwoHamming::new(24));
+    let mut ex = SequentialExplorer::new(KHamming::new(24, 2));
     let r = PeoSearch::new(Acceptance::Always)
         .stop_when(MaxIterations(30))
         .observe(&mut trace)
