@@ -3,6 +3,16 @@
 //! swap neighborhood scanned on the host delta table, the naive host
 //! recompute, and the simulated GPU. Criterion times the host paths;
 //! the GPU path reports its modeled ledger.
+//!
+//! Two rows time what a fleet's QAP job pays per event, at the sizes the
+//! workloads draw: `delta_table_iteration` is one robust-tabu iteration
+//! (selection scan plus table commit) on one prebuilt table, and
+//! `gpu_residency` is a device placement — `GpuSwapEvaluator::new` plus
+//! its first `deltas`, the launch that profiles the kernel.
+//!
+//! ```text
+//! cargo bench -p lnls-bench --bench qap
+//! ```
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use lnls_gpu_sim::DeviceSpec;
@@ -30,6 +40,27 @@ fn bench_qap(c: &mut Criterion) {
             b.iter(|| rts.run(&inst, &mut FreshEvaluator::new(), init.clone()).best_cost)
         });
     }
+    group.finish();
+
+    let mut group = c.benchmark_group("qap_events");
+    for n in [9usize, 12] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let inst = QapInstance::random_uniform(&mut rng, n);
+        let rts = RobustTabu::new(RtsConfig::budget(u64::MAX).with_seed(1));
+        let mut cursor = rts.cursor(&inst, Permutation::random(&mut rng, n));
+        let mut table = TableEvaluator::new();
+        // The first step builds the table; every timed step reuses it.
+        cursor.step(&inst, &mut table);
+        group.bench_with_input(BenchmarkId::new("delta_table_iteration", n), &n, |b, _| {
+            b.iter(|| cursor.step(&inst, &mut table))
+        });
+    }
+    let mut rng = StdRng::seed_from_u64(10);
+    let inst = QapInstance::random_uniform(&mut rng, 10);
+    let p = Permutation::random(&mut rng, 10);
+    group.bench_with_input(BenchmarkId::new("gpu_residency", 10), &10, |b, _| {
+        b.iter(|| GpuSwapEvaluator::new(&inst, DeviceSpec::gtx280()).deltas(&inst, &p)[0])
+    });
     group.finish();
 
     // Modeled GPU ledger (not a wall-clock benchmark: the simulator's

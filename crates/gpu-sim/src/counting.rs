@@ -172,22 +172,24 @@ pub struct BytesBySpace {
 /// transaction, shrunk to 64 or 32 bytes if the warp's footprint inside
 /// the segment fits an aligned half/quarter segment.
 pub fn coalesce(addrs: &[u64], segment: u32) -> (u64, u64) {
-    if addrs.is_empty() {
-        return (0, 0);
-    }
     let seg = segment as u64;
-    // Tiny fixed-capacity set: a warp touches at most 32 segments.
-    let mut segs: Vec<u64> = Vec::with_capacity(8);
-    for &a in addrs {
-        let s = a / seg;
-        if !segs.contains(&s) {
-            segs.push(s);
+    // Sort a copy once: each segment's addresses are then one run, whose
+    // first is its lowest and whose last is its highest. A warp issues at
+    // most 32 addresses, so the copy lives on the stack.
+    let mut warp = [0u64; 32];
+    let mut wide = Vec::new();
+    let sorted: &mut [u64] = match warp.get_mut(..addrs.len()) {
+        Some(lanes) => lanes,
+        None => {
+            wide.resize(addrs.len(), 0);
+            &mut wide
         }
-    }
-    let mut bytes = 0u64;
-    for &s in &segs {
-        let lo = addrs.iter().filter(|&&a| a / seg == s).min().copied().unwrap();
-        let hi = addrs.iter().filter(|&&a| a / seg == s).max().copied().unwrap();
+    };
+    sorted.copy_from_slice(addrs);
+    sorted.sort_unstable();
+    let (mut transactions, mut bytes) = (0u64, 0u64);
+    for group in sorted.chunk_by(|a, b| a / seg == b / seg) {
+        let (lo, hi) = (group[0], group[group.len() - 1]);
         // Footprint within the segment, aligned shrink to 32/64 bytes.
         let mut size = seg;
         for candidate in [seg / 4, seg / 2] {
@@ -196,9 +198,10 @@ pub fn coalesce(addrs: &[u64], segment: u32) -> (u64, u64) {
                 break;
             }
         }
+        transactions += 1;
         bytes += size;
     }
-    (segs.len() as u64, bytes)
+    (transactions, bytes)
 }
 
 /// Aggregate the traces of one warp's threads.
@@ -479,6 +482,72 @@ pub fn finalize(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The pairwise coalescing `coalesce` replaced: for each distinct
+    /// segment, one pass over the warp for its lowest address and one
+    /// for its highest.
+    fn coalesce_reference(addrs: &[u64], segment: u32) -> (u64, u64) {
+        if addrs.is_empty() {
+            return (0, 0);
+        }
+        let seg = segment as u64;
+        let mut segs: Vec<u64> = Vec::with_capacity(8);
+        for &a in addrs {
+            let s = a / seg;
+            if !segs.contains(&s) {
+                segs.push(s);
+            }
+        }
+        let mut bytes = 0u64;
+        for &s in &segs {
+            let lo = addrs.iter().filter(|&&a| a / seg == s).min().copied().unwrap();
+            let hi = addrs.iter().filter(|&&a| a / seg == s).max().copied().unwrap();
+            let mut size = seg;
+            for candidate in [seg / 4, seg / 2] {
+                if candidate >= 32 && lo / candidate == hi / candidate {
+                    size = candidate;
+                    break;
+                }
+            }
+            bytes += size;
+        }
+        (segs.len() as u64, bytes)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// 1–32 lanes over at most four segments, each lane a word within
+        /// a window of 1 to 32 words at some offset, so a segment's
+        /// footprint fits 32, 64 or no shrunk transaction, at segment
+        /// sizes 64 and 128.
+        #[test]
+        fn coalesce_matches_the_pairwise_reference(
+            lanes in prop::collection::vec((0u64..4, 0u64..32), 1..33),
+            first in 0u64..1_000,
+            window_log in 0u32..6,
+            shift in 0u64..32,
+            wide in any::<bool>(),
+        ) {
+            let segment: u32 = if wide { 128 } else { 64 };
+            let seg = segment as u64;
+            let window = 1u64 << window_log;
+            let addrs: Vec<u64> = lanes
+                .iter()
+                .map(|&(s, w)| (first + s) * seg + ((shift + w % window) * 4) % seg)
+                .collect();
+            prop_assert_eq!(coalesce(&addrs, segment), coalesce_reference(&addrs, segment));
+        }
+    }
+
+    #[test]
+    fn coalesce_beyond_a_warp_matches_the_reference() {
+        // More lanes than the stack copy holds take the heap path.
+        let addrs: Vec<u64> = (0..80).map(|i| (i * 52) % 700).collect();
+        assert_eq!(coalesce(&addrs, 128), coalesce_reference(&addrs, 128));
+        assert_eq!(coalesce(&[], 128), (0, 0));
+    }
 
     #[test]
     fn coalesce_contiguous_is_one_transaction() {

@@ -3,6 +3,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::OnceLock;
 use std::time::Instant;
 
 use crate::counting::{aggregate_warp, finalize, KernelCounters, WarpAggregate};
@@ -43,7 +44,12 @@ impl Device {
 
     /// A device with an explicit host baseline for the CPU-time column.
     pub fn with_host(spec: DeviceSpec, host: HostSpec) -> Self {
-        let workers = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
+        // The host's parallelism is read once per process: the query
+        // re-reads cgroup files on every call, and the count only decides
+        // how many host threads simulate a large launch's blocks.
+        static HOST_THREADS: OnceLock<usize> = OnceLock::new();
+        let workers = *HOST_THREADS
+            .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
         Self {
             spec,
             host,

@@ -221,19 +221,25 @@ mod tests {
     #[test]
     fn gpu_rts_matches_cpu_rts() {
         let mut rng = StdRng::seed_from_u64(3);
-        let inst = QapInstance::random_symmetric(&mut rng, 10);
-        let init = Permutation::random(&mut rng, 10);
         let rts = RobustTabu::new(RtsConfig::budget(80).with_seed(4));
-        let cpu = rts.run(&inst, &mut TableEvaluator::new(), init.clone());
-        let mut gpu_eval = GpuSwapEvaluator::new(&inst, DeviceSpec::gtx280());
-        let gpu = rts.run(&inst, &mut gpu_eval, init);
-        assert_eq!(cpu.best_cost, gpu.best_cost);
-        assert_eq!(cpu.best, gpu.best);
-        assert_eq!(cpu.iterations, gpu.iterations);
-        // The GPU run must have priced its launches.
-        let book = gpu.book.expect("time book");
-        assert_eq!(book.launches, 80);
-        assert!(book.bytes_h2d > 0 && book.bytes_d2h > 0);
+        let check = |inst: QapInstance, rng: &mut StdRng| {
+            let init = Permutation::random(rng, inst.size());
+            let cpu = rts.run(&inst, &mut TableEvaluator::new(), init.clone());
+            let mut gpu_eval = GpuSwapEvaluator::new(&inst, DeviceSpec::gtx280());
+            let gpu = rts.run(&inst, &mut gpu_eval, init);
+            assert_eq!(cpu.best_cost, gpu.best_cost);
+            assert_eq!(cpu.best, gpu.best);
+            assert_eq!(cpu.iterations, gpu.iterations);
+            // The GPU run must have priced its launches.
+            let book = gpu.book.expect("time book");
+            assert_eq!(book.launches, 80);
+            assert!(book.bytes_h2d > 0 && book.bytes_d2h > 0);
+        };
+        let symmetric = QapInstance::random_symmetric(&mut rng, 10);
+        check(symmetric, &mut rng);
+        let asymmetric = QapInstance::random_uniform(&mut rng, 12);
+        assert!(!asymmetric.is_symmetric());
+        check(asymmetric, &mut rng);
     }
 
     #[test]

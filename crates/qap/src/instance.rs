@@ -12,6 +12,48 @@ use crate::permutation::Permutation;
 use lnls_core::Persist;
 use rand::Rng;
 
+/// Why an instance is refused when [`within_i64_bound`] fails.
+const TOO_LARGE: &str = "QAP matrix entries too large: 8·n²·max F·max D exceeds i64::MAX";
+
+/// True when `8·n²·max F·max D ≤ i64::MAX` for non-negative `f`, `d`,
+/// computed with checked arithmetic. Under this bound every kernel on
+/// the instance is exact. With `M = max F · max D`:
+///
+/// - `cost` sums `n²` products `F[i][j]·D[p_i][p_j]`, each at most `M`;
+/// - [`swap_delta`](crate::swap_delta), the delta table's pair kernel
+///   and the device kernel add four diagonal products, then per other
+///   facility products of a flow, or of a difference of two flows (at
+///   most `max F`), with a difference of two distances (at most
+///   `max D`): every partial sum is at most `4n·M`;
+/// - the table's update of a disjoint pair adds two products of a
+///   difference of flow differences (at most `2·max F`) with a
+///   difference of distance differences (at most `2·max D`), at most
+///   `8M` in all, to a delta of at most `4n·M`;
+/// - robust tabu's aspiration test adds a delta to a cost, at most
+///   `n²·M + 4n·M`.
+///
+/// For `n ≥ 2` each of these is at most `8·n²·M`.
+fn within_i64_bound(n: usize, f: &[i64], d: &[i64]) -> bool {
+    let max_f = f.iter().copied().max().unwrap_or(0);
+    let max_d = d.iter().copied().max().unwrap_or(0);
+    i64::try_from(n)
+        .ok()
+        .and_then(|n| n.checked_mul(n))
+        .and_then(|n2| n2.checked_mul(8))
+        .and_then(|b| b.checked_mul(max_f))
+        .and_then(|b| b.checked_mul(max_d))
+        .is_some()
+}
+
+/// Why `f` and `d` cannot be an instance's matrices, if they cannot: a
+/// negative entry, or entries past [`within_i64_bound`].
+fn refused_entries(n: usize, f: &[i64], d: &[i64]) -> Option<&'static str> {
+    if f.iter().chain(d).any(|&x| x < 0) {
+        return Some("negative QAP matrix entry");
+    }
+    (!within_i64_bound(n, f, d)).then_some(TOO_LARGE)
+}
+
 /// A QAP instance with dense integer matrices.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct QapInstance {
@@ -26,14 +68,18 @@ impl QapInstance {
     /// Build from explicit matrices.
     ///
     /// # Panics
-    /// Panics on size mismatch or negative entries (QAPLIB instances
-    /// are non-negative; deltas rely on no overflow).
+    /// Panics on size mismatch, negative entries (QAPLIB instances are
+    /// non-negative) or entries so large that a kernel could overflow
+    /// `i64`: every instance has `8·n²·max F·max D ≤ i64::MAX`, which
+    /// keeps every partial sum of `cost`, [`swap_delta`](crate::swap_delta),
+    /// the delta table's kernels and the device kernel in range.
     pub fn new(n: usize, f: Vec<i64>, d: Vec<i64>) -> Self {
         assert!(n >= 2, "need at least two facilities");
         assert_eq!(f.len(), n * n, "flow matrix must be n×n");
         assert_eq!(d.len(), n * n, "distance matrix must be n×n");
-        assert!(f.iter().all(|&x| x >= 0), "negative flow");
-        assert!(d.iter().all(|&x| x >= 0), "negative distance");
+        if let Some(why) = refused_entries(n, &f, &d) {
+            panic!("{why}");
+        }
         Self { n, f, d }
     }
 
@@ -166,6 +212,9 @@ impl QapInstance {
         if nums.next().is_some() {
             return Err("trailing tokens after matrices".to_string());
         }
+        if let Some(why) = refused_entries(n, &f, &d) {
+            return Err(why.to_string());
+        }
         Ok(Self::new(n, f, d))
     }
 
@@ -220,8 +269,8 @@ impl Persist for QapInstance {
         if n < 2 || f.len() != n * n || d.len() != n * n {
             return Err(lnls_core::PersistError("malformed QAP instance".into()));
         }
-        if f.iter().chain(&d).any(|&x| x < 0) {
-            return Err(lnls_core::PersistError("negative QAP matrix entry".into()));
+        if let Some(why) = refused_entries(n, &f, &d) {
+            return Err(lnls_core::PersistError(why.into()));
         }
         Ok(Self::new(n, f, d))
     }
@@ -301,5 +350,55 @@ mod tests {
     #[should_panic(expected = "n×n")]
     fn wrong_size_rejected() {
         let _ = QapInstance::new(3, vec![0; 8], vec![0; 9]);
+    }
+
+    /// A 3×3 instance with every off-diagonal entry 2^40: its cost,
+    /// 6·2^80, cannot be an `i64`.
+    fn huge() -> (Vec<i64>, Vec<i64>) {
+        let m: Vec<i64> = (0..9).map(|i| if i % 4 == 0 { 0 } else { 1 << 40 }).collect();
+        (m.clone(), m)
+    }
+
+    #[test]
+    #[should_panic(expected = "8·n²·max F·max D exceeds i64::MAX")]
+    fn new_refuses_entries_whose_cost_overflows() {
+        let (f, d) = huge();
+        let _ = QapInstance::new(3, f, d);
+    }
+
+    #[test]
+    fn parse_refuses_entries_whose_cost_overflows() {
+        let (f, d) = huge();
+        let row = |m: &[i64]| m.iter().map(i64::to_string).collect::<Vec<_>>().join(" ");
+        let text = format!("3\n\n{}\n\n{}\n", row(&f), row(&d));
+        let err = QapInstance::parse(&text).expect_err("2^40 entries must be refused");
+        assert!(err.contains("i64::MAX"), "{err}");
+        // The largest entries the bound admits at n = 3 still parse.
+        let max = (i64::MAX / 72).isqrt();
+        let ok = text.replace(&(1i64 << 40).to_string(), &max.to_string());
+        assert!(QapInstance::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn parse_refuses_a_negative_entry() {
+        let text = tiny().save_to_string().replacen(" 2 ", " -2 ", 1);
+        assert!(QapInstance::parse(&text).is_err());
+    }
+
+    #[test]
+    fn persist_refuses_entries_whose_cost_overflows() {
+        // Bytes a writer of an unchecked instance would produce.
+        let (f, d) = huge();
+        let mut bytes = Vec::new();
+        3usize.write(&mut bytes);
+        f.write(&mut bytes);
+        d.write(&mut bytes);
+        let err = QapInstance::read(&mut lnls_core::Reader::new(&bytes))
+            .expect_err("2^40 entries must be refused");
+        assert!(err.0.contains("i64::MAX"), "{}", err.0);
+        // A round-trip of an admissible instance still decodes.
+        let mut bytes = Vec::new();
+        tiny().write(&mut bytes);
+        assert_eq!(QapInstance::read(&mut lnls_core::Reader::new(&bytes)).unwrap(), tiny());
     }
 }

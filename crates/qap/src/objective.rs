@@ -6,6 +6,12 @@
 //! the applied swap — the data structure at the heart of robust tabu
 //! search (the paper's reference \[11\]).
 //!
+//! The table tracks `D` through the current assignment: it holds
+//! `dp[k·n + l] = D[p_k][p_l]` and its transpose beside `Fᵀ`, so both of
+//! its kernels — the disjoint update and the recompute of the pairs a
+//! swap touches — read contiguous rows, and a commit only swaps two rows
+//! and two columns of `dp` and `dpᵀ` to follow the assignment.
+//!
 //! Table entries are flat-indexed with the *paper's own* triangular
 //! mapping (`rank2`/`unrank2`, Appendices A–B): the same bijection that
 //! maps GPU thread ids to 2-Hamming moves maps swap moves here, which
@@ -44,7 +50,7 @@ pub fn swap_delta(inst: &QapInstance, p: &Permutation, r: usize, s: usize) -> i6
 ///
 /// After a swap `(r,s)` is applied, entries for pairs disjoint from
 /// `{r,s}` update in O(1) (Taillard's formula); the `2n−3` pairs
-/// touching `r` or `s` are recomputed with [`swap_delta`]. One commit
+/// touching `r` or `s` are recomputed in O(n) each. One commit
 /// therefore costs O(n²) total for the table — amortized O(1) per
 /// neighbor, which is what makes exhaustive swap neighborhoods viable
 /// on the CPU at all.
@@ -52,19 +58,70 @@ pub fn swap_delta(inst: &QapInstance, p: &Permutation, r: usize, s: usize) -> i6
 pub struct DeltaTable {
     n: usize,
     delta: Vec<i64>,
+    /// `dp[k·n + l] = D[p_k][p_l]`: the distances seen through the
+    /// assignment the table tracks.
+    dp: Vec<i64>,
+    /// Transpose of `dp`.
+    dpt: Vec<i64>,
+    /// Transpose of `F`.
+    ft: Vec<i64>,
+    /// `commit`'s four rows, interleaved: `[x_u, y_u, x'_u, y'_u]` per
+    /// facility `u`.
+    rows: Vec<[i64; 4]>,
+}
+
+/// Row `i` of the row-major `n × n` matrix `m`.
+#[inline]
+fn row(m: &[i64], n: usize, i: usize) -> &[i64] {
+    &m[i * n..][..n]
+}
+
+/// Transpose of the row-major `n × n` matrix `m`.
+fn transpose(m: &[i64], n: usize) -> Vec<i64> {
+    (0..n * n).map(|i| m[(i % n) * n + i / n]).collect()
+}
+
+/// Swap rows `a < b` and columns `a`, `b` of the `n × n` matrix `m`.
+fn swap_rows_and_columns(m: &mut [i64], n: usize, a: usize, b: usize) {
+    let (head, tail) = m.split_at_mut(b * n);
+    head[a * n..][..n].swap_with_slice(&mut tail[..n]);
+    for r in m.chunks_exact_mut(n) {
+        r.swap(a, b);
+    }
+}
+
+/// [`swap_delta`] of `r < s`, read from rows `r` and `s` of `F`, `Fᵀ`,
+/// `dp` and `dpᵀ` (`D[p_k][p_l]` is `dp[k·n + l]`).
+fn pair_delta(f: &[i64], ft: &[i64], dp: &[i64], dpt: &[i64], n: usize, r: usize, s: usize) -> i64 {
+    let (fr, fs, ftr, fts) = (row(f, n, r), row(f, n, s), row(ft, n, r), row(ft, n, s));
+    let (dr, ds, dtr, dts) = (row(dp, n, r), row(dp, n, s), row(dpt, n, r), row(dpt, n, s));
+    let mut d = fr[r] * (ds[s] - dr[r])
+        + fr[s] * (ds[r] - dr[s])
+        + fs[r] * (dr[s] - ds[r])
+        + fs[s] * (dr[r] - ds[s]);
+    for k in 0..n {
+        if k == r || k == s {
+            continue;
+        }
+        d += (fr[k] - fs[k]) * (ds[k] - dr[k]) + (ftr[k] - fts[k]) * (dts[k] - dtr[k]);
+    }
+    d
 }
 
 impl DeltaTable {
     /// Build the table for `p` — O(n³).
     pub fn new(inst: &QapInstance, p: &Permutation) -> Self {
         let n = inst.size();
-        let mut delta = vec![0i64; size2(n as u64) as usize];
+        let dp: Vec<i64> = (0..n * n).map(|i| inst.dist(p.get(i / n), p.get(i % n))).collect();
+        let dpt = transpose(&dp, n);
+        let ft = transpose(inst.flows(), n);
+        let mut delta = Vec::with_capacity(size2(n as u64) as usize);
         for r in 0..n {
             for s in (r + 1)..n {
-                delta[rank2(n as u64, r as u64, s as u64) as usize] = swap_delta(inst, p, r, s);
+                delta.push(pair_delta(inst.flows(), &ft, &dp, &dpt, n, r, s));
             }
         }
-        Self { n, delta }
+        Self { n, delta, dp, dpt, ft, rows: vec![[0; 4]; n] }
     }
 
     /// Number of swap moves tracked.
@@ -90,6 +147,18 @@ impl DeltaTable {
         self.delta[index as usize]
     }
 
+    /// Every delta, flat-indexed.
+    pub(crate) fn deltas(&self) -> &[i64] {
+        &self.delta
+    }
+
+    /// True when the table tracks the assignment `p` of `inst`: every
+    /// `dp` entry is `D[p_k][p_l]`.
+    pub(crate) fn tracks(&self, inst: &QapInstance, p: &Permutation) -> bool {
+        let n = self.n;
+        p.len() == n && (0..n * n).all(|i| self.dp[i] == inst.dist(p.get(i / n), p.get(i % n)))
+    }
+
     /// Decode a flat index into the swap it denotes.
     pub fn unrank(&self, index: u64) -> (usize, usize) {
         let (i, j) = unrank2(self.n as u64, index);
@@ -110,53 +179,58 @@ impl DeltaTable {
 
     /// Refresh the table across the commit of swap `(r, s)`.
     ///
-    /// `p` must still be the **pre-swap** permutation; the caller
-    /// applies the swap to `p` afterwards.
+    /// `p` must still be the **pre-swap** permutation — the one the
+    /// table tracks (checked in debug builds); the caller applies the
+    /// swap to `p` afterwards.
     pub fn commit(&mut self, inst: &QapInstance, p: &Permutation, r: usize, s: usize) {
+        debug_assert!(self.tracks(inst, p), "delta table does not track the pre-swap assignment");
         let n = self.n;
         let (a, b) = if r < s { (r, s) } else { (s, r) };
-        let (pa, pb) = (p.get(a), p.get(b));
-        // O(1) Taillard update for disjoint pairs (u, v).
+        let f = inst.flows();
+        // For a pair (u, v) disjoint from {a, b}, cancelling the k ∉
+        // {a, b} terms of the O(n) formula (only facilities a and b
+        // changed location) leaves Taillard's update
+        //   δ_q(u,v) − δ_p(u,v) = (x_u − x_v)(y_u − y_v) + (x'_u − x'_v)(y'_u − y'_v)
+        // over four rows of the pre-swap distances.
+        let (fa, fb) = (row(f, n, a), row(f, n, b));
+        let (fta, ftb) = (row(&self.ft, n, a), row(&self.ft, n, b));
+        let (da, db) = (row(&self.dp, n, a), row(&self.dp, n, b));
+        let (dta, dtb) = (row(&self.dpt, n, a), row(&self.dpt, n, b));
+        for (u, w) in self.rows.iter_mut().enumerate() {
+            *w = [fa[u] - fb[u], da[u] - db[u], fta[u] - ftb[u], dta[u] - dtb[u]];
+        }
+        // Follow the assignment, then recompute the 2n − 3 pairs that
+        // touch {a, b} on the post-swap distances.
+        swap_rows_and_columns(&mut self.dp, n, a, b);
+        swap_rows_and_columns(&mut self.dpt, n, a, b);
+        let flat = |x: usize, y: usize| rank2(n as u64, x as u64, y as u64) as usize;
+        for u in (0..n).filter(|&u| u != a && u != b) {
+            for t in [a, b] {
+                let (x, y) = if u < t { (u, t) } else { (t, u) };
+                self.delta[flat(x, y)] = pair_delta(f, &self.ft, &self.dp, &self.dpt, n, x, y);
+            }
+        }
+        self.delta[flat(a, b)] = pair_delta(f, &self.ft, &self.dp, &self.dpt, n, a, b);
+        // The disjoint pairs, row by row through the flat layout. The
+        // touching pairs already hold their post-swap deltas, so they
+        // are skipped.
+        let mut rest = self.delta.as_mut_slice();
         for u in 0..n {
+            let (line, tail) = rest.split_at_mut(n - 1 - u);
+            rest = tail;
             if u == a || u == b {
                 continue;
             }
-            let pu = p.get(u);
-            for v in (u + 1)..n {
+            let [xu, yu, xtu, ytu] = self.rows[u];
+            for (v, (d, &[xv, yv, xtv, ytv])) in
+                (u + 1..n).zip(line.iter_mut().zip(&self.rows[u + 1..]))
+            {
                 if v == a || v == b {
                     continue;
                 }
-                let pv = p.get(v);
-                let idx = rank2(n as u64, u as u64, v as u64) as usize;
-                // δ_q(u,v) − δ_p(u,v), derived by cancelling the k ∉
-                // {a,b} terms of the O(n) formula (only facilities a and
-                // b changed location):
-                let t1 = (inst.flow(a, u) - inst.flow(a, v) + inst.flow(b, v) - inst.flow(b, u))
-                    * (inst.dist(pb, pv) - inst.dist(pb, pu) + inst.dist(pa, pu)
-                        - inst.dist(pa, pv));
-                let t2 = (inst.flow(u, a) - inst.flow(v, a) + inst.flow(v, b) - inst.flow(u, b))
-                    * (inst.dist(pv, pb) - inst.dist(pu, pb) + inst.dist(pu, pa)
-                        - inst.dist(pv, pa));
-                self.delta[idx] += t1 + t2;
+                *d += (xu - xv) * (yu - yv) + (xtu - xtv) * (ytu - ytv);
             }
         }
-        // Pairs touching the swap: recompute exactly on the post-swap
-        // permutation.
-        let mut q = p.clone();
-        q.swap(a, b);
-        for u in 0..n {
-            for &t in &[a, b] {
-                if u == t {
-                    continue;
-                }
-                let (x, y) = if u < t { (u, t) } else { (t, u) };
-                self.delta[rank2(n as u64, x as u64, y as u64) as usize] =
-                    swap_delta(inst, &q, x, y);
-            }
-        }
-        // (a,b) itself: its delta simply negates for symmetric
-        // instances, but recompute for generality.
-        self.delta[rank2(n as u64, a as u64, b as u64) as usize] = swap_delta(inst, &q, a, b);
     }
 }
 

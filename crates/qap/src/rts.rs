@@ -46,13 +46,12 @@ pub trait SwapEvaluator {
 /// Host evaluator backed by the incrementally maintained [`DeltaTable`].
 pub struct TableEvaluator {
     table: Option<DeltaTable>,
-    scratch: Vec<i64>,
 }
 
 impl TableEvaluator {
     /// An empty evaluator; the table initializes on first use.
     pub fn new() -> Self {
-        Self { table: None, scratch: Vec::new() }
+        Self { table: None }
     }
 }
 
@@ -65,9 +64,8 @@ impl Default for TableEvaluator {
 impl SwapEvaluator for TableEvaluator {
     fn deltas(&mut self, inst: &QapInstance, p: &Permutation) -> &[i64] {
         let table = self.table.get_or_insert_with(|| DeltaTable::new(inst, p));
-        self.scratch.clear();
-        self.scratch.extend((0..table.len() as u64).map(|i| table.get_flat(i)));
-        &self.scratch
+        debug_assert!(table.tracks(inst, p), "delta table does not track the assignment");
+        table.deltas()
     }
 
     fn committed(&mut self, inst: &QapInstance, p: &Permutation, r: usize, s: usize) {
@@ -297,24 +295,9 @@ impl RtsCursor {
         let deltas = eval.deltas(inst, &self.p);
         self.evals += deltas.len() as u64;
 
-        // Best admissible move: not tabu, or aspirating.
-        let mut chosen: Option<(u64, i64)> = None;
-        for (idx, &d) in deltas.iter().enumerate() {
-            let (r, s) = unrank2(n as u64, idx as u64);
-            let (r, s) = (r as usize, s as usize);
-            let tabu = self.tabu_until[r * n + self.p.get(s)] > iterations
-                && self.tabu_until[s * n + self.p.get(r)] > iterations;
-            let aspirates = self.cost + d < self.best_cost;
-            if tabu && !aspirates {
-                continue;
-            }
-            if chosen.is_none_or(|(_, bd)| d < bd) {
-                chosen = Some((idx as u64, d));
-            }
-        }
         // Fully tabu neighborhood: take the absolute best (rare; keeps
         // the walk alive like Taillard's implementation).
-        let (idx, d) = chosen.unwrap_or_else(|| {
+        let (idx, d) = self.best_admissible(deltas).unwrap_or_else(|| {
             deltas
                 .iter()
                 .enumerate()
@@ -340,6 +323,38 @@ impl RtsCursor {
             self.best = self.p.clone();
         }
         true
+    }
+
+    /// The best admissible move in `deltas` — not tabu, or aspirating —
+    /// as `(flat index, delta)`, ties to the lowest index; `None` when
+    /// every move is tabu.
+    ///
+    /// Walks the swaps `r < s` in lexicographic order beside the flat
+    /// index, the order `rank2` defines, so no move is unranked. A
+    /// move's tabu status is read only when its delta beats the
+    /// incumbent.
+    pub(crate) fn best_admissible(&self, deltas: &[i64]) -> Option<(u64, i64)> {
+        let n = self.p.len();
+        let (p, now) = (self.p.as_slice(), self.iterations);
+        let mut chosen: Option<(u64, i64)> = None;
+        let mut idx = 0usize;
+        for r in 0..n {
+            let tabu_r = &self.tabu_until[r * n..][..n];
+            let pr = p[r] as usize;
+            for s in r + 1..n {
+                let d = deltas[idx];
+                idx += 1;
+                if chosen.is_some_and(|(_, bd)| d >= bd) {
+                    continue;
+                }
+                let tabu = tabu_r[p[s] as usize] > now && self.tabu_until[s * n + pr] > now;
+                if tabu && self.cost + d >= self.best_cost {
+                    continue;
+                }
+                chosen = Some((idx as u64 - 1, d));
+            }
+        }
+        chosen
     }
 
     /// Current assignment.
@@ -471,6 +486,115 @@ impl SearchCursor for RtsCursor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The selection loop `best_admissible` replaced: unrank every index,
+    /// read its tabu status, keep the lowest admissible delta (ties: the
+    /// lowest index).
+    fn best_admissible_reference(c: &RtsCursor, deltas: &[i64]) -> Option<(u64, i64)> {
+        let n = c.p.len();
+        let mut chosen: Option<(u64, i64)> = None;
+        for (idx, &d) in deltas.iter().enumerate() {
+            let (r, s) = unrank2(n as u64, idx as u64);
+            let (r, s) = (r as usize, s as usize);
+            let tabu = c.tabu_until[r * n + c.p.get(s)] > c.iterations
+                && c.tabu_until[s * n + c.p.get(r)] > c.iterations;
+            let aspirates = c.cost + d < c.best_cost;
+            if tabu && !aspirates {
+                continue;
+            }
+            if chosen.is_none_or(|(_, bd)| d < bd) {
+                chosen = Some((idx as u64, d));
+            }
+        }
+        chosen
+    }
+
+    /// Walk `inst` from `init` on a delta table, holding the scan against
+    /// the reference at every step; with `forbid_all`, every move is made
+    /// tabu before each step, so only aspirating moves are admissible.
+    /// Returns how many steps found no admissible move.
+    fn scan_matches_reference(
+        inst: &QapInstance,
+        init: Permutation,
+        seed: u64,
+        forbid_all: bool,
+    ) -> u64 {
+        let rts = RobustTabu::new(RtsConfig::budget(200).with_seed(seed));
+        let mut cursor = rts.cursor(inst, init);
+        let mut eval = TableEvaluator::new();
+        let mut fully_tabu = 0;
+        while !cursor.is_done() {
+            if forbid_all {
+                cursor.tabu_until.fill(u64::MAX);
+            }
+            let deltas = eval.deltas(inst, &cursor.p).to_vec();
+            let want = best_admissible_reference(&cursor, &deltas);
+            assert_eq!(cursor.best_admissible(&deltas), want, "iteration {}", cursor.iterations);
+            fully_tabu += u64::from(want.is_none());
+            assert!(cursor.step(inst, &mut eval));
+        }
+        fully_tabu
+    }
+
+    /// An instance with entries drawn from `0..=max`.
+    fn small_range(rng: &mut StdRng, n: usize, max: i64) -> QapInstance {
+        let mut m = || (0..n * n).map(|_| rng.gen_range(0..=max)).collect();
+        QapInstance::new(n, m(), m())
+    }
+
+    #[test]
+    fn scan_matches_the_reference_when_every_delta_ties() {
+        // Zero flows: every swap costs nothing, so every delta is 0 and
+        // the lowest admissible index must win each step.
+        let mut rng = StdRng::seed_from_u64(31);
+        for n in [5, 9, 12] {
+            let d = small_range(&mut rng, n, 99).dists().to_vec();
+            let inst = QapInstance::new(n, vec![0; n * n], d);
+            scan_matches_reference(&inst, Permutation::random(&mut rng, n), n as u64, false);
+        }
+    }
+
+    #[test]
+    fn scan_matches_the_reference_on_many_ties() {
+        // Entries in 0..=2: deltas repeat across the neighborhood.
+        let mut rng = StdRng::seed_from_u64(32);
+        for n in [4, 7, 10, 12] {
+            let inst = small_range(&mut rng, n, 2);
+            scan_matches_reference(&inst, Permutation::random(&mut rng, n), n as u64, false);
+        }
+        let inst = QapInstance::random_uniform(&mut rng, 11);
+        scan_matches_reference(&inst, Permutation::random(&mut rng, 11), 1, false);
+    }
+
+    #[test]
+    fn scan_matches_the_reference_through_the_fully_tabu_fallback() {
+        // Only at n = 2 can the tenure window make a whole neighborhood
+        // tabu: the lone swap back is tabu and never aspirates. It takes
+        // all n(n − 1) facility/location pairs off a facility's current
+        // location; from n = 4 on at most 2·⌊1.1n⌋ are ever tabu at once,
+        // and at n = 3 the three swaps that would set six of them send
+        // one facility back to its own former location. So larger walks
+        // forbid every move, and the scan must then admit exactly the
+        // aspirating ones.
+        let mut rng = StdRng::seed_from_u64(33);
+        let mut fully_tabu = 0;
+        for seed in 0..4 {
+            let inst = QapInstance::random_uniform(&mut rng, 2);
+            fully_tabu +=
+                scan_matches_reference(&inst, Permutation::random(&mut rng, 2), seed, false);
+        }
+        assert!(fully_tabu > 0, "the fully tabu fallback never fired at n = 2");
+        for n in [3, 5, 8] {
+            fully_tabu = 0;
+            for max in [2, 99] {
+                let inst = small_range(&mut rng, n, max);
+                let init = Permutation::random(&mut rng, n);
+                scan_matches_reference(&inst, init.clone(), n as u64, false);
+                fully_tabu += scan_matches_reference(&inst, init, n as u64, true);
+            }
+            assert!(fully_tabu > 0, "the fully tabu fallback never fired at n = {n}");
+        }
+    }
 
     #[test]
     fn rts_reaches_brute_force_optimum_symmetric() {

@@ -6,7 +6,7 @@ use lnls_neighborhood::mapping2d::{rank2, size2, unrank2};
 use lnls_qap::{swap_delta, DeltaTable, Permutation, QapInstance};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn arb_instance(max_n: usize) -> impl Strategy<Value = (QapInstance, u64)> {
     (2usize..=max_n, any::<u64>(), any::<bool>()).prop_map(|(n, seed, sym)| {
@@ -40,9 +40,12 @@ proptest! {
         }
     }
 
-    /// The delta table stays exact across a random committed walk.
+    /// The delta table stays exact across a random committed walk, from
+    /// n = 2 and 3 (where no pair is disjoint from a swap) up to 16, with
+    /// `commit` handed each swap in either order: every entry matches
+    /// `swap_delta` after every commit, and the full recompute at the end.
     #[test]
-    fn table_exact_after_walk((inst, seed) in arb_instance(10), steps in 1usize..12) {
+    fn table_exact_after_walk((inst, seed) in arb_instance(16), steps in 1usize..=64) {
         let n = inst.size();
         let mut rng = StdRng::seed_from_u64(seed ^ 0xdef);
         let mut p = Permutation::random(&mut rng, n);
@@ -50,8 +53,14 @@ proptest! {
         for step in 0..steps {
             let idx = (seed.wrapping_mul(step as u64 + 1)) % size2(n as u64);
             let (r, s) = unrank2(n as u64, idx);
+            let (r, s) = if rng.gen() { (r, s) } else { (s, r) };
             table.commit(&inst, &p, r as usize, s as usize);
             p.swap(r as usize, s as usize);
+            for a in 0..n {
+                for b in (a + 1)..n {
+                    prop_assert_eq!(table.get(a, b), swap_delta(&inst, &p, a, b), "step {} ({},{})", step, a, b);
+                }
+            }
         }
         let base = inst.cost(&p);
         for r in 0..n {
