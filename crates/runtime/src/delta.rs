@@ -28,11 +28,11 @@
 //!   finished history. A finished job's metadata retires with it, and
 //!   chain replay drops it too.
 //! * **Rotation + compaction.** After `deltas_per_base` segments the
-//!   next snapshot is a fresh base in a new epoch, and every segment
-//!   of older epochs is deleted — disk usage is bounded by one base
-//!   plus one epoch of deltas. A failed snapshot forces the next one
-//!   to be a fresh base: the fingerprints have already moved past what
-//!   reached the disk.
+//!   next snapshot is a fresh base in a new epoch, and the files of
+//!   older epochs are deleted — disk usage is bounded by one base plus
+//!   one epoch of deltas. A failed snapshot forces the next one to be a
+//!   fresh base: the fingerprints have already moved past what reached
+//!   the disk.
 //! * **One body.** A base is a header (magic, config, device specs)
 //!   and then the body a delta writes, written against an empty chain:
 //!   every live job is dirty, every live job's metadata an upsert, and
@@ -40,60 +40,83 @@
 //!   body of both kinds, and of [`FleetCheckpoint::to_bytes`]; one
 //!   reader replays it, so the two layouts cannot drift apart.
 //!
-//! Segments live in one directory per scheduler (`base-NNNNNNNN.ckpt`,
-//! `delta-NNNNNNNN-NNNNNNNN.ckpt`); [`CheckpointStore::load_latest`]
-//! finds the newest epoch, replays its chain in index order and
-//! returns a [`FleetCheckpoint`] identical to what a full
+//! ## On disk
+//!
+//! Each scheduler has one directory, and each epoch one append-only
+//! file in it, `epoch-EEEEEEEE.ckpt`: the magic `LNLSCHN\x01` and the
+//! epoch as a `u64`, then one **frame** per segment — the segment's
+//! length as a `u64`, its bytes, and a `u64` checksum over the length
+//! and the bytes. Frame 0 holds the base (`LNLSFLT…`), frame `i ≥ 1`
+//! delta `i` (`LNLSDLT…`, the epoch, the index `i`, the body). The
+//! header and frame 0 reach the disk through [`write_atomic`], so an
+//! epoch file only ever appears holding a complete base; each delta is
+//! one appended frame, and a failed append is cut back off the file.
+//!
+//! [`CheckpointStore::load_latest`] reads the newest epoch file, walks
+//! its frames and replays the chain, returning a [`FleetCheckpoint`]
+//! identical to what a full
 //! [`checkpoint()`](crate::Scheduler::checkpoint) at the same instant
-//! would have produced. A broken chain — missing base, a gap in the
-//! delta indices, a truncated or garbled segment — comes back as a
-//! typed [`CheckpointError`] naming the exact segment, so the operator
-//! knows *which* file to restore instead of staring at a generic
-//! decode failure. Every segment, base or delta, passes the same
-//! checks once its body is read: no trailing bytes; one clock and one
-//! active slot per backend, one ledger per device and at least one
-//! device; no job id twice across the queue and active layouts; and
-//! every layout id resolving to a job the chain carries, with its
-//! metadata. A segment that fails one is refused by name as well.
+//! would have produced. A broken chain — a file whose magic or epoch
+//! disagrees with its name, a frame cut short or failing its checksum,
+//! no base in frame 0, a delta whose header names another place in the
+//! chain — comes back as a typed [`CheckpointError`] naming the file or
+//! the frame (`epoch-EEEEEEEE.ckpt#i`), so the operator knows *which*
+//! segment broke instead of staring at a generic decode failure. A file
+//! cut exactly at a frame boundary holds a shorter chain, and loads as
+//! one. Every segment, base or delta, passes the same checks once its
+//! body is read: no trailing bytes; one clock and one active slot per
+//! backend, one ledger per device and at least one device; no job id
+//! twice across the queue and active layouts; and every layout id
+//! resolving to a job the chain carries, with its metadata. A segment
+//! that fails one is refused by name as well.
 
 use crate::exec::JobExec;
 use crate::job::JobId;
-use crate::persist::{encode_job, read_header, write_header, write_seq, JobRegistry};
+use crate::persist::{
+    checksum, encode_job, read_header, write_header, write_seq, JobRegistry, MAGIC as BASE_MAGIC,
+};
 use crate::scheduler::{Active, FleetCheckpoint, FleetState, JobMeta, QueueEntry, Scheduler};
 use lnls_core::persist::{write_atomic, Persist, PersistError, Reader};
 use lnls_gpu_sim::TimeBook;
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::io;
+use std::fs::OpenOptions;
+use std::io::{self, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic prefix of a delta segment (`LNLSDLT` + format version).
 const DELTA_MAGIC: &[u8; 8] = b"LNLSDLT\x03";
 
+/// Magic prefix of an epoch file (`LNLSCHN` + format version).
+const EPOCH_MAGIC: &[u8; 8] = b"LNLSCHN\x01";
+
 /// Typed failure modes of checkpoint loading — every variant names the
-/// segment (file) that broke the chain.
+/// file, or the frame of an epoch file (`epoch-EEEEEEEE.ckpt#i`), that
+/// broke the chain.
 #[derive(Debug)]
 pub enum CheckpointError {
-    /// The base snapshot a chain needs is gone (or a directly-loaded
-    /// checkpoint file does not exist).
+    /// The base snapshot a chain needs is gone: frame 0 of an epoch
+    /// file is absent or holds no base (or a directly-loaded checkpoint
+    /// file does not exist).
     MissingBase {
-        /// Path of the missing base segment.
+        /// Where the base should have been.
         segment: String,
     },
-    /// The delta chain has a hole: `index` is absent while later
-    /// segments of the same epoch exist.
+    /// The delta chain has a hole: the frame where delta `index`
+    /// belongs holds a later delta of the same epoch.
     MissingDelta {
-        /// Path the missing segment should have had.
+        /// Where the missing segment should have been.
         segment: String,
         /// Epoch of the broken chain.
         epoch: u64,
         /// The first missing delta index.
         index: u64,
     },
-    /// A segment exists but does not decode (truncated, garbled, or
-    /// referencing a job the chain never carried).
+    /// A segment exists but does not decode (truncated, garbled,
+    /// misplaced, or referencing a job the chain never carried), or an
+    /// epoch file's header does not match its name.
     CorruptSegment {
-        /// Path of the segment that failed to decode.
+        /// The file or frame that failed to decode.
         segment: String,
         /// The decoder's diagnosis.
         source: PersistError,
@@ -146,10 +169,11 @@ impl std::error::Error for CheckpointError {
     }
 }
 
-/// A directory of checkpoint segments for one scheduler: rotating base
-/// snapshots plus the delta chain of the current epoch.
+/// A directory of checkpoint segments for one scheduler: one
+/// append-only file per epoch, holding its base and the deltas written
+/// against it (see the module docs for the layout).
 ///
-/// The store is deliberately dumb — naming, scanning, gap detection and
+/// The store is deliberately dumb — naming, framing, compaction and
 /// chain replay. Writing segments on a cadence (and deciding *what* is
 /// dirty) is [`DeltaCheckpointer`]'s job.
 pub struct CheckpointStore {
@@ -169,131 +193,134 @@ impl CheckpointStore {
         &self.dir
     }
 
-    fn base_path(&self, epoch: u64) -> PathBuf {
-        self.dir.join(format!("base-{epoch:08}.ckpt"))
+    fn epoch_path(&self, epoch: u64) -> PathBuf {
+        self.dir.join(format!("epoch-{epoch:08}.ckpt"))
     }
 
-    fn delta_path(&self, epoch: u64, index: u64) -> PathBuf {
-        self.dir.join(format!("delta-{epoch:08}-{index:08}.ckpt"))
-    }
-
-    /// The newest epoch any segment on disk belongs to (`None` for an
-    /// empty store). A re-armed [`DeltaCheckpointer`] starts past it so
-    /// its first base never collides with — or leaves stale deltas
-    /// from — a previous incarnation's chain.
+    /// The newest epoch with a file on disk (`None` for an empty
+    /// store). A re-armed [`DeltaCheckpointer`] starts past it so its
+    /// first base never collides with — or appends to — a previous
+    /// incarnation's chain.
     pub fn newest_epoch(&self) -> io::Result<Option<u64>> {
         let mut newest = None;
         for entry in std::fs::read_dir(&self.dir)? {
-            let name = entry?.file_name();
-            if let Some((epoch, _)) = parse_segment_name(&name.to_string_lossy()) {
+            if let Some((epoch, true)) = parse_epoch_name(&entry?.file_name().to_string_lossy()) {
                 newest = newest.max(Some(epoch));
             }
         }
         Ok(newest)
     }
 
-    /// Delete every segment belonging to an epoch older than
-    /// `keep_epoch`, returning how many files were removed. Called
-    /// after a new base lands, so the store never holds more than the
-    /// current chain (plus the base that anchors it).
+    /// Delete the file of every epoch older than `keep_epoch`, and any
+    /// temp file a base write of such an epoch left behind, returning
+    /// how many files were removed. Called after a new base lands, so
+    /// the store never holds more than the current chain.
     pub fn compact(&self, keep_epoch: u64) -> io::Result<usize> {
         let mut removed = 0;
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if let Some((epoch, _)) = parse_segment_name(&name) {
-                if epoch < keep_epoch {
-                    std::fs::remove_file(entry.path())?;
-                    removed += 1;
-                }
+            if parse_epoch_name(&entry.file_name().to_string_lossy())
+                .is_some_and(|(epoch, _)| epoch < keep_epoch)
+            {
+                std::fs::remove_file(entry.path())?;
+                removed += 1;
             }
         }
         Ok(removed)
     }
 
-    /// Scan the store, pick the newest epoch, and replay its chain:
-    /// the base snapshot, then every delta in index order. Returns a
+    /// Read the newest epoch file and replay its chain: the base in
+    /// frame 0, then every delta in frame order. Returns a
     /// [`FleetCheckpoint`] identical to the full checkpoint the
-    /// scheduler would have written at the instant of the last
-    /// segment. Typed errors name the broken segment (see
+    /// scheduler would have written at the instant of the last frame.
+    /// Typed errors name the file or the broken frame (see
     /// [`CheckpointError`]).
     pub fn load_latest(&self, registry: &JobRegistry) -> Result<FleetCheckpoint, CheckpointError> {
-        let mut base_epochs: Vec<u64> = Vec::new();
-        let mut deltas: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let entries = std::fs::read_dir(&self.dir).map_err(|source| CheckpointError::Io {
-            segment: self.dir.display().to_string(),
-            source,
-        })?;
-        for entry in entries {
-            let entry = entry.map_err(|source| CheckpointError::Io {
-                segment: self.dir.display().to_string(),
-                source,
-            })?;
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            match parse_segment_name(&name) {
-                Some((epoch, None)) => base_epochs.push(epoch),
-                Some((epoch, Some(index))) => deltas.entry(epoch).or_default().push(index),
-                None => {}
+        let dir = || self.dir.display().to_string();
+        let epoch = self
+            .newest_epoch()
+            .map_err(|source| CheckpointError::Io { segment: dir(), source })?
+            .ok_or_else(|| CheckpointError::Empty { dir: dir() })?;
+        let path = self.epoch_path(epoch);
+        let file = path.display().to_string();
+        let bytes = std::fs::read(&path)
+            .map_err(|source| CheckpointError::Io { segment: file.clone(), source })?;
+        let mut r = Reader::new(&bytes);
+        r.expect_magic(EPOCH_MAGIC, "checkpoint epoch file")
+            .and_then(|()| match r.read::<u64>()? {
+                e if e == epoch => Ok(()),
+                e => Err(PersistError::new(format!("the file holds epoch {e}"))),
+            })
+            .map_err(|source| CheckpointError::CorruptSegment { segment: file.clone(), source })?;
+        let mut chain = None;
+        let mut index = 0;
+        while r.remaining() > 0 {
+            let segment = format!("{file}#{index}");
+            let corrupt =
+                |source| CheckpointError::CorruptSegment { segment: segment.clone(), source };
+            let frame = read_frame(&mut r).map_err(corrupt)?;
+            match &mut chain {
+                None if !frame.starts_with(BASE_MAGIC) => {
+                    return Err(CheckpointError::MissingBase { segment });
+                }
+                None => chain = Some(ChainState::base(frame, registry).map_err(corrupt)?),
+                Some(chain) => {
+                    let mut d = Reader::new(frame);
+                    match delta_position(&mut d).map_err(corrupt)? {
+                        at if at == (epoch, index) => {
+                            chain.read_body(&mut d, registry).map_err(corrupt)?;
+                        }
+                        (e, i) if e == epoch && i > index => {
+                            return Err(CheckpointError::MissingDelta { segment, epoch, index });
+                        }
+                        (e, i) => {
+                            let held = format!("the frame holds delta {i} of epoch {e}");
+                            return Err(corrupt(PersistError::new(held)));
+                        }
+                    }
+                }
             }
+            index += 1;
         }
-        // The newest epoch wins; deltas newer than every base mean the
-        // chain head lost its anchor.
-        let newest_delta_epoch = deltas.keys().next_back().copied();
-        let newest_base_epoch = base_epochs.iter().max().copied();
-        let epoch = match (newest_base_epoch, newest_delta_epoch) {
-            (Some(b), Some(d)) if d > b => {
-                return Err(CheckpointError::MissingBase {
-                    segment: self.base_path(d).display().to_string(),
-                });
-            }
-            (Some(b), _) => b,
-            (None, Some(d)) => {
-                return Err(CheckpointError::MissingBase {
-                    segment: self.base_path(d).display().to_string(),
-                });
-            }
-            (None, None) => {
-                return Err(CheckpointError::Empty { dir: self.dir.display().to_string() });
-            }
-        };
-        let mut chain = ChainState::load_base(&self.base_path(epoch), registry)?;
-        let mut indices = deltas.remove(&epoch).unwrap_or_default();
-        indices.sort_unstable();
-        // Indices must run 1..=k with no holes.
-        for (i, &index) in indices.iter().enumerate() {
-            let expected = i as u64 + 1;
-            if index != expected {
-                return Err(CheckpointError::MissingDelta {
-                    segment: self.delta_path(epoch, expected).display().to_string(),
-                    epoch,
-                    index: expected,
-                });
-            }
-        }
-        for index in indices {
-            let path = self.delta_path(epoch, index);
-            let segment = path.display().to_string();
-            let bytes = std::fs::read(&path)
-                .map_err(|source| CheckpointError::Io { segment: segment.clone(), source })?;
-            chain
-                .delta(&bytes, registry)
-                .map_err(|source| CheckpointError::CorruptSegment { segment, source })?;
-        }
-        Ok(chain.into_checkpoint())
+        chain
+            .map(ChainState::into_checkpoint)
+            .ok_or_else(|| CheckpointError::MissingBase { segment: format!("{file}#0") })
     }
 }
 
-/// `base-EEEEEEEE.ckpt` → `(epoch, None)`;
-/// `delta-EEEEEEEE-IIIIIIII.ckpt` → `(epoch, Some(index))`.
-fn parse_segment_name(name: &str) -> Option<(u64, Option<u64>)> {
-    if let Some(rest) = name.strip_prefix("base-").and_then(|r| r.strip_suffix(".ckpt")) {
-        return rest.parse().ok().map(|e| (e, None));
+/// `epoch-EEEEEEEE.ckpt` → `(epoch, true)`; `epoch-EEEEEEEE.tmp`, a base
+/// write that never reached its rename, → `(epoch, false)`.
+fn parse_epoch_name(name: &str) -> Option<(u64, bool)> {
+    let (epoch, ext) = name.strip_prefix("epoch-")?.split_once('.')?;
+    let complete = match ext {
+        "ckpt" => true,
+        "tmp" => false,
+        _ => return None,
+    };
+    Some((epoch.parse().ok()?, complete))
+}
+
+/// One frame of an epoch file: its length, that many segment bytes and
+/// the checksum over both. The length is checked against the bytes
+/// left before anything is sliced.
+fn read_frame<'a>(r: &mut Reader<'a>) -> Result<&'a [u8], PersistError> {
+    let len: u64 = r.read()?;
+    let segment = usize::try_from(len)
+        .ok()
+        .and_then(|n| r.take(n).ok())
+        .ok_or_else(|| PersistError::new(format!("frame of {len} bytes is cut short")))?;
+    let stored: u64 = r.read()?;
+    if checksum(&[&len.to_le_bytes(), segment]) != stored {
+        return Err(PersistError::new("frame checksum mismatch"));
     }
-    let rest = name.strip_prefix("delta-").and_then(|r| r.strip_suffix(".ckpt"))?;
-    let (epoch, index) = rest.split_once('-')?;
-    Some((epoch.parse().ok()?, Some(index.parse().ok()?)))
+    Ok(segment)
+}
+
+/// A delta segment's header: its magic, then the epoch and the index it
+/// was written as.
+fn delta_position(r: &mut Reader<'_>) -> Result<(u64, u64), PersistError> {
+    r.expect_magic(DELTA_MAGIC, "delta checkpoint segment")?;
+    Ok((r.read()?, r.read()?))
 }
 
 /// What one [`DeltaCheckpointer::snapshot`] call wrote.
@@ -311,7 +338,8 @@ pub enum SnapshotKind {
 pub struct SnapshotStats {
     /// Whether a base or a delta was written.
     pub kind: SnapshotKind,
-    /// Bytes of the written segment.
+    /// Bytes of the written segment, without its frame's length and
+    /// checksum (or an epoch file's header).
     pub bytes: u64,
     /// Jobs whose payload was (re-)encoded: every live job for a base,
     /// only the dirty ones for a delta.
@@ -329,6 +357,8 @@ pub struct DeltaCheckpointer {
     deltas_per_base: u64,
     epoch: u64,
     next_index: u64,
+    /// Bytes of the current epoch file up to the end of its last frame.
+    file_len: u64,
     written: Written,
 }
 
@@ -338,8 +368,8 @@ impl DeltaCheckpointer {
     /// [`snapshot`](Self::snapshot) always writes a base. Over a
     /// directory that already holds segments (re-arming after a
     /// restore), that base opens a **new** epoch past everything on
-    /// disk, so stale deltas from the previous incarnation can never
-    /// shadow the new chain.
+    /// disk, so the new chain never lands in a previous incarnation's
+    /// file.
     pub fn open(dir: impl Into<PathBuf>, deltas_per_base: u64) -> io::Result<Self> {
         let store = CheckpointStore::open(dir)?;
         let epoch = store.newest_epoch()?.unwrap_or(0);
@@ -348,6 +378,7 @@ impl DeltaCheckpointer {
             deltas_per_base: deltas_per_base.max(1),
             epoch,
             next_index: 0,
+            file_len: 0,
             written: Written::default(),
         })
     }
@@ -370,42 +401,74 @@ impl DeltaCheckpointer {
         written
     }
 
-    /// Write one segment from the live scheduler, in place: a base
-    /// resets the fingerprints, so its body is written against an
-    /// empty chain.
+    /// Write one segment from the live scheduler, in place, as one frame:
+    /// a base opens a new epoch file and resets the fingerprints, so its
+    /// body is written against an empty chain; a delta is appended to
+    /// the current file.
     fn write_segment(&mut self, s: &Scheduler) -> Result<SnapshotStats, CheckpointError> {
         let base = self.next_index == 0 || self.next_index > self.deltas_per_base;
         let devices = 0..s.devices.len();
         let mut out = Vec::new();
-        let path = if base {
+        if base {
             self.epoch += 1;
             self.next_index = 0;
             self.written = Written::default();
+            out.extend_from_slice(EPOCH_MAGIC);
+            self.epoch.write(&mut out);
+        }
+        // The frame: the segment's length (patched in below), the
+        // segment, then the checksum over both.
+        let len_at = out.len();
+        0u64.write(&mut out);
+        let segment_at = out.len();
+        if base {
             write_header(&s.state.cfg, devices.clone().map(|i| s.devices.spec(i)), &mut out);
-            self.store.base_path(self.epoch)
         } else {
             out.extend_from_slice(DELTA_MAGIC);
             self.epoch.write(&mut out);
             self.next_index.write(&mut out);
-            self.store.delta_path(self.epoch, self.next_index)
-        };
+        }
         let books = devices.map(|i| s.devices.device(i).book());
         let (dirty_jobs, live_jobs) = write_body(&s.state, books, &mut self.written, &mut out);
+        let len = (out.len() - segment_at) as u64;
+        out[len_at..segment_at].copy_from_slice(&len.to_le_bytes());
+        let sum = checksum(&[&out[len_at..segment_at], &out[segment_at..]]);
+        sum.write(&mut out);
+
+        let path = self.store.epoch_path(self.epoch);
         let io_err = |source| CheckpointError::Io { segment: path.display().to_string(), source };
-        write_atomic(&path, &out).map_err(io_err)?;
         if base {
-            // Only compact once the new anchor is durable; a crash
+            write_atomic(&path, &out).map_err(io_err)?;
+            self.file_len = out.len() as u64;
+            // Only compact once the new anchor is on disk; a crash
             // between the two leaves both epochs loadable.
             self.store.compact(self.epoch).map_err(io_err)?;
+        } else {
+            append(&path, &out, self.file_len).map_err(io_err)?;
+            self.file_len += out.len() as u64;
         }
         self.next_index += 1;
         Ok(SnapshotStats {
             kind: if base { SnapshotKind::Base } else { SnapshotKind::Delta },
-            bytes: out.len() as u64,
+            bytes: len,
             dirty_jobs,
             live_jobs,
         })
     }
+}
+
+/// Append `frame` to the epoch file at `path` in one write. The file
+/// must exist: a vanished one is an error, never a new file without a
+/// base. A failed write is cut back off to `good_len`, the end of the
+/// last good frame (best effort: the next snapshot opens a new epoch
+/// anyway).
+fn append(path: &Path, frame: &[u8], good_len: u64) -> io::Result<()> {
+    let mut file = OpenOptions::new().append(true).open(path)?;
+    let written = file.write_all(frame);
+    if written.is_err() {
+        let _ = file.set_len(good_len);
+    }
+    written
 }
 
 /// What a chain's segments hold so far, so that the next body writes
@@ -622,15 +685,6 @@ impl ChainState {
         };
         Self::base(&bytes, registry)
             .map_err(|source| CheckpointError::CorruptSegment { segment, source })
-    }
-
-    /// Replay one delta segment over the chain.
-    fn delta(&mut self, bytes: &[u8], registry: &JobRegistry) -> Result<(), PersistError> {
-        let mut r = Reader::new(bytes);
-        r.expect_magic(DELTA_MAGIC, "delta checkpoint segment")?;
-        let _epoch: u64 = r.read()?;
-        let _index: u64 = r.read()?;
-        self.read_body(&mut r, registry)
     }
 
     /// Read what [`write_body`] wrote, then check the chain as it

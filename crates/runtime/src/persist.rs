@@ -55,7 +55,9 @@ use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 
-const MAGIC: &[u8; 8] = b"LNLSFLT\x0a";
+/// Magic prefix of a base segment and a saved checkpoint (`LNLSFLT` +
+/// format version).
+pub(crate) const MAGIC: &[u8; 8] = b"LNLSFLT\x0a";
 
 type Loader = fn(&mut Reader<'_>) -> Result<Box<dyn JobExec>, PersistError>;
 
@@ -153,6 +155,39 @@ pub(crate) fn write_seq<'a, T: Persist + 'a>(
     for item in items {
         item.write(out);
     }
+}
+
+/// The checksum of a result-log section and of an epoch file's frame
+/// (see [`delta`](crate::delta)). Each part is read as little-endian
+/// words, the last one zero-padded, dealt in turn to four independent
+/// lanes so the multiplies pipeline; each part's length, then the four
+/// lanes, fold into the sum. Every step is a bijection of its state for a fixed
+/// word, so corruption confined to one word always changes the sum.
+pub(crate) fn checksum(parts: &[&[u8]]) -> u64 {
+    const K: u64 = 0x9e37_79b9_7f4a_7c15;
+    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(31);
+    let mut lanes = [K, !K, K.rotate_left(32), !K.rotate_left(32)];
+    let mut h = K;
+    for part in parts {
+        let mut blocks = part.chunks_exact(32);
+        for block in &mut blocks {
+            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+                *lane = step(*lane, u64::from_le_bytes(w.try_into().expect("an 8-byte word")));
+            }
+        }
+        for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
+            let mut padded = [0u8; 8];
+            padded[..w.len()].copy_from_slice(w);
+            *lane = step(*lane, u64::from_le_bytes(padded));
+        }
+        h = step(h, part.len() as u64);
+    }
+    for lane in lanes {
+        h = step(h, lane);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    h ^ (h >> 33)
 }
 
 /// A base segment's header: the magic, the config and the device specs.

@@ -12,7 +12,7 @@
 //! details survive exactly as long as they did before.
 
 use crate::job::{JobId, JobReport, JobStatus};
-use crate::persist::{read_report, write_report};
+use crate::persist::{checksum, read_report, write_report};
 use lnls_core::persist::{Persist, PersistError, Reader};
 use std::cell::OnceCell;
 
@@ -234,38 +234,6 @@ impl ResultLog {
     pub(crate) fn decoded_count(&self) -> usize {
         self.records.iter().filter(|r| r.report.get().is_some()).count()
     }
-}
-
-/// The section checksum. Each part is read as little-endian words, the
-/// last one zero-padded, dealt in turn to four independent lanes so the
-/// multiplies pipeline; each part's length, then the four lanes, fold
-/// into the sum. Every step is a bijection of its state for a fixed
-/// word, so corruption confined to one word always changes the sum.
-fn checksum(parts: &[&[u8]]) -> u64 {
-    const K: u64 = 0x9e37_79b9_7f4a_7c15;
-    let step = |h: u64, w: u64| (h ^ w).wrapping_mul(K).rotate_left(31);
-    let mut lanes = [K, !K, K.rotate_left(32), !K.rotate_left(32)];
-    let mut h = K;
-    for part in parts {
-        let mut blocks = part.chunks_exact(32);
-        for block in &mut blocks {
-            for (lane, w) in lanes.iter_mut().zip(block.chunks_exact(8)) {
-                *lane = step(*lane, u64::from_le_bytes(w.try_into().expect("an 8-byte word")));
-            }
-        }
-        for (lane, w) in lanes.iter_mut().zip(blocks.remainder().chunks(8)) {
-            let mut padded = [0u8; 8];
-            padded[..w.len()].copy_from_slice(w);
-            *lane = step(*lane, u64::from_le_bytes(padded));
-        }
-        h = step(h, part.len() as u64);
-    }
-    for lane in lanes {
-        h = step(h, lane);
-    }
-    h ^= h >> 33;
-    h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-    h ^ (h >> 33)
 }
 
 #[cfg(test)]

@@ -51,9 +51,9 @@ fn rearm_over_existing_store() {
     let mut sched2 = Scheduler::restore(restored_ckpt);
     let mut b = DeltaCheckpointer::open(&dir, 8).unwrap();
     sched2.tick();
-    b.snapshot(&sched2).unwrap(); // writes base-00000001 again
+    b.snapshot(&sched2).unwrap(); // a base opening epoch 2, past the old file
     sched2.tick();
-    b.snapshot(&sched2).unwrap(); // delta-00000001-00000001
+    b.snapshot(&sched2).unwrap(); // delta 1, appended to epoch 2
     drop(b);
     let files_after: Vec<_> = {
         let mut v: Vec<_> = std::fs::read_dir(&dir)

@@ -17,6 +17,10 @@
 //! count, one 17-byte `(id, fate, length)` header per record, the byte
 //! count and the record bytes, then a 64-bit checksum. A corrupted
 //! section is a typed error, never a silent decode.
+//!
+//! On disk each segment is one frame of its epoch's file (a 16-byte
+//! header, then per segment a `u64` length, the segment and a `u64`
+//! checksum); the digests cover the segment bytes inside the frames.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{KHamming, Neighborhood};
@@ -28,6 +32,7 @@ use lnls::prelude::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
@@ -96,6 +101,25 @@ fn client_for(trace: &Trace) -> FleetClient {
     client
 }
 
+/// The byte range of each frame of an epoch file: past the 16-byte
+/// header, a `u64` length, that many segment bytes and a `u64` checksum.
+fn frames(file: &[u8]) -> Vec<Range<usize>> {
+    let mut frames = Vec::new();
+    let mut at = 16;
+    while at < file.len() {
+        let len = u64::from_le_bytes(file[at..at + 8].try_into().expect("a length word"));
+        let end = at + 8 + usize::try_from(len).expect("a frame length") + 8;
+        frames.push(at..end);
+        at = end;
+    }
+    frames
+}
+
+/// The segment bytes inside `frame`.
+fn segment(frame: Range<usize>) -> Range<usize> {
+    frame.start + 8..frame.end - 8
+}
+
 /// Replay `(scenario, seed)` with a snapshot after every tick and hash
 /// the delta segments, and apart from them the base segments plus the
 /// final checkpoint.
@@ -103,7 +127,7 @@ fn run_case(scenario: &str, seed: u64, dir: &Path) -> (Fnv1a, Fnv1a) {
     let trace = TrafficGen::lower(&Scenario::by_name(scenario).expect("catalog scenario"), seed);
     let mut client = client_for(&trace);
     let mut ckpt = DeltaCheckpointer::open(dir, DELTAS_PER_BASE).expect("store opens");
-    let (mut epoch, mut index) = (0u64, 0u64);
+    let mut epoch = 0u64;
     let (mut deltas, mut bases) = (Fnv1a::new(), Fnv1a::new());
     let mut next = 0usize;
     loop {
@@ -117,18 +141,18 @@ fn run_case(scenario: &str, seed: u64, dir: &Path) -> (Fnv1a, Fnv1a) {
             next += 1;
         }
         let progressed = client.tick();
-        let (digest, segment) =
-            match ckpt.snapshot(client.scheduler()).expect("snapshot writes").kind {
-                SnapshotKind::Base => {
-                    (epoch, index) = (epoch + 1, 0);
-                    (&mut bases, format!("base-{epoch:08}.ckpt"))
-                }
-                SnapshotKind::Delta => {
-                    index += 1;
-                    (&mut deltas, format!("delta-{epoch:08}-{index:08}.ckpt"))
-                }
-            };
-        digest.update(&fs::read(dir.join(&segment)).expect("the segment just written"));
+        let stats = ckpt.snapshot(client.scheduler()).expect("snapshot writes");
+        let digest = match stats.kind {
+            SnapshotKind::Base => {
+                epoch += 1;
+                &mut bases
+            }
+            SnapshotKind::Delta => &mut deltas,
+        };
+        let file = fs::read(dir.join(format!("epoch-{epoch:08}.ckpt"))).expect("the epoch file");
+        let last = segment(frames(&file).pop().expect("the frame just written"));
+        assert_eq!(stats.bytes, last.len() as u64, "the stats count the segment's bytes");
+        digest.update(&file[last]);
         if !progressed && next >= trace.arrivals.len() {
             break;
         }
@@ -243,18 +267,19 @@ fn a_corrupt_result_log_is_a_typed_error() {
     }
 
     let store = CheckpointStore::open(&dir).expect("store opens");
-    let name = "delta-00000001-00000001.ckpt";
-    let delta = fs::read(dir.join(name)).expect("the delta was written");
-    let from = log_section_start(&delta, client.reports().count() - logged);
-    for (at, bytes) in mutants(&delta, from) {
-        fs::write(dir.join(name), &bytes).expect("mutant writes");
+    let (file, name) = (dir.join("epoch-00000001.ckpt"), "epoch-00000001.ckpt#1");
+    let intact = fs::read(&file).expect("the epoch file was written");
+    let delta = segment(frames(&intact)[1].clone());
+    let from = delta.start + log_section_start(&intact[delta], client.reports().count() - logged);
+    for (at, bytes) in mutants(&intact, from) {
+        fs::write(&file, &bytes).expect("mutant writes");
         match store.load_latest(&registry) {
             Err(CheckpointError::CorruptSegment { segment, .. }) if segment.ends_with(name) => {}
             Err(e) => panic!("the delta mutated at byte {at} failed as {e}"),
-            Ok(_) => panic!("the delta mutated at byte {at} of {} loaded", delta.len()),
+            Ok(_) => panic!("the delta mutated at byte {at} of {} loaded", intact.len()),
         }
     }
-    fs::write(dir.join(name), &delta).expect("the intact delta writes back");
+    fs::write(&file, &intact).expect("the intact delta writes back");
     let loaded = store.load_latest(&registry).expect("the intact chain loads");
     assert!(loaded.to_bytes() == full, "the intact chain equals the full checkpoint");
     let _ = fs::remove_dir_all(&dir);
@@ -292,8 +317,8 @@ fn a_flipped_job_id_is_refused_or_runs_to_the_end() {
     }
 }
 
-/// A delta copied in from a fleet of another backend shape, under the
-/// name the chain expects next, is a `CorruptSegment` naming it. It
+/// A delta copied in from a fleet of another backend shape, as the frame
+/// the chain expects next, is a `CorruptSegment` naming it. It
 /// once loaded into a checkpoint whose first tick indexed past the one
 /// device.
 #[test]
@@ -320,8 +345,11 @@ fn a_delta_from_another_backend_shape_is_a_corrupt_segment() {
     large.tick();
     assert_eq!(ckpt.snapshot(&large).expect("delta writes").kind, SnapshotKind::Delta);
 
-    let name = "delta-00000001-00000001.ckpt";
-    fs::copy(large_dir.join(name), small_dir.join(name)).expect("the delta copies");
+    let (file, name) = ("epoch-00000001.ckpt", "epoch-00000001.ckpt#1");
+    let large_file = fs::read(large_dir.join(file)).expect("read the large epoch file");
+    let mut small_file = fs::read(small_dir.join(file)).expect("read the small epoch file");
+    small_file.extend_from_slice(&large_file[frames(&large_file)[1].clone()]);
+    fs::write(small_dir.join(file), small_file).expect("the delta's frame copies");
     let store = CheckpointStore::open(&small_dir).expect("store opens");
     match store.load_latest(&JobRegistry::with_builtin()) {
         Err(CheckpointError::CorruptSegment { segment, .. }) if segment.ends_with(name) => {}

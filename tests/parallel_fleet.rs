@@ -262,8 +262,9 @@ fn crashing_every_worker_restores_onto_the_uninterrupted_bits() {
 
 /// A truncated newest delta in one shard's chain must fail
 /// [`ParallelFleet::restore`] with a typed error naming the exact
-/// segment file — diagnosed on the caller's thread before any helper
-/// exists, so it can neither panic a helper nor hang a barrier.
+/// frame of the shard's epoch file — diagnosed on the caller's thread
+/// before any helper exists, so it can neither panic a helper nor hang
+/// a barrier.
 #[test]
 fn a_truncated_shard_delta_fails_restore_naming_the_file() {
     let dir = tmp_dir("corrupt");
@@ -279,18 +280,23 @@ fn a_truncated_shard_delta_fails_restore_naming_the_file() {
     let ticks = fleet.ticks();
     drop(fleet);
 
-    // Truncate the *newest* delta of shard 001's chain.
+    // Truncate the *newest* delta of shard 001's chain: the last frame
+    // of its epoch file (past the 16-byte header, each frame is a `u64`
+    // length, the segment and a `u64` checksum).
     let shard1 = dir.join("shard-001");
-    let mut deltas: Vec<String> = fs::read_dir(&shard1)
-        .expect("shard chain dir lists")
-        .map(|e| e.expect("entry").file_name().into_string().expect("utf8 name"))
-        .filter(|n| n.starts_with("delta-"))
-        .collect();
-    deltas.sort();
-    let newest = deltas.last().expect("the chain has deltas").clone();
-    let path = shard1.join(&newest);
-    let bytes = fs::read(&path).expect("read the delta");
-    fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate the delta");
+    let path = shard1.join("epoch-00000001.ckpt");
+    let bytes = fs::read(&path).expect("read the epoch file");
+    let mut frames = Vec::new();
+    let mut at = 16;
+    while at < bytes.len() {
+        let len = u64::from_le_bytes(bytes[at..at + 8].try_into().expect("a length word"));
+        frames.push(at);
+        at += 8 + usize::try_from(len).expect("a frame length") + 8;
+    }
+    assert_eq!(frames.len(), 4, "a base and three deltas");
+    let newest = format!("epoch-00000001.ckpt#{}", frames.len() - 1);
+    let last = frames[frames.len() - 1];
+    fs::write(&path, &bytes[..last + (bytes.len() - last) / 2]).expect("truncate the delta");
 
     let registry = JobRegistry::with_builtin();
     let err = match ParallelFleet::restore(

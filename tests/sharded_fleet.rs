@@ -9,11 +9,12 @@
 //!   deterministically under v1 ring/steal semantics, and those
 //!   semantics observably differ from v2's.
 //! * **Typed chain errors** — a delta chain missing its base, missing a
-//!   middle delta, or holding a truncated segment is refused with a
-//!   [`CheckpointError`] naming the exact segment, never a panic or a
-//!   silently wrong restore. A bit-flipped or truncated delta loads or
-//!   is refused by name, never panics; a failed snapshot is retried as
-//!   a fresh base.
+//!   middle delta, holding a delta out of place or a truncated segment
+//!   is refused with a [`CheckpointError`] naming the exact frame of the
+//!   epoch file, never a panic or a silently wrong restore. Every
+//!   flipped bit and every cut inside the file is refused by name; a
+//!   cut at a frame boundary loads the shorter chain. A failed snapshot
+//!   is retried as a fresh base, and rotation leaves one epoch file.
 
 use lnls::core::{BitString, SearchConfig, TabuSearch};
 use lnls::neighborhood::{KHamming, Neighborhood};
@@ -26,7 +27,14 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::fs;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+
+/// The file a chain's first epoch lives in.
+const EPOCH_FILE: &str = "epoch-00000001.ckpt";
+
+/// Bytes of an epoch file's header: its magic and its epoch.
+const HEADER: usize = 16;
 
 /// Run a lowered trace through a **bare** [`FleetClient`] — no shard
 /// layer at all — with the delivery rule the driver documents, returning
@@ -142,8 +150,8 @@ fn onemax_job(name: &str, seed: u64) -> BinaryJob<OneMax, KHamming> {
 }
 
 /// Write a base + several deltas into `dir` (jobs still in flight, so
-/// every delta is non-trivial) and return the segment file names.
-fn build_chain(dir: &Path) -> Vec<String> {
+/// every delta is non-trivial) and return the epoch file's path.
+fn build_chain(dir: &Path) -> PathBuf {
     let mut fleet = Scheduler::with_uniform_fleet(
         1,
         DeviceSpec::gtx280(),
@@ -166,8 +174,35 @@ fn build_chain(dir: &Path) -> Vec<String> {
         .map(|e| e.expect("entry").file_name().into_string().expect("utf8 name"))
         .collect();
     names.sort();
-    assert_eq!(names.len(), 4, "one base and three deltas: {names:?}");
-    names
+    assert_eq!(names, [EPOCH_FILE], "one base and three deltas in one epoch file");
+    let file = dir.join(EPOCH_FILE);
+    let frames = frames(&fs::read(&file).expect("read the epoch file"));
+    assert_eq!(frames.len(), 4, "one base and three deltas: {frames:?}");
+    file
+}
+
+/// The byte range of each frame of an epoch file: past the header, a
+/// `u64` length, that many segment bytes and a `u64` checksum.
+fn frames(file: &[u8]) -> Vec<Range<usize>> {
+    let mut frames = Vec::new();
+    let mut at = HEADER;
+    while at < file.len() {
+        let len = u64::from_le_bytes(file[at..at + 8].try_into().expect("a length word"));
+        let end = at + 8 + usize::try_from(len).expect("a frame length") + 8;
+        frames.push(at..end);
+        at = end;
+    }
+    frames
+}
+
+/// `file`'s header, then its frames numbered in `order`, each intact.
+fn reframe(file: &[u8], order: &[usize]) -> Vec<u8> {
+    let frames = frames(file);
+    let mut out = file[..HEADER].to_vec();
+    for &i in order {
+        out.extend_from_slice(&file[frames[i].clone()]);
+    }
+    out
 }
 
 /// `FleetCheckpoint` carries live job state and has no `Debug`, so
@@ -188,15 +223,17 @@ fn chain_dir(tag: &str) -> PathBuf {
 #[test]
 fn a_chain_missing_its_base_is_refused_by_name() {
     let dir = chain_dir("missing-base");
-    let names = build_chain(&dir);
-    let base = names.iter().find(|n| n.starts_with("base-")).expect("a base segment");
-    fs::remove_file(dir.join(base)).expect("delete the base");
+    let file = build_chain(&dir);
+    // Drop the base's frame: the deltas stay, and frame 0 holds delta 1.
+    let bytes = fs::read(&file).expect("read the epoch file");
+    fs::write(&file, reframe(&bytes, &[1, 2, 3])).expect("delete the base");
+    let base = format!("{EPOCH_FILE}#0");
 
     let registry = JobRegistry::with_builtin();
     let err = load_err(&dir, &registry);
     match err {
         CheckpointError::MissingBase { segment } => {
-            assert!(segment.ends_with(base), "the error must name '{base}', got '{segment}'");
+            assert!(segment.ends_with(&base), "the error must name '{base}', got '{segment}'");
         }
         other => panic!("expected MissingBase, got: {other}"),
     }
@@ -206,17 +243,18 @@ fn a_chain_missing_its_base_is_refused_by_name() {
 #[test]
 fn a_chain_with_a_hole_names_the_missing_delta() {
     let dir = chain_dir("missing-delta");
-    let names = build_chain(&dir);
+    let file = build_chain(&dir);
     // Delete the *middle* delta; the later one keeps the chain "longer
     // than" the hole, which is what makes it a hole and not a tail.
-    let middle = names.iter().filter(|n| n.starts_with("delta-")).nth(1).expect("a middle delta");
-    fs::remove_file(dir.join(middle)).expect("delete the middle delta");
+    let bytes = fs::read(&file).expect("read the epoch file");
+    fs::write(&file, reframe(&bytes, &[0, 1, 3])).expect("delete the middle delta");
+    let middle = format!("{EPOCH_FILE}#2");
 
     let registry = JobRegistry::with_builtin();
     let err = load_err(&dir, &registry);
     match err {
         CheckpointError::MissingDelta { segment, epoch, index } => {
-            assert!(segment.ends_with(middle), "must name '{middle}', got '{segment}'");
+            assert!(segment.ends_with(&middle), "must name '{middle}', got '{segment}'");
             assert_eq!((epoch, index), (1, 2), "the first chain epoch, second delta");
         }
         other => panic!("expected MissingDelta, got: {other}"),
@@ -224,14 +262,38 @@ fn a_chain_with_a_hole_names_the_missing_delta() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// Delta 1's frame, checksum intact, where delta 2 belongs: the frame's
+/// own header places it, so the load fails naming frame 2. (When each
+/// delta was a file of its own, a copy of delta 1 under delta 2's name
+/// loaded without error into the state of the first delta.)
+#[test]
+fn a_delta_out_of_place_is_refused_by_name() {
+    let dir = chain_dir("misplaced-delta");
+    let file = build_chain(&dir);
+    let bytes = fs::read(&file).expect("read the epoch file");
+    fs::write(&file, reframe(&bytes, &[0, 1, 1, 3])).expect("put delta 1 where delta 2 belongs");
+    let misplaced = format!("{EPOCH_FILE}#2");
+
+    let registry = JobRegistry::with_builtin();
+    match load_err(&dir, &registry) {
+        CheckpointError::CorruptSegment { segment, source } => {
+            assert!(segment.ends_with(&misplaced), "must name '{misplaced}', got '{segment}'");
+            assert!(source.to_string().contains("delta 1 of epoch 1"), "{source}");
+        }
+        other => panic!("expected CorruptSegment, got: {other}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn a_truncated_delta_is_reported_corrupt_with_its_name() {
     let dir = chain_dir("truncated");
-    let names = build_chain(&dir);
-    let last = names.iter().rfind(|n| n.starts_with("delta-")).expect("a delta");
-    let path = dir.join(last);
-    let bytes = fs::read(&path).expect("read the delta");
-    fs::write(&path, &bytes[..bytes.len() / 2]).expect("truncate the delta");
+    let path = build_chain(&dir);
+    let bytes = fs::read(&path).expect("read the epoch file");
+    let frames = frames(&bytes);
+    let delta = frames.last().expect("a delta");
+    let last = format!("{EPOCH_FILE}#{}", frames.len() - 1);
+    fs::write(&path, &bytes[..delta.start + delta.len() / 2]).expect("truncate the delta");
 
     let registry = JobRegistry::with_builtin();
     let err = load_err(&dir, &registry);
@@ -294,12 +356,13 @@ fn a_base_terminated_chain_keeps_running_jobs() {
 }
 
 /// Every single-bit flip (the low bit of each byte) and every
-/// truncation of a delta segment loads as a typed error naming that
-/// delta, or as some chain — never as a panic. The fleet shape (one
-/// device, no fusing, quantum 2) re-queues preempted jobs behind the
-/// queue's reordering, so the delta carries a full queue layout: a
-/// corrupted id in it used to pass the chain replay and panic when the
-/// checkpoint was materialized.
+/// truncation of an epoch file holding a base and one delta is refused
+/// as a typed error naming the frame it falls in, or the file for its
+/// header; a cut exactly at a frame boundary loads the chain of the
+/// frames before it. The fleet shape (one device, no fusing, quantum 2)
+/// re-queues preempted jobs behind the queue's reordering, so the delta
+/// carries a full queue layout: a corrupted id in it used to pass the
+/// chain replay and panic when the checkpoint was materialized.
 #[test]
 fn a_mutated_delta_never_panics_the_chain_replay() {
     let dir = chain_dir("mutated");
@@ -314,42 +377,103 @@ fn a_mutated_delta_never_panics_the_chain_replay() {
     let mut ckpt = DeltaCheckpointer::open(&dir, 8).expect("store opens");
     fleet.tick();
     assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    let at_base = fleet.checkpoint().to_bytes();
     for _ in 0..3 {
         fleet.tick();
     }
     assert_eq!(ckpt.snapshot(&fleet).expect("delta writes").kind, SnapshotKind::Delta);
-    let name = "delta-00000001-00000001.ckpt";
-    let path = dir.join(name);
-    let intact = fs::read(&path).expect("read the delta");
+    let path = dir.join(EPOCH_FILE);
+    let intact = fs::read(&path).expect("read the epoch file");
+    let frames = frames(&intact);
+    assert_eq!(frames.len(), 2, "one base and one delta frame");
+    // A change at byte `at` is named by the frame holding it, or by the
+    // file for a change to its header.
+    let name_of = |at: usize| match frames.iter().position(|f| f.contains(&at)) {
+        Some(i) => format!("{EPOCH_FILE}#{i}"),
+        None => EPOCH_FILE.to_string(),
+    };
 
     let registry = JobRegistry::with_builtin();
     let store = CheckpointStore::open(&dir).expect("store opens");
-    let flips = (0..intact.len()).map(|i| {
+    let load = |bytes: &[u8]| {
+        fs::write(&path, bytes).expect("write the mutant");
+        store.load_latest(&registry)
+    };
+    for at in 0..intact.len() {
         let mut bytes = intact.clone();
-        bytes[i] ^= 1;
-        (format!("low-bit flip of byte {i}"), bytes)
-    });
-    let cuts =
-        (0..intact.len()).map(|n| (format!("truncation to {n} bytes"), intact[..n].to_vec()));
-    for (mutation, bytes) in flips.chain(cuts) {
-        fs::write(&path, &bytes).expect("write the mutant");
-        match store.load_latest(&registry) {
-            Ok(_) => {}
-            Err(CheckpointError::CorruptSegment { segment, .. }) => {
-                assert!(segment.ends_with(name), "{mutation}: must name '{name}', got '{segment}'");
+        bytes[at] ^= 1;
+        let want = name_of(at);
+        match load(&bytes) {
+            Err(CheckpointError::CorruptSegment { segment, .. }) => assert!(
+                segment.ends_with(&want),
+                "low-bit flip of byte {at}: must name '{want}', got '{segment}'"
+            ),
+            Err(other) => {
+                panic!("low-bit flip of byte {at}: expected CorruptSegment, got: {other}")
             }
-            Err(other) => panic!("{mutation}: expected CorruptSegment, got: {other}"),
+            Ok(_) => panic!("low-bit flip of byte {at} loaded"),
+        }
+    }
+    for n in 0..intact.len() {
+        let boundary = frames.iter().position(|f| f.start == n);
+        match (boundary, load(&intact[..n])) {
+            (Some(0), Err(CheckpointError::MissingBase { segment })) => {
+                assert!(segment.ends_with("#0"), "truncation to {n} bytes: named '{segment}'");
+            }
+            (Some(1), Ok(chain)) => assert!(
+                chain.to_bytes() == at_base,
+                "truncation to {n} bytes: the base frame alone must load to the base's checkpoint"
+            ),
+            (None, Err(CheckpointError::CorruptSegment { segment, .. })) => {
+                let want = name_of(n);
+                assert!(
+                    segment.ends_with(&want),
+                    "truncation to {n} bytes: must name '{want}', got '{segment}'"
+                );
+            }
+            (_, Err(other)) => panic!("truncation to {n} bytes failed as: {other}"),
+            (_, Ok(_)) => panic!("truncation to {n} bytes loaded"),
         }
     }
     let _ = fs::remove_dir_all(&dir);
 }
 
-/// A snapshot that fails mid-write (here: a directory squats on the
-/// delta's temp path) must not leave the checkpointer believing the
-/// segment landed. The retry writes a fresh base, and the chain on disk
-/// loads to exactly the live fleet's checkpoint. (The retry used to
-/// write a delta with the failed segment's dirty jobs left out, so the
-/// restored fleet re-ran their progress.)
+/// An epoch file is checked against its name before any frame is read:
+/// a wrong magic, or an epoch field that disagrees with the file name,
+/// is a `CorruptSegment` naming the file.
+#[test]
+fn an_epoch_file_is_checked_against_its_magic_and_name() {
+    let dir = chain_dir("epoch-header");
+    let file = build_chain(&dir);
+    let intact = fs::read(&file).expect("read the epoch file");
+    let registry = JobRegistry::with_builtin();
+    let refused_naming = |name: &str, why: &str| match load_err(&dir, &registry) {
+        CheckpointError::CorruptSegment { segment, source } => {
+            assert!(segment.ends_with(name), "must name '{name}', got '{segment}'");
+            assert!(source.to_string().contains(why), "{source}");
+        }
+        other => panic!("expected CorruptSegment, got: {other}"),
+    };
+
+    let mut wrong_magic = intact.clone();
+    wrong_magic[..8].copy_from_slice(b"LNLSCHN\x02");
+    fs::write(&file, &wrong_magic).expect("write the wrong magic");
+    refused_naming(EPOCH_FILE, "bad magic");
+
+    // Epoch 1's file under epoch 2's name is the newest, and lies.
+    fs::write(&file, &intact).expect("restore the magic");
+    let renamed = "epoch-00000002.ckpt";
+    fs::copy(&file, dir.join(renamed)).expect("copy the epoch file");
+    refused_naming(renamed, "holds epoch 1");
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A snapshot that fails mid-write (here: a directory stands in for the
+/// epoch file the delta appends to) must not leave the checkpointer
+/// believing the segment landed. The retry writes a fresh base, and the
+/// chain on disk loads to exactly the live fleet's checkpoint. (The
+/// retry used to write a delta with the failed segment's dirty jobs
+/// left out, so the restored fleet re-ran their progress.)
 #[test]
 fn a_failed_delta_write_is_retried_as_a_base() {
     let dir = chain_dir("failed-write");
@@ -364,14 +488,15 @@ fn a_failed_delta_write_is_retried_as_a_base() {
     let mut ckpt = DeltaCheckpointer::open(&dir, 8).expect("store opens");
     assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
     fleet.tick();
-    let squatter = dir.join("delta-00000001-00000001.tmp");
-    fs::create_dir(&squatter).expect("squat on the delta's temp path");
+    let squatter = dir.join(EPOCH_FILE);
+    fs::remove_file(&squatter).expect("remove the epoch file");
+    fs::create_dir(&squatter).expect("stand a directory in for the epoch file");
     match ckpt.snapshot(&fleet) {
         Err(CheckpointError::Io { .. }) => {}
         Err(other) => panic!("expected an i/o error, got: {other}"),
         Ok(stats) => panic!("the blocked write must fail, wrote {stats:?}"),
     }
-    fs::remove_dir(&squatter).expect("clear the temp path");
+    fs::remove_dir(&squatter).expect("clear the epoch file's path");
 
     let retry = ckpt.snapshot(&fleet).expect("the retry writes");
     assert_eq!(retry.kind, SnapshotKind::Base, "a failed snapshot must be retried as a base");
@@ -384,5 +509,36 @@ fn a_failed_delta_write_is_retried_as_a_base() {
         loaded.to_bytes() == fleet.checkpoint().to_bytes(),
         "the chain on disk must load to the live fleet's checkpoint"
     );
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Rotation deletes the older epoch's file and any temp file a base
+/// write of an older epoch left behind, so the store holds the current
+/// epoch file alone. (Compaction once matched only `.ckpt` names, so a
+/// leftover temp file survived every rotation.)
+#[test]
+fn rotation_leaves_only_the_current_epoch_file() {
+    let dir = chain_dir("rotation");
+    let mut fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 2, quantum_iters: Some(8), ..Default::default() },
+    );
+    for i in 0..4 {
+        fleet.submit(onemax_job(&format!("rotate-{i}"), i));
+    }
+    let mut ckpt = DeltaCheckpointer::open(&dir, 1).expect("store opens");
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    fleet.tick();
+    assert_eq!(ckpt.snapshot(&fleet).expect("delta writes").kind, SnapshotKind::Delta);
+    fs::write(dir.join("epoch-00000001.tmp"), b"an interrupted base").expect("plant a temp file");
+
+    fleet.tick();
+    assert_eq!(ckpt.snapshot(&fleet).expect("rotation writes").kind, SnapshotKind::Base);
+    let names: Vec<String> = fs::read_dir(&dir)
+        .expect("chain dir lists")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf8 name"))
+        .collect();
+    assert_eq!(names, ["epoch-00000002.ckpt"], "the current epoch file alone");
     let _ = fs::remove_dir_all(&dir);
 }
