@@ -8,7 +8,8 @@
 //! workloads draw: `delta_table_iteration` is one robust-tabu iteration
 //! (selection scan plus table commit) on one prebuilt table, and
 //! `gpu_residency` is a device placement — `GpuSwapEvaluator::new` plus
-//! its first `deltas`, the launch that profiles the kernel.
+//! its first `deltas`, the launch that profiles the kernel (n = 10 and
+//! 12, the size `ckpt-churn` draws).
 //!
 //! ```text
 //! cargo bench -p lnls-bench --bench qap
@@ -55,12 +56,14 @@ fn bench_qap(c: &mut Criterion) {
             b.iter(|| cursor.step(&inst, &mut table))
         });
     }
-    let mut rng = StdRng::seed_from_u64(10);
-    let inst = QapInstance::random_uniform(&mut rng, 10);
-    let p = Permutation::random(&mut rng, 10);
-    group.bench_with_input(BenchmarkId::new("gpu_residency", 10), &10, |b, _| {
-        b.iter(|| GpuSwapEvaluator::new(&inst, DeviceSpec::gtx280()).deltas(&inst, &p)[0])
-    });
+    for n in [10usize, 12] {
+        let mut rng = StdRng::seed_from_u64(n as u64);
+        let inst = QapInstance::random_uniform(&mut rng, n);
+        let p = Permutation::random(&mut rng, n);
+        group.bench_with_input(BenchmarkId::new("gpu_residency", n), &n, |b, _| {
+            b.iter(|| GpuSwapEvaluator::new(&inst, DeviceSpec::gtx280()).deltas(&inst, &p)[0])
+        });
+    }
     group.finish();
 
     // Modeled GPU ledger (not a wall-clock benchmark: the simulator's

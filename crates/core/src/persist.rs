@@ -480,7 +480,11 @@ impl Persist for DeviceSpec {
             lat_shared: r.read()?,
             issue_cycles: r.read()?,
             sfu_issue_factor: r.read()?,
-            coalesce_segment: r.read()?,
+            // The profiler bins addresses by segment bits.
+            coalesce_segment: match r.read()? {
+                s if u32::is_power_of_two(s) => s,
+                s => return Err(PersistError::new(format!("coalescing segment of {s} bytes"))),
+            },
             max_threads_per_sm: r.read()?,
             max_blocks_per_sm: r.read()?,
             max_warps_per_sm: r.read()?,
@@ -720,6 +724,13 @@ mod tests {
         let host = HostSpec::xeon_3ghz();
         let back: HostSpec = Reader::new(&host.to_bytes()).read().unwrap();
         assert_eq!(back, host);
+    }
+
+    #[test]
+    fn a_spec_whose_segment_is_not_a_power_of_two_is_refused() {
+        let spec = DeviceSpec { coalesce_segment: 96, ..DeviceSpec::g80() };
+        let err = Reader::new(&spec.to_bytes()).read::<DeviceSpec>().unwrap_err();
+        assert!(err.to_string().contains("coalescing segment of 96 bytes"), "{err}");
     }
 
     #[test]

@@ -16,6 +16,12 @@
 //!
 //! The per-warp aggregates are averaged and scaled to the full launch by
 //! the timing model.
+//!
+//! Segments, their halves and quarters, and texture-cache lines are
+//! powers of two, so the profiler bins addresses with shifts and masks:
+//! a site's segments are counted in a 64-bit bitmap beside each one's
+//! lowest and highest address (only a site spanning more segments than
+//! that is sorted), and the texture cache's sets are flat 4-way arrays.
 
 use crate::memory::MemSpace;
 
@@ -91,6 +97,16 @@ pub struct ThreadTrace {
     pub shared_accesses: Vec<u32>,
     /// Branch outcomes in program order (for divergence estimation).
     pub branch_taken: Vec<bool>,
+}
+
+impl ThreadTrace {
+    /// Reserve room for as many records of each kind as `other` holds.
+    pub(crate) fn reserve_like(&mut self, other: &ThreadTrace) {
+        self.accesses.reserve(other.accesses.len().saturating_sub(self.accesses.len()));
+        let shared = other.shared_accesses.len().saturating_sub(self.shared_accesses.len());
+        self.shared_accesses.reserve(shared);
+        self.branch_taken.reserve(other.branch_taken.len().saturating_sub(self.branch_taken.len()));
+    }
 }
 
 /// Per-launch aggregate fed to the timing model. All `per_*` quantities
@@ -171,11 +187,62 @@ pub struct BytesBySpace {
 /// are binned into aligned 128-byte segments; each touched segment is one
 /// transaction, shrunk to 64 or 32 bytes if the warp's footprint inside
 /// the segment fits an aligned half/quarter segment.
+///
+/// # Panics
+/// If `segment` is not a power of two.
 pub fn coalesce(addrs: &[u64], segment: u32) -> (u64, u64) {
-    let seg = segment as u64;
-    // Sort a copy once: each segment's addresses are then one run, whose
-    // first is its lowest and whose last is its highest. A warp issues at
-    // most 32 addresses, so the copy lives on the stack.
+    coalesce_shifted(addrs, segment_shift(segment))
+}
+
+/// `log2(segment)`, asserting that the segment is a power of two: every
+/// segment, half and quarter is then an aligned run of address bits.
+fn segment_shift(segment: u32) -> u32 {
+    assert!(
+        segment.is_power_of_two(),
+        "coalescing segment of {segment} bytes is not a power of two"
+    );
+    segment.trailing_zeros()
+}
+
+/// Segments a site may span and still be binned in one bitmap word.
+const BITMAP_SEGMENTS: u64 = 64;
+
+/// [`coalesce`] over segments of `1 << shift` bytes. A site spanning
+/// fewer than [`BITMAP_SEGMENTS`] segments is binned into a bitmap with
+/// each segment's lowest and highest address; a wider one (several
+/// buffers, or a scattered gather) is sorted instead.
+fn coalesce_shifted(addrs: &[u64], shift: u32) -> (u64, u64) {
+    if addrs.is_empty() {
+        return (0, 0);
+    }
+    let (lo, hi) = addrs.iter().fold((u64::MAX, 0), |(lo, hi), &a| (lo.min(a), hi.max(a)));
+    let first = lo >> shift;
+    if (hi >> shift) - first >= BITMAP_SEGMENTS {
+        return coalesce_sorted(addrs, shift);
+    }
+    let mut touched = 0u64;
+    let (mut lows, mut highs) =
+        ([u64::MAX; BITMAP_SEGMENTS as usize], [0u64; BITMAP_SEGMENTS as usize]);
+    for &a in addrs {
+        let at = ((a >> shift) - first) as usize;
+        touched |= 1 << at;
+        lows[at] = lows[at].min(a);
+        highs[at] = highs[at].max(a);
+    }
+    let (mut rest, mut bytes) = (touched, 0u64);
+    while rest != 0 {
+        let at = rest.trailing_zeros() as usize;
+        bytes += transaction_bytes(lows[at], highs[at], shift);
+        rest &= rest - 1;
+    }
+    (u64::from(touched.count_ones()), bytes)
+}
+
+/// [`coalesce_shifted`] for a site spanning many segments: sort a copy,
+/// so that each segment's addresses are one run, whose first is its
+/// lowest and whose last is its highest. A warp issues at most 32
+/// addresses, so the copy lives on the stack.
+fn coalesce_sorted(addrs: &[u64], shift: u32) -> (u64, u64) {
     let mut warp = [0u64; 32];
     let mut wide = Vec::new();
     let sorted: &mut [u64] = match warp.get_mut(..addrs.len()) {
@@ -188,20 +255,26 @@ pub fn coalesce(addrs: &[u64], segment: u32) -> (u64, u64) {
     sorted.copy_from_slice(addrs);
     sorted.sort_unstable();
     let (mut transactions, mut bytes) = (0u64, 0u64);
-    for group in sorted.chunk_by(|a, b| a / seg == b / seg) {
-        let (lo, hi) = (group[0], group[group.len() - 1]);
-        // Footprint within the segment, aligned shrink to 32/64 bytes.
-        let mut size = seg;
-        for candidate in [seg / 4, seg / 2] {
-            if candidate >= 32 && lo / candidate == hi / candidate {
-                size = candidate;
-                break;
-            }
-        }
+    for group in sorted.chunk_by(|a, b| a >> shift == b >> shift) {
         transactions += 1;
-        bytes += size;
+        bytes += transaction_bytes(group[0], group[group.len() - 1], shift);
     }
     (transactions, bytes)
+}
+
+/// The transaction serving one segment of `1 << shift` bytes whose
+/// lowest and highest addresses are `lo` and `hi`: the segment, shrunk
+/// to its aligned quarter or half when that is at least 32 bytes and
+/// holds both (they share every address bit above its size).
+#[inline]
+fn transaction_bytes(lo: u64, hi: u64, shift: u32) -> u64 {
+    let segment = 1u64 << shift;
+    for size in [segment / 4, segment / 2] {
+        if size >= 32 && lo ^ hi < size {
+            return size;
+        }
+    }
+    segment
 }
 
 /// Aggregate the traces of one warp's threads.
@@ -251,13 +324,20 @@ pub fn bank_conflict_replays(cells: &[u32]) -> u64 {
     extra
 }
 
+/// Ways per texture-cache set.
+const WAYS: usize = 4;
+
 /// Replay a texture-fetch stream through a small set-associative cache
 /// (GT200-class: ~8 KiB per SM, 32-byte lines, LRU within 4-way sets).
 /// Returns `(hits, total)`.
 pub struct TextureCacheSim {
-    sets: Vec<Vec<(u64, u64)>>, // (tag, stamp) per way
-    ways: usize,
-    line_bytes: u64,
+    /// `(tag, stamp)` per way; a stamp of 0 marks a way never filled,
+    /// and ways fill in order.
+    sets: Vec<[(u64, u64); WAYS]>,
+    /// `log2(line bytes)`.
+    line_shift: u32,
+    /// `sets.len() - 1`: the set count is a power of two.
+    set_mask: u64,
     stamp: u64,
     hits: u64,
     total: u64,
@@ -265,14 +345,21 @@ pub struct TextureCacheSim {
 
 impl TextureCacheSim {
     /// A cache with `capacity_bytes` in `line_bytes` lines, 4-way LRU.
+    ///
+    /// # Panics
+    /// If either size is not a power of two.
     pub fn new(capacity_bytes: u64, line_bytes: u64) -> Self {
-        let ways = 4usize;
-        let lines = (capacity_bytes / line_bytes).max(4) as usize;
-        let sets = lines / ways;
+        assert!(
+            capacity_bytes.is_power_of_two() && line_bytes.is_power_of_two(),
+            "texture cache of {capacity_bytes} bytes in {line_bytes}-byte lines: \
+             both sizes must be powers of two"
+        );
+        let lines = (capacity_bytes / line_bytes).max(WAYS as u64) as usize;
+        let sets = lines / WAYS;
         Self {
-            sets: vec![Vec::with_capacity(ways); sets.max(1)],
-            ways,
-            line_bytes,
+            sets: vec![[(0, 0); WAYS]; sets],
+            line_shift: line_bytes.trailing_zeros(),
+            set_mask: sets as u64 - 1,
             stamp: 0,
             hits: 0,
             total: 0,
@@ -288,25 +375,22 @@ impl TextureCacheSim {
     pub fn access(&mut self, addr: u64) {
         self.total += 1;
         self.stamp += 1;
-        let line = addr / self.line_bytes;
-        let set = (line % self.sets.len() as u64) as usize;
-        let ways = &mut self.sets[set];
-        if let Some(entry) = ways.iter_mut().find(|e| e.0 == line) {
-            entry.1 = self.stamp;
+        let line = addr >> self.line_shift;
+        let ways = &mut self.sets[(line & self.set_mask) as usize];
+        if let Some(way) = ways.iter_mut().find(|w| w.0 == line && w.1 != 0) {
+            way.1 = self.stamp;
             self.hits += 1;
             return;
         }
-        if ways.len() < self.ways {
-            ways.push((line, self.stamp));
-        } else {
-            let lru = ways
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("non-empty ways");
-            ways[lru] = (line, self.stamp);
+        // The smallest stamp is the first way never filled, else the
+        // least recently used one.
+        let mut victim = 0;
+        for w in 1..WAYS {
+            if ways[w].1 < ways[victim].1 {
+                victim = w;
+            }
         }
+        ways[victim] = (line, self.stamp);
     }
 
     /// Observed hit rate, `None` before any access.
@@ -317,11 +401,15 @@ impl TextureCacheSim {
 
 /// Aggregate one warp (≤ 32 thread traces) under the given coalescing
 /// segment size and SFU issue factor.
+///
+/// # Panics
+/// If `segment` is not a power of two.
 pub fn aggregate_warp(
     traces: &[&ThreadTrace],
     segment: u32,
     sfu_issue_factor: f64,
 ) -> WarpAggregate {
+    let shift = segment_shift(segment);
     let mut agg = WarpAggregate::default();
     if traces.is_empty() {
         return agg;
@@ -335,24 +423,22 @@ pub fn aggregate_warp(
     for site in 0..max_sites {
         addrs.clear();
         let mut space = None;
-        let mut bytes_each = 4;
         for t in traces {
             if let Some(a) = t.accesses.get(site) {
                 addrs.push(a.addr);
                 space = Some(a.space);
-                bytes_each = a.bytes;
             }
         }
         let Some(space) = space else { continue };
         match space {
             MemSpace::Global => {
-                let (trans, bytes) = coalesce(&addrs, segment);
+                let (trans, bytes) = coalesce_shifted(&addrs, shift);
                 agg.extra_transactions += (trans - 1) as f64;
                 agg.dram_transactions += trans as f64;
                 agg.bytes.global += bytes as f64;
             }
             MemSpace::Texture => {
-                let (trans, bytes) = coalesce(&addrs, segment);
+                let (trans, bytes) = coalesce_shifted(&addrs, shift);
                 agg.extra_transactions += (trans - 1) as f64;
                 agg.dram_transactions += trans as f64;
                 agg.bytes.texture += bytes as f64;
@@ -369,7 +455,6 @@ pub fn aggregate_warp(
                 agg.extra_transactions += (distinct.len() - 1) as f64;
             }
         }
-        let _ = bytes_each;
     }
 
     // Shared-memory bank conflicts, site by site.
@@ -516,36 +601,144 @@ mod tests {
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(512))]
+        #![proptest_config(ProptestConfig::with_cases(1024))]
 
-        /// 1–32 lanes over at most four segments, each lane a word within
-        /// a window of 1 to 32 words at some offset, so a segment's
-        /// footprint fits 32, 64 or no shrunk transaction, at segment
-        /// sizes 64 and 128.
+        /// 1–32 lanes over at most four segments `stride` segments
+        /// apart (so a site spans 1 to 388 segments, either side of the
+        /// bitmap's 64), each lane a word within a window of 1 to 32
+        /// words at some offset, so a segment's footprint fits 32, 64,
+        /// 128 or no shrunk transaction, at segment sizes 32 to 256.
         #[test]
         fn coalesce_matches_the_pairwise_reference(
             lanes in prop::collection::vec((0u64..4, 0u64..32), 1..33),
             first in 0u64..1_000,
+            stride in 1u64..130,
             window_log in 0u32..6,
             shift in 0u64..32,
-            wide in any::<bool>(),
+            segment_log in 5u32..9,
         ) {
-            let segment: u32 = if wide { 128 } else { 64 };
+            let segment = 1u32 << segment_log;
             let seg = segment as u64;
             let window = 1u64 << window_log;
             let addrs: Vec<u64> = lanes
                 .iter()
-                .map(|&(s, w)| (first + s) * seg + ((shift + w % window) * 4) % seg)
+                .map(|&(s, w)| (first + s * stride) * seg + ((shift + w % window) * 4) % seg)
                 .collect();
             prop_assert_eq!(coalesce(&addrs, segment), coalesce_reference(&addrs, segment));
+        }
+
+        /// The flat 4-way cache against the one it replaced, fetch by
+        /// fetch: capacities of 64 B to 8 KiB in 4- to 64-byte lines,
+        /// over address ranges from a few lines to many times the
+        /// capacity.
+        #[test]
+        fn texture_cache_matches_the_vec_of_vec_lru(
+            capacity_log in 6u32..14,
+            line_log in 2u32..7,
+            range_log in 4u32..16,
+            fetches in prop::collection::vec(any::<u64>(), 1..400),
+        ) {
+            let (capacity, line) = (1u64 << capacity_log, 1u64 << line_log);
+            let mut flat = TextureCacheSim::new(capacity, line);
+            let mut oracle = VecLru::new(capacity, line);
+            for &f in &fetches {
+                let addr = f % (1u64 << range_log);
+                flat.access(addr);
+                oracle.access(addr);
+                prop_assert_eq!((flat.hits, flat.total), (oracle.hits, oracle.total));
+            }
+            prop_assert_eq!(flat.hit_rate(), oracle.hit_rate());
+        }
+    }
+
+    /// The texture cache before its sets were flattened: one `Vec` of
+    /// `(tag, stamp)` ways per set, grown on a miss until it holds four,
+    /// then evicting the smallest stamp.
+    struct VecLru {
+        sets: Vec<Vec<(u64, u64)>>,
+        line_bytes: u64,
+        stamp: u64,
+        hits: u64,
+        total: u64,
+    }
+
+    impl VecLru {
+        fn new(capacity_bytes: u64, line_bytes: u64) -> Self {
+            let lines = (capacity_bytes / line_bytes).max(4) as usize;
+            let sets = lines / 4;
+            Self {
+                sets: vec![Vec::with_capacity(4); sets.max(1)],
+                line_bytes,
+                stamp: 0,
+                hits: 0,
+                total: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64) {
+            self.total += 1;
+            self.stamp += 1;
+            let line = addr / self.line_bytes;
+            let set = (line % self.sets.len() as u64) as usize;
+            let ways = &mut self.sets[set];
+            if let Some(entry) = ways.iter_mut().find(|e| e.0 == line) {
+                entry.1 = self.stamp;
+                self.hits += 1;
+                return;
+            }
+            if ways.len() < 4 {
+                ways.push((line, self.stamp));
+            } else {
+                let lru = ways
+                    .iter()
+                    .enumerate()
+                    .min_by_key(|(_, e)| e.1)
+                    .map(|(i, _)| i)
+                    .expect("non-empty ways");
+                ways[lru] = (line, self.stamp);
+            }
+        }
+
+        fn hit_rate(&self) -> Option<f64> {
+            (self.total > 0).then(|| self.hits as f64 / self.total as f64)
         }
     }
 
     #[test]
+    fn texture_cache_line_zero_never_hits_an_empty_way() {
+        // Way slots start as tag 0: only a filled way may hit.
+        let mut c = TextureCacheSim::new(256, 32);
+        c.access(0);
+        assert_eq!(c.hits, 0);
+        c.access(4);
+        assert_eq!(c.hits, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn coalesce_refuses_a_segment_that_is_not_a_power_of_two() {
+        coalesce(&[0, 4], 96);
+    }
+
+    #[test]
+    #[should_panic(expected = "powers of two")]
+    fn texture_cache_refuses_sizes_that_are_not_powers_of_two() {
+        TextureCacheSim::new(6 * 1024, 32);
+    }
+
+    #[test]
     fn coalesce_beyond_a_warp_matches_the_reference() {
-        // More lanes than the stack copy holds take the heap path.
-        let addrs: Vec<u64> = (0..80).map(|i| (i * 52) % 700).collect();
-        assert_eq!(coalesce(&addrs, 128), coalesce_reference(&addrs, 128));
+        // More lanes than the stack copy holds: binned when they span
+        // few segments, sorted on the heap when they span many, or when
+        // they hit two buffers (ids in the address bits from 40 up).
+        let near: Vec<u64> = (0..80).map(|i| (i * 52) % 700).collect();
+        let far: Vec<u64> = (0..80).map(|i| (i * 4_100) % 700_000).collect();
+        let buffers: Vec<u64> = (0..32).map(|i| ((1 + i % 2) << 40) | (i * 8)).collect();
+        for addrs in [near, far, buffers] {
+            for segment in [32, 64, 128, 256] {
+                assert_eq!(coalesce(&addrs, segment), coalesce_reference(&addrs, segment));
+            }
+        }
         assert_eq!(coalesce(&[], 128), (0, 0));
     }
 

@@ -1,5 +1,12 @@
 //! The device object: allocation, transfers, launches, and the time
 //! ledger tying the functional simulation to the analytic model.
+//!
+//! A launch runs every block of its grid exactly once. The first launch
+//! of a kernel shape on a device (`ExecMode::Auto`, no cached profile)
+//! runs a handful of sampled blocks under the counting context, which
+//! both computes their outputs and records the traces the profile is
+//! built from; the rest of the grid then runs fast. Later launches of
+//! the same shape reuse the cached profile and run every block fast.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -11,7 +18,7 @@ use crate::dim::LaunchConfig;
 use crate::exec::{run_block_fast, run_block_trace, ExecMode};
 use crate::kernel::Kernel;
 use crate::memory::{DeviceBuffer, DeviceWord, MemSpace};
-use crate::race::RaceTracker;
+use crate::race::{RaceEvent, RaceTracker};
 use crate::report::{LaunchReport, TimeBook};
 use crate::spec::{DeviceSpec, HostSpec};
 use crate::timing::{predict, predict_host_seconds, transfer_seconds};
@@ -38,11 +45,17 @@ pub struct Device {
 impl Device {
     /// A device with the given spec and the default host baseline
     /// (Xeon 3 GHz, like the paper).
+    ///
+    /// # Panics
+    /// If the spec's coalescing segment is not a power of two.
     pub fn new(spec: DeviceSpec) -> Self {
         Self::with_host(spec, HostSpec::xeon_3ghz())
     }
 
     /// A device with an explicit host baseline for the CPU-time column.
+    ///
+    /// # Panics
+    /// If the spec's coalescing segment is not a power of two.
     pub fn with_host(spec: DeviceSpec, host: HostSpec) -> Self {
         // The host's parallelism is read once per process: the query
         // re-reads cgroup files on every call, and the count only decides
@@ -50,6 +63,14 @@ impl Device {
         static HOST_THREADS: OnceLock<usize> = OnceLock::new();
         let workers = *HOST_THREADS
             .get_or_init(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1));
+        // The profiler bins addresses into segments, halves and quarters
+        // by their address bits.
+        assert!(
+            spec.coalesce_segment.is_power_of_two(),
+            "{}: a coalescing segment of {} bytes is not a power of two",
+            spec.name,
+            spec.coalesce_segment
+        );
         Self {
             spec,
             host,
@@ -182,51 +203,34 @@ impl Device {
         let blocks = cfg.grid_blocks();
         let mut races = Vec::new();
 
-        let (counters, profiled) = match mode {
+        let counters = match mode {
             ExecMode::Trace => {
-                let tracker = RaceTracker::new(32);
-                let mut arena = Vec::new();
-                let mut traces = Vec::with_capacity(cfg.total_threads() as usize);
-                for b in 0..blocks {
-                    traces.extend(run_block_trace(kernel, &cfg, b, &mut arena, Some(&tracker)));
-                }
-                races = tracker.events();
-                let counters = self.aggregate(&cfg, &traces, cfg.total_threads());
+                let all: Vec<u64> = (0..blocks).collect();
+                let (counters, events) = self.profile(kernel, &cfg, &all);
+                races = events;
                 self.profiles.insert(key, counters.clone());
-                (counters, true)
+                counters
             }
-            ExecMode::Auto | ExecMode::Fast => {
-                let cached = self.profiles.get(&key).cloned();
-                let counters = match (cached, mode) {
-                    (Some(c), _) => c,
-                    (None, ExecMode::Fast) => {
-                        KernelCounters { total_threads: cfg.total_threads(), ..Default::default() }
-                    }
-                    (None, _) => {
-                        // Profile a sample of blocks (kernels are pure per
-                        // launch, so re-running them below is harmless).
-                        let sample = sample_blocks(blocks, self.sample_blocks);
-                        let tracker = RaceTracker::new(32);
-                        let mut arena = Vec::new();
-                        let mut traces = Vec::new();
-                        for &b in &sample {
-                            traces.extend(run_block_trace(
-                                kernel,
-                                &cfg,
-                                b,
-                                &mut arena,
-                                Some(&tracker),
-                            ));
-                        }
-                        races = tracker.events();
-                        let counters = self.aggregate(&cfg, &traces, cfg.total_threads());
-                        self.profiles.insert(key, counters.clone());
-                        counters
-                    }
-                };
-                self.execute_all(kernel, &cfg);
-                (counters, true)
-            }
+            ExecMode::Auto | ExecMode::Fast => match (self.profiles.get(&key).cloned(), mode) {
+                (Some(cached), _) => {
+                    self.execute(kernel, &cfg, &[]);
+                    cached
+                }
+                (None, ExecMode::Fast) => {
+                    self.execute(kernel, &cfg, &[]);
+                    KernelCounters { total_threads: cfg.total_threads(), ..Default::default() }
+                }
+                (None, _) => {
+                    let sample = sample_blocks(blocks, self.sample_blocks);
+                    let (counters, events) = self.profile(kernel, &cfg, &sample);
+                    races = events;
+                    self.profiles.insert(key, counters.clone());
+                    // The traced blocks computed their outputs: run the
+                    // rest of the grid fast.
+                    self.execute(kernel, &cfg, &sample);
+                    counters
+                }
+            },
         };
 
         let timing = predict(&self.spec, &cfg, &counters);
@@ -244,18 +248,36 @@ impl Device {
             host_seconds,
             wall: t0.elapsed(),
             races,
-            profiled,
+            profiled: true,
         }
     }
 
-    /// Run every block functionally (fast contexts), in parallel when the
-    /// launch is big enough to amortize thread spawning.
-    fn execute_all<K: Kernel>(&self, kernel: &K, cfg: &LaunchConfig) {
+    /// Run `blocks` under the counting context with race detection, and
+    /// build the launch's profile from their traces.
+    fn profile<K: Kernel>(
+        &self,
+        kernel: &K,
+        cfg: &LaunchConfig,
+        blocks: &[u64],
+    ) -> (KernelCounters, Vec<RaceEvent>) {
+        let mut tracker = RaceTracker::new(32);
+        let mut arena = Vec::new();
+        let mut traces = Vec::with_capacity(blocks.len() * cfg.block_threads() as usize);
+        for &b in blocks {
+            traces.extend(run_block_trace(kernel, cfg, b, &mut arena, Some(&mut tracker)));
+        }
+        (self.aggregate(cfg, &traces, cfg.total_threads()), tracker.events())
+    }
+
+    /// Run every block but the already traced `skip` functionally (fast
+    /// contexts), in parallel when the launch is big enough to amortize
+    /// thread spawning.
+    fn execute<K: Kernel>(&self, kernel: &K, cfg: &LaunchConfig, skip: &[u64]) {
         let blocks = cfg.grid_blocks();
         let parallel = self.workers > 1 && blocks >= 4 && cfg.total_threads() >= 4096;
         if !parallel {
             let mut arena = Vec::new();
-            for b in 0..blocks {
+            for b in (0..blocks).filter(|b| !skip.contains(b)) {
                 run_block_fast(kernel, cfg, b, &mut arena);
             }
             return;
@@ -271,7 +293,9 @@ impl Device {
                         if b >= blocks {
                             break;
                         }
-                        run_block_fast(kernel, cfg, b, &mut arena);
+                        if !skip.contains(&b) {
+                            run_block_fast(kernel, cfg, b, &mut arena);
+                        }
                     }
                 });
             }
@@ -448,6 +472,12 @@ mod tests {
         let v = dev.download(&k.out);
         assert_eq!(v[5], 6);
         assert_eq!(dev.book().bytes_d2h, 64 * 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "not a power of two")]
+    fn a_segment_that_is_not_a_power_of_two_is_refused() {
+        Device::new(DeviceSpec { coalesce_segment: 96, ..DeviceSpec::gtx280() });
     }
 
     #[test]

@@ -23,7 +23,7 @@ use crate::race::RaceTracker;
 #[derive(Copy, Clone, Debug, PartialEq, Eq, Default)]
 pub enum ExecMode {
     /// Profile sampled blocks if this kernel/config has no cached profile,
-    /// then run everything fast. The default.
+    /// then run the rest of the grid fast. The default.
     #[default]
     Auto,
     /// Never profile; reuse a cached profile if one exists (timing falls
@@ -130,7 +130,7 @@ pub(crate) struct TraceCtx<'a> {
     pub(crate) local: &'a mut Vec<i32>,
     pub(crate) local_top: usize,
     pub(crate) trace: ThreadTrace,
-    pub(crate) race: Option<&'a RaceTracker>,
+    pub(crate) race: Option<&'a mut RaceTracker>,
 }
 
 impl TraceCtx<'_> {
@@ -166,7 +166,7 @@ impl ThreadCtx for TraceCtx<'_> {
             buf_addr(buf.id(), idx as u64 * T::BYTES as u64),
             false,
         );
-        if let Some(r) = self.race {
+        if let Some(r) = &mut self.race {
             // Reads of read-only spaces cannot race.
             if buf.space() == MemSpace::Global {
                 r.on_access(buf.id(), idx as u64, self.id.global(), false);
@@ -189,7 +189,7 @@ impl ThreadCtx for TraceCtx<'_> {
             buf_addr(buf.id(), idx as u64 * T::BYTES as u64),
             true,
         );
-        if let Some(r) = self.race {
+        if let Some(r) = &mut self.race {
             r.on_access(buf.id(), idx as u64, self.id.global(), true);
         }
         buf.set(idx, v);
@@ -198,7 +198,7 @@ impl ThreadCtx for TraceCtx<'_> {
     fn sh_ld(&mut self, idx: usize) -> u64 {
         self.trace.counters.shared += 1;
         self.trace.shared_accesses.push(idx as u32);
-        if let Some(r) = self.race {
+        if let Some(r) = &mut self.race {
             // Shared memory is per block: fold block id into the "buffer".
             r.on_access(u64::MAX - self.id.block, idx as u64, self.id.global(), false);
         }
@@ -208,7 +208,7 @@ impl ThreadCtx for TraceCtx<'_> {
     fn sh_st(&mut self, idx: usize, v: u64) {
         self.trace.counters.shared += 1;
         self.trace.shared_accesses.push(idx as u32);
-        if let Some(r) = self.race {
+        if let Some(r) = &mut self.race {
             r.on_access(u64::MAX - self.id.block, idx as u64, self.id.global(), true);
         }
         self.shared.st(idx, v);
@@ -278,12 +278,15 @@ pub(crate) fn run_block_fast<K: Kernel>(
 }
 
 /// Run one block in trace mode; returns the per-thread traces.
+///
+/// Threads of a block mostly trace alike, so each thread's vectors are
+/// reserved up front from the lengths its predecessor reached.
 pub(crate) fn run_block_trace<K: Kernel>(
     kernel: &K,
     cfg: &LaunchConfig,
     block: u64,
     arena: &mut Vec<i32>,
-    race: Option<&RaceTracker>,
+    mut race: Option<&mut RaceTracker>,
 ) -> Vec<ThreadTrace> {
     let bs = cfg.block_threads();
     let shared = SharedMem::new(cfg.shared_words);
@@ -291,18 +294,22 @@ pub(crate) fn run_block_trace<K: Kernel>(
     let mut traces: Vec<ThreadTrace> = vec![ThreadTrace::default(); bs as usize];
     for phase in 0..phases {
         if phase > 0 {
-            if let Some(r) = race {
+            if let Some(r) = race.as_deref_mut() {
                 r.phase_boundary();
             }
         }
         for t in 0..bs {
+            let mut trace = std::mem::take(&mut traces[t as usize]);
+            if t > 0 {
+                trace.reserve_like(&traces[t as usize - 1]);
+            }
             let mut ctx = TraceCtx {
                 id: ThreadId { block, thread: t, block_dim: bs, grid_dim: cfg.grid_blocks() },
                 shared: &shared,
                 local: arena,
                 local_top: 0,
-                trace: std::mem::take(&mut traces[t as usize]),
-                race,
+                trace,
+                race: race.as_deref_mut(),
             };
             kernel.run(&mut ctx, phase);
             traces[t as usize] = ctx.trace;
@@ -409,9 +416,9 @@ mod tests {
         }
         let k = Clash { out: DeviceBuffer::<i32>::zeroed(1, MemSpace::Global, 9, "out") };
         let cfg = LaunchConfig::cover_1d(8, 8);
-        let race = RaceTracker::new(4);
+        let mut race = RaceTracker::new(4);
         let mut arena = Vec::new();
-        run_block_trace(&k, &cfg, 0, &mut arena, Some(&race));
+        run_block_trace(&k, &cfg, 0, &mut arena, Some(&mut race));
         assert!(!race.events().is_empty(), "expected a write/write race");
     }
 

@@ -102,11 +102,13 @@ pub trait ThreadCtx {
 
 /// A simulated GPU kernel.
 ///
-/// Implementations must be *pure within a launch*: every global store must
-/// write a value that does not depend on other threads' stores from the
-/// same phase (the executor may re-run sampled blocks for profiling, and
-/// workers interleave blocks arbitrarily). Cross-phase communication
-/// through shared or global memory is allowed.
+/// A launch runs every block exactly once — a profiled launch runs its
+/// sampled blocks under the counting context and the rest fast — but in
+/// no fixed order, and possibly on several host threads at once. So a
+/// store must not depend on another block's stores, nor on another
+/// thread's stores from the same phase; each thread overwrites the
+/// outputs it owns. Cross-phase communication within a block, through
+/// shared or global memory, is allowed.
 pub trait Kernel: Sync {
     /// Kernel name for reports and profile caching.
     fn name(&self) -> &'static str;

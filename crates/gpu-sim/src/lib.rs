@@ -28,9 +28,9 @@
 //! ```
 //! use lnls_gpu_sim::{Device, DeviceSpec, ExecMode, Kernel, LaunchConfig, MemSpace, ThreadCtx};
 //!
-//! // out[i] = a*x[i] + y[i]. Kernels must be idempotent within a launch
-//! // (the profiler may re-run sampled blocks), so inputs and outputs are
-//! // distinct buffers.
+//! // out[i] = a*x[i] + y[i]. Blocks run once per launch but in no fixed
+//! // order, so each thread overwrites its own output from inputs that no
+//! // other block writes.
 //! struct Saxpy {
 //!     a: i32,
 //!     x: lnls_gpu_sim::DeviceBuffer<i32>,

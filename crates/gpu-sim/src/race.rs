@@ -9,7 +9,7 @@
 //! different threads.
 
 use std::collections::HashMap;
-use std::sync::Mutex;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Kind of conflict detected.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -41,27 +41,48 @@ struct Entry {
 
 /// Collects accesses for one launch. Cleared at each phase boundary
 /// (barriers order accesses, so cross-phase conflicts are legal).
+///
+/// A tracker belongs to the one host thread that traces a launch's
+/// blocks, so it needs no lock.
 pub struct RaceTracker {
-    state: Mutex<TrackerState>,
+    map: HashMap<(u64, u64), Entry, BuildHasherDefault<MulHasher>>,
+    events: Vec<RaceEvent>,
     cap: usize,
 }
 
-struct TrackerState {
-    map: HashMap<(u64, u64), Entry>,
-    events: Vec<RaceEvent>,
+/// A multiplicative hasher for `(buffer, index)` keys: each word is
+/// mixed in with a rotate, a xor and one multiplication. The keys come
+/// from the kernels' own buffer ids and indices, never from outside the
+/// program, so they need no protection against crafted collisions.
+#[derive(Default)]
+struct MulHasher(u64);
+
+impl Hasher for MulHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(u64::from(b));
+        }
+    }
+
+    fn write_u64(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
 impl RaceTracker {
     /// Tracker reporting at most `cap` events (further races are counted
     /// as detected but not stored).
     pub fn new(cap: usize) -> Self {
-        Self { state: Mutex::new(TrackerState { map: HashMap::new(), events: Vec::new() }), cap }
+        Self { map: HashMap::default(), events: Vec::new(), cap }
     }
 
     /// Record an access; returns `true` if it raced.
-    pub fn on_access(&self, buf: u64, idx: u64, thread: u64, is_write: bool) -> bool {
-        let mut st = self.state.lock().expect("race tracker poisoned");
-        let entry = st.map.entry((buf, idx)).or_default();
+    pub fn on_access(&mut self, buf: u64, idx: u64, thread: u64, is_write: bool) -> bool {
+        let entry = self.map.entry((buf, idx)).or_default();
         let mut event = None;
         if is_write {
             match entry.writer {
@@ -102,8 +123,8 @@ impl RaceTracker {
             entry.reader = Some(thread);
         }
         if let Some(e) = event {
-            if st.events.len() < self.cap {
-                st.events.push(e);
+            if self.events.len() < self.cap {
+                self.events.push(e);
             }
             true
         } else {
@@ -112,13 +133,13 @@ impl RaceTracker {
     }
 
     /// Forget all accesses (phase boundary: the barrier orders them).
-    pub fn phase_boundary(&self) {
-        self.state.lock().expect("race tracker poisoned").map.clear();
+    pub fn phase_boundary(&mut self) {
+        self.map.clear();
     }
 
     /// Detected events (capped).
     pub fn events(&self) -> Vec<RaceEvent> {
-        self.state.lock().expect("race tracker poisoned").events.clone()
+        self.events.clone()
     }
 }
 
@@ -128,7 +149,7 @@ mod tests {
 
     #[test]
     fn disjoint_writes_are_clean() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         assert!(!t.on_access(1, 0, 0, true));
         assert!(!t.on_access(1, 1, 1, true));
         assert!(t.events().is_empty());
@@ -136,7 +157,7 @@ mod tests {
 
     #[test]
     fn write_write_conflict() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         assert!(!t.on_access(1, 5, 0, true));
         assert!(t.on_access(1, 5, 1, true));
         let ev = t.events();
@@ -147,7 +168,7 @@ mod tests {
 
     #[test]
     fn read_after_foreign_write_conflicts() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         t.on_access(2, 3, 7, true);
         assert!(t.on_access(2, 3, 8, false));
         assert_eq!(t.events()[0].kind, RaceKind::ReadWrite);
@@ -155,7 +176,7 @@ mod tests {
 
     #[test]
     fn write_after_foreign_read_conflicts() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         t.on_access(2, 3, 7, false);
         assert!(t.on_access(2, 3, 8, true));
         assert_eq!(t.events()[0].kind, RaceKind::ReadWrite);
@@ -163,7 +184,7 @@ mod tests {
 
     #[test]
     fn same_thread_rmw_is_fine() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         assert!(!t.on_access(1, 0, 4, false));
         assert!(!t.on_access(1, 0, 4, true));
         assert!(!t.on_access(1, 0, 4, false));
@@ -172,7 +193,7 @@ mod tests {
 
     #[test]
     fn phase_boundary_resets() {
-        let t = RaceTracker::new(8);
+        let mut t = RaceTracker::new(8);
         t.on_access(1, 0, 0, true);
         t.phase_boundary();
         assert!(!t.on_access(1, 0, 1, true), "cross-phase access must not race");
@@ -180,7 +201,7 @@ mod tests {
 
     #[test]
     fn event_cap_respected() {
-        let t = RaceTracker::new(2);
+        let mut t = RaceTracker::new(2);
         for i in 0..10u64 {
             t.on_access(1, 0, i, true);
         }

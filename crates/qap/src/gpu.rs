@@ -20,7 +20,6 @@ use lnls_gpu_sim::{
     Device, DeviceBuffer, DeviceSpec, ExecMode, Kernel, LaunchConfig, MemSpace, ThreadCtx, TimeBook,
 };
 use lnls_neighborhood::mapping2d::{size2, unrank2};
-use std::time::{Duration, Instant};
 
 /// Swap-delta kernel: `out[idx] = Δcost of swap unrank2(idx)`.
 pub struct QapSwapKernel {
@@ -106,7 +105,6 @@ pub struct GpuSwapEvaluator {
     out: DeviceBuffer<i64>,
     block_size: u32,
     scratch: Vec<i64>,
-    wall: Duration,
 }
 
 impl GpuSwapEvaluator {
@@ -119,18 +117,7 @@ impl GpuSwapEvaluator {
         let d = dev.upload_new(inst.dists(), MemSpace::Texture, "qap_d");
         let p = dev.alloc_zeroed::<u32>(n, MemSpace::Global, "qap_p");
         let out = dev.alloc_zeroed::<i64>(msize as usize, MemSpace::Global, "qap_out");
-        Self {
-            n,
-            msize,
-            dev,
-            f,
-            d,
-            p,
-            out,
-            block_size: 128,
-            scratch: Vec::new(),
-            wall: Duration::ZERO,
-        }
+        Self { n, msize, dev, f, d, p, out, block_size: 128, scratch: Vec::new() }
     }
 
     /// The simulated device (ledger access).
@@ -146,7 +133,6 @@ impl GpuSwapEvaluator {
 
 impl SwapEvaluator for GpuSwapEvaluator {
     fn deltas(&mut self, _inst: &QapInstance, p: &Permutation) -> &[i64] {
-        let t0 = Instant::now();
         self.dev.upload(&self.p, p.as_slice());
         let kernel = QapSwapKernel {
             n: self.n as u32,
@@ -162,7 +148,6 @@ impl SwapEvaluator for GpuSwapEvaluator {
             ExecMode::Auto,
         );
         self.dev.download_into(&self.out, &mut self.scratch);
-        self.wall += t0.elapsed();
         &self.scratch
     }
 

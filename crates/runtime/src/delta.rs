@@ -30,9 +30,12 @@
 //! * **Rotation + compaction.** After `deltas_per_base` segments the
 //!   next snapshot is a fresh base in a new epoch, and the files of
 //!   older epochs are deleted — disk usage is bounded by one base plus
-//!   one epoch of deltas. A failed snapshot forces the next one to be a
-//!   fresh base: the fingerprints have already moved past what reached
-//!   the disk.
+//!   one epoch of deltas. The directory is listed once, when the
+//!   checkpointer opens: the first base deletes what that listing found,
+//!   and each later one deletes the previous epoch's file and base temp
+//!   file, and the temp file of any base that failed since, by name. A
+//!   failed snapshot forces the next one to be a fresh base: the
+//!   fingerprints have already moved past what reached the disk.
 //! * **One body.** A base is a header (magic, config, device specs)
 //!   and then the body a delta writes, written against an empty chain:
 //!   every live job is dirty, every live job's metadata an upsert, and
@@ -173,9 +176,9 @@ impl std::error::Error for CheckpointError {
 /// append-only file per epoch, holding its base and the deltas written
 /// against it (see the module docs for the layout).
 ///
-/// The store is deliberately dumb — naming, framing, compaction and
-/// chain replay. Writing segments on a cadence (and deciding *what* is
-/// dirty) is [`DeltaCheckpointer`]'s job.
+/// The store is deliberately dumb — naming, framing and chain replay.
+/// Writing segments on a cadence, deciding *what* is dirty and deleting
+/// what a new base makes obsolete is [`DeltaCheckpointer`]'s job.
 pub struct CheckpointStore {
     dir: PathBuf,
 }
@@ -202,31 +205,24 @@ impl CheckpointStore {
     /// first base never collides with — or appends to — a previous
     /// incarnation's chain.
     pub fn newest_epoch(&self) -> io::Result<Option<u64>> {
-        let mut newest = None;
-        for entry in std::fs::read_dir(&self.dir)? {
-            if let Some((epoch, true)) = parse_epoch_name(&entry?.file_name().to_string_lossy()) {
-                newest = newest.max(Some(epoch));
-            }
-        }
-        Ok(newest)
+        Ok(self.scan()?.0)
     }
 
-    /// Delete the file of every epoch older than `keep_epoch`, and any
-    /// temp file a base write of such an epoch left behind, returning
-    /// how many files were removed. Called after a new base lands, so
-    /// the store never holds more than the current chain.
-    pub fn compact(&self, keep_epoch: u64) -> io::Result<usize> {
-        let mut removed = 0;
+    /// One listing of the directory: the newest epoch with a file, and
+    /// every epoch file and base temp file it holds.
+    fn scan(&self) -> io::Result<(Option<u64>, Vec<PathBuf>)> {
+        let (mut newest, mut files) = (None, Vec::new());
         for entry in std::fs::read_dir(&self.dir)? {
             let entry = entry?;
-            if parse_epoch_name(&entry.file_name().to_string_lossy())
-                .is_some_and(|(epoch, _)| epoch < keep_epoch)
+            if let Some((epoch, complete)) = parse_epoch_name(&entry.file_name().to_string_lossy())
             {
-                std::fs::remove_file(entry.path())?;
-                removed += 1;
+                if complete {
+                    newest = newest.max(Some(epoch));
+                }
+                files.push(entry.path());
             }
         }
-        Ok(removed)
+        Ok((newest, files))
     }
 
     /// Read the newest epoch file and replay its chain: the base in
@@ -360,6 +356,10 @@ pub struct DeltaCheckpointer {
     /// Bytes of the current epoch file up to the end of its last frame.
     file_len: u64,
     written: Written,
+    /// Files the next base makes obsolete, deleted by name once it
+    /// lands: what the directory held at `open`, then each epoch's file
+    /// and base temp file since.
+    stale: Vec<PathBuf>,
 }
 
 impl DeltaCheckpointer {
@@ -372,14 +372,15 @@ impl DeltaCheckpointer {
     /// file.
     pub fn open(dir: impl Into<PathBuf>, deltas_per_base: u64) -> io::Result<Self> {
         let store = CheckpointStore::open(dir)?;
-        let epoch = store.newest_epoch()?.unwrap_or(0);
+        let (newest, stale) = store.scan()?;
         Ok(Self {
             store,
             deltas_per_base: deltas_per_base.max(1),
-            epoch,
+            epoch: newest.unwrap_or(0),
             next_index: 0,
             file_len: 0,
             written: Written::default(),
+            stale,
         })
     }
 
@@ -438,11 +439,18 @@ impl DeltaCheckpointer {
         let path = self.store.epoch_path(self.epoch);
         let io_err = |source| CheckpointError::Io { segment: path.display().to_string(), source };
         if base {
-            write_atomic(&path, &out).map_err(io_err)?;
+            let tmp = path.with_extension("tmp");
+            if let Err(source) = write_atomic(&path, &out) {
+                // The rename never happened: only the temp file can be left.
+                self.stale.push(tmp);
+                return Err(io_err(source));
+            }
             self.file_len = out.len() as u64;
             // Only compact once the new anchor is on disk; a crash
             // between the two leaves both epochs loadable.
-            self.store.compact(self.epoch).map_err(io_err)?;
+            let removed = remove_stale(&mut self.stale);
+            self.stale.extend([path.clone(), tmp]);
+            removed.map_err(io_err)?;
         } else {
             append(&path, &out, self.file_len).map_err(io_err)?;
             self.file_len += out.len() as u64;
@@ -455,6 +463,18 @@ impl DeltaCheckpointer {
             live_jobs,
         })
     }
+}
+
+/// Delete each of `stale`, forgetting the ones deleted or already gone;
+/// on an error the rest stay for the next base to retry.
+fn remove_stale(stale: &mut Vec<PathBuf>) -> io::Result<()> {
+    while let Some(file) = stale.last() {
+        match std::fs::remove_file(file) {
+            Err(e) if e.kind() != io::ErrorKind::NotFound => return Err(e),
+            _ => stale.pop(),
+        };
+    }
+    Ok(())
 }
 
 /// Append `frame` to the epoch file at `path` in one write. The file

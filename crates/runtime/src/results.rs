@@ -51,6 +51,15 @@ impl Fate {
 /// Bytes of one section header: id, fate tag, record length.
 const HEADER_BYTES: usize = 8 + 1 + 8;
 
+/// Record `(id, fate, len)`'s section header.
+fn header(id: JobId, fate: Fate, len: usize) -> [u8; HEADER_BYTES] {
+    let mut h = [0; HEADER_BYTES];
+    h[..8].copy_from_slice(&id.0.to_le_bytes());
+    h[8] = fate as u8;
+    h[9..].copy_from_slice(&(len as u64).to_le_bytes());
+    h
+}
+
 /// One finished job: where its bytes sit in the log, its fate, and its
 /// report once something has asked for it (boxed, so that copying and
 /// indexing records stays cheap).
@@ -67,6 +76,9 @@ struct Record {
 #[derive(Default)]
 pub(crate) struct ResultLog {
     bytes: Vec<u8>,
+    /// Each record's section header, in completion order, encoded once
+    /// so that a section copies them.
+    headers: Vec<u8>,
     /// Completion order.
     records: Vec<Record>,
     /// `(job id, position in records)`, sorted by id. Jobs finish in
@@ -110,6 +122,7 @@ impl ResultLog {
         self.index.insert(at, (id, self.records.len()));
         write_report(&report, &mut self.bytes);
         let end = self.bytes.len();
+        self.headers.extend_from_slice(&header(id, fate, end - start));
         self.records.push(Record { id, fate, start, end, report: Box::new(report).into() });
         self.counts[fate as usize] += 1;
     }
@@ -149,7 +162,13 @@ impl ResultLog {
     pub(crate) fn uncached_copy(&self) -> Self {
         let records =
             self.records.iter().map(|r| Record { report: OnceCell::new(), ..*r }).collect();
-        Self { bytes: self.bytes.clone(), records, index: self.index.clone(), counts: self.counts }
+        Self {
+            bytes: self.bytes.clone(),
+            headers: self.headers.clone(),
+            records,
+            index: self.index.clone(),
+            counts: self.counts,
+        }
     }
 
     /// Write records `from..` as one section: the record count, one
@@ -162,18 +181,13 @@ impl ResultLog {
     pub(crate) fn write_section(&self, from: usize, out: &mut Vec<u8>) {
         let records = self.records.get(from..).expect("a section starts inside the log");
         let body = &self.bytes[records.first().map_or(self.bytes.len(), |r| r.start)..];
-        out.reserve(8 + HEADER_BYTES * records.len() + 8 + body.len() + 8);
+        let headers = &self.headers[HEADER_BYTES * from..];
+        out.reserve(8 + headers.len() + 8 + body.len() + 8);
         let count = records.len() as u64;
         count.write(out);
-        let headers_at = out.len();
-        for rec in records {
-            rec.id.write(out);
-            (rec.fate as u8).write(out);
-            (rec.end - rec.start).write(out);
-        }
+        out.extend_from_slice(headers);
         let body_len = body.len() as u64;
-        let sum =
-            checksum(&[&count.to_le_bytes(), &out[headers_at..], &body_len.to_le_bytes(), body]);
+        let sum = checksum(&[&count.to_le_bytes(), headers, &body_len.to_le_bytes(), body]);
         body_len.write(out);
         out.extend_from_slice(body);
         sum.write(out);
@@ -201,12 +215,13 @@ impl ResultLog {
         if sum != stored {
             return Err(PersistError::new("result log checksum mismatch"));
         }
-        let mut h = Reader::new(headers);
         let (mut start, end) = (self.bytes.len(), self.bytes.len() + body_len);
-        while h.remaining() > 0 {
-            let id: JobId = h.read()?;
-            let tag: u8 = h.read()?;
-            let len: usize = h.read()?;
+        self.records.reserve(headers.len() / HEADER_BYTES);
+        self.index.reserve(headers.len() / HEADER_BYTES);
+        for h in headers.chunks_exact(HEADER_BYTES) {
+            let word = |at: usize| u64::from_le_bytes(h[at..at + 8].try_into().expect("8 bytes"));
+            let (id, tag) = (JobId(word(0)), h[8]);
+            let len = usize::try_from(word(9)).map_err(|_| PersistError::new("usize overflow"))?;
             let fate = Fate::from_tag(tag)
                 .ok_or_else(|| PersistError::new(format!("bad fate tag {tag} for {id}")))?;
             let record_end = start
@@ -226,6 +241,7 @@ impl ResultLog {
             return Err(PersistError::new(format!("result log holds {} twice", pair[0].0)));
         }
         self.bytes.extend_from_slice(body);
+        self.headers.extend_from_slice(headers);
         Ok(())
     }
 

@@ -542,3 +542,91 @@ fn rotation_leaves_only_the_current_epoch_file() {
     assert_eq!(names, ["epoch-00000002.ckpt"], "the current epoch file alone");
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// The file names in `dir`, sorted.
+fn listing(dir: &Path) -> Vec<String> {
+    let mut names: Vec<String> = fs::read_dir(dir)
+        .expect("chain dir lists")
+        .map(|e| e.expect("entry").file_name().into_string().expect("utf8 name"))
+        .collect();
+    names.sort();
+    names
+}
+
+/// A four-job fleet and a checkpointer over `dir` writing a base after
+/// every delta.
+fn rotating(dir: &Path) -> (Scheduler, DeltaCheckpointer) {
+    let mut fleet = Scheduler::with_uniform_fleet(
+        1,
+        DeviceSpec::gtx280(),
+        SchedulerConfig { max_batch: 2, quantum_iters: Some(8), ..Default::default() },
+    );
+    for i in 0..4 {
+        fleet.submit(onemax_job(&format!("rotate-{i}"), i));
+    }
+    (fleet, DeltaCheckpointer::open(dir, 1).expect("store opens"))
+}
+
+/// What the directory held when the checkpointer opened — an older
+/// epoch file, the temp file of a base that never landed, even one of
+/// an epoch past the newest file — is gone once the first base lands;
+/// a file the store does not name is left alone.
+#[test]
+fn a_leftover_planted_before_open_is_gone_after_the_first_rotation() {
+    let dir = chain_dir("leftovers");
+    fs::create_dir_all(&dir).expect("chain dir");
+    for (name, bytes) in [
+        ("epoch-00000003.ckpt", &b"a previous incarnation"[..]),
+        ("epoch-00000002.tmp", b"an interrupted base"),
+        ("epoch-00000009.tmp", b"an interrupted base of a later epoch"),
+        ("notes.txt", b"not a checkpoint"),
+    ] {
+        fs::write(dir.join(name), bytes).expect("plant a file");
+    }
+    let (fleet, mut ckpt) = rotating(&dir);
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    assert_eq!(listing(&dir), ["epoch-00000004.ckpt", "notes.txt"]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A base whose rename fails leaves its temp file behind; the next base
+/// that lands deletes it with the older epoch's file.
+#[test]
+fn a_failed_base_leaves_no_temp_file_after_the_next_rotation() {
+    let dir = chain_dir("failed-base");
+    let (mut fleet, mut ckpt) = rotating(&dir);
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    fleet.tick();
+    assert_eq!(ckpt.snapshot(&fleet).expect("delta writes").kind, SnapshotKind::Delta);
+    let squatter = dir.join("epoch-00000002.ckpt");
+    fs::create_dir(&squatter).expect("stand a directory in for the next epoch file");
+    fleet.tick();
+    match ckpt.snapshot(&fleet) {
+        Err(CheckpointError::Io { .. }) => {}
+        Err(other) => panic!("expected an i/o error, got: {other}"),
+        Ok(stats) => panic!("the blocked base must fail, wrote {stats:?}"),
+    }
+    assert!(dir.join("epoch-00000002.tmp").exists(), "the failed base leaves its temp file");
+    fs::remove_dir(&squatter).expect("clear the epoch file's path");
+
+    assert_eq!(ckpt.snapshot(&fleet).expect("the retry writes").kind, SnapshotKind::Base);
+    assert_eq!(listing(&dir), ["epoch-00000003.ckpt"]);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// Each rotation deletes what the one before it left, so any number of
+/// them leave one file.
+#[test]
+fn five_rotations_leave_one_epoch_file() {
+    let dir = chain_dir("five-rotations");
+    let (mut fleet, mut ckpt) = rotating(&dir);
+    assert_eq!(ckpt.snapshot(&fleet).expect("base writes").kind, SnapshotKind::Base);
+    for _ in 0..5 {
+        fleet.tick();
+        assert_eq!(ckpt.snapshot(&fleet).expect("delta writes").kind, SnapshotKind::Delta);
+        fleet.tick();
+        assert_eq!(ckpt.snapshot(&fleet).expect("rotation writes").kind, SnapshotKind::Base);
+    }
+    assert_eq!(listing(&dir), ["epoch-00000006.ckpt"]);
+    let _ = fs::remove_dir_all(&dir);
+}
